@@ -2,8 +2,11 @@
 
 Exit codes: 0 success or property verified, 1 a mathematically meaningful
 failure (counterexample, violation, infeasibility of a checked property),
-2 usage or input errors.  Rational values print exactly; with --json they
-appear as "p/q" strings and are never rendered as floats.
+2 usage or input errors, 3 budget exhausted with nothing claimed (a
+theorem check that skipped a graph without finding a counterexample, or a
+criticality check that met a component with more cover classes than the
+budget).  Rational values print exactly; with --json they appear as "p/q"
+strings and are never rendered as floats.
 """
 from __future__ import annotations
 
@@ -23,8 +26,9 @@ from .graphs import (GraphError, GraphFormatError, gen_family, mad,
                      mad_subset_oracle, parse_graph, potential,
                      serialize_graph)
 from .rationals import json_rat, parse_rational, rat_str
-from .search import (DEFAULT_BUDGET, criticality_check, gap_audit,
-                     min_epsilon_over_covers, theorem_check, cover_hash)
+from .search import (DEFAULT_BUDGET, BudgetExceeded, criticality_check,
+                     gap_audit, min_epsilon_over_covers, theorem_check,
+                     cover_hash)
 
 
 class UsageError(Exception):
@@ -171,6 +175,7 @@ def cmd_theorem_check(args) -> int:
         return 1
     if report.skipped:
         print(f"# skipped (budget): {[r.code for r in report.skipped]}")
+        return 3
     return 0
 
 
@@ -322,6 +327,9 @@ def run(argv) -> int:
     except (GraphError, GraphFormatError, CoverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BudgetExceeded as exc:
+        print(f"budget exhausted: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -88,34 +88,6 @@ def enumerate_colorings(g: Multigraph, cover: Cover,
     return result
 
 
-def count_colorings(g: Multigraph, cover: Cover,
-                    lists: Optional[ListAssignment] = None) -> int:
-    """Streaming count, same search as `enumerate_colorings`."""
-    assert_valid(g, cover)
-    if lists is None:
-        lists = full_lists(g.n)
-    _check_lists(g, lists)
-    order = g.bfs_order()
-    tables = _conflict_tables(g, cover, order)
-    chosen = [0] * g.n
-
-    def walk(k: int) -> int:
-        if k == g.n:
-            return 1
-        v = order[k]
-        forbidden = 0
-        for u, banned in tables[k]:
-            forbidden |= banned[chosen[u]]
-        total = 0
-        for c in lists[v]:
-            if not forbidden >> c & 1:
-                chosen[v] = c
-                total += walk(k + 1)
-        return total
-
-    return walk(0)
-
-
 # ---------------------------------------------------------------------------
 # Tree packings with 2-lists
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ PERMS: tuple[Perm, ...] = tuple(sorted(permutations(range(3))))
 IDENTITY: Perm = (0, 1, 2)
 SWAP01: Perm = (1, 0, 2)
 SWAP02: Perm = (2, 1, 0)
-SWAP12: Perm = (0, 2, 1)
 
 ListAssignment = tuple[tuple[int, ...], ...]
 
@@ -216,12 +215,15 @@ def _spanning_tree_pairs(g: Multigraph) -> set[tuple[int, int]]:
 
 
 class CoverEnumeration:
-    """Mixed-radix index over one representative per relabeling class.
+    """Mixed-radix index that hits every relabeling class at least once.
 
     Relabeling each list L(v) independently lets the first matching of every
     spanning-tree pair be pinned to the identity; all other slots range over
-    the remaining distinct permutations.  Every pair uses its full matching
-    budget min(multiplicity, 6): dropping matchings never shrinks the set of
+    the remaining distinct permutations.  A class can be hit more than once:
+    one permutation applied to every list keeps the tree pinned and
+    conjugates the other matchings (on the (4,2) graphs, 289 indices fall
+    into 90 classes).  Every pair uses its full matching budget
+    min(multiplicity, 6): dropping matchings never shrinks the set of
     colorings, so full covers dominate every worst-case question.
     """
 
@@ -262,15 +264,6 @@ class CoverEnumeration:
     def __iter__(self) -> Iterator[Cover]:
         for i in range(self.count):
             yield self.at(i)
-
-
-def enumerate_covers(g: Multigraph) -> Iterator[Cover]:
-    """One representative per class under independent list relabeling."""
-    return iter(CoverEnumeration(g))
-
-
-def count_cover_classes(g: Multigraph) -> int:
-    return CoverEnumeration(g).count
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .colorings import Coloring, ColoringDistribution, enumerate_colorings, marginal
+from .colorings import Coloring, ColoringDistribution, enumerate_colorings
 from .covers import (Cover, ListAssignment, ListDistribution, assert_valid,
                      full_lists)
 from .graphs import Multigraph, PotentialAssignment
-from .lp import LinearProgram, solve
+from .lp import LinearProgram, LpInternalError, solve
 from .rationals import json_rat
 
 Q = Fraction
@@ -39,22 +39,50 @@ class FlexReport:
     worst_request: dict[tuple[int, int], Fraction]
 
 
-def _listed_pairs(lists: ListAssignment) -> list[tuple[int, int]]:
-    return [(v, c) for v, colors in enumerate(lists) for c in colors]
-
-
 def _require_vertices(g: Multigraph) -> None:
     if g.n == 0:
         raise ValueError("flexibility queries need at least one vertex")
 
 
-def _support(colorings: Sequence[Coloring], pairs) -> dict[tuple[int, int], list[int]]:
-    where: dict[tuple[int, int], list[int]] = {pair: [] for pair in pairs}
+def _support(colorings: Sequence[Coloring], lists: ListAssignment
+             ) -> dict[tuple[int, int], list[int]]:
+    """For each listed (vertex, color), in list order, the indices of the
+    colorings that use it."""
+    where: dict[tuple[int, int], list[int]] = {
+        (v, c): [] for v, colors in enumerate(lists) for c in colors}
     for i, phi in enumerate(colorings):
         for v, c in enumerate(phi):
             if (v, c) in where:
                 where[(v, c)].append(i)
     return where
+
+
+def _marginal_columns(g: Multigraph, cover: Cover, lists: ListAssignment
+                      ) -> tuple[list[Coloring], dict[tuple[int, int], list[int]]]:
+    """Validate the inputs; return the colorings and their `_support`."""
+    _require_vertices(g)
+    assert_valid(g, cover)
+    colorings = enumerate_colorings(g, cover, lists)
+    return colorings, _support(colorings, lists)
+
+
+def _indicator(width: int, columns: Sequence[int]) -> tuple[Fraction, ...]:
+    """0/1 row of the given width with ones at `columns`."""
+    coeffs = [Q(0)] * width
+    for i in columns:
+        coeffs[i] = Q(1)
+    return tuple(coeffs)
+
+
+def _feasible_support(columns: Sequence, rows) -> Optional[list]:
+    """(column, weight) pairs with nonzero weight at a feasible point of
+    `rows`, x >= 0, one variable per column; None when infeasible.  The
+    objective is zero, so the program is never unbounded."""
+    k = len(columns)
+    outcome = solve(LinearProgram(k, (Q(0),) * k, tuple(rows)))
+    if outcome.status != "optimal":
+        return None
+    return [(col, x) for col, x in zip(columns, outcome.primal) if x != 0]
 
 
 def epsilon_star(g: Multigraph, cover: Cover,
@@ -67,17 +95,14 @@ def epsilon_star(g: Multigraph, cover: Cover,
     a listed color missing from every coloring yields eps* = 0 without an
     LP solve; the certificate is the unit request on that color.
     """
-    _require_vertices(g)
-    assert_valid(g, cover)
     if lists is None:
         lists = full_lists(g.n)
-    pairs = _listed_pairs(lists)
-    colorings = enumerate_colorings(g, cover, lists)
+    colorings, where = _marginal_columns(g, cover, lists)
+    pairs = list(where)
     if not colorings:
         request = {pair: Q(0) for pair in pairs}
         request[pairs[0]] = Q(1)
         return FlexReport(Q(0), False, (), request)
-    where = _support(colorings, pairs)
     if shortcut:
         dead = next((pair for pair in pairs if not where[pair]), None)
         if dead is not None:
@@ -88,50 +113,26 @@ def epsilon_star(g: Multigraph, cover: Cover,
             return FlexReport(Q(0), True, dist, request)
 
     k = len(colorings)
-    rows = []
-    for pair in pairs:
-        coeffs = [Q(0)] * (k + 1)
-        for i in where[pair]:
-            coeffs[i] = Q(1)
-        coeffs[k] = Q(-1)
-        rows.append((tuple(coeffs), ">=", Q(0)))
-    rows.append((tuple([Q(1)] * k + [Q(0)]), "=", Q(1)))
-    objective = tuple([Q(0)] * k + [Q(1)])
-    outcome = solve(LinearProgram(k + 1, objective, tuple(rows)))
-    assert outcome.status == "optimal"
-    eps = outcome.value
-    dist = tuple((colorings[i], outcome.primal[i])
-                 for i in range(k) if outcome.primal[i] != 0)
+    rows = [(_indicator(k, where[pair]) + (Q(-1),), ">=", Q(0)) for pair in pairs]
+    rows.append(((Q(1),) * k + (Q(0),), "=", Q(1)))
+    outcome = solve(LinearProgram(k + 1, (Q(0),) * k + (Q(1),), tuple(rows)))
+    if outcome.status != "optimal":   # feasible at eps = 0 and bounded by 1
+        raise LpInternalError(f"the epsilon* LP reported {outcome.status}")
+    dist = tuple((phi, x) for phi, x in zip(colorings, outcome.primal) if x != 0)
     weights = [-outcome.dual[i] for i in range(len(pairs))]
     total = sum(weights, Q(0))
     request = {pair: w / total for pair, w in zip(pairs, weights)}
-    return FlexReport(eps, True, dist, request)
+    return FlexReport(outcome.value, True, dist, request)
 
 
 def fractional_packing(g: Multigraph, cover: Cover) -> Optional[ColoringDistribution]:
     """Distribution with every full-list marginal exactly 1/3, if one exists."""
-    _require_vertices(g)
-    assert_valid(g, cover)
-    lists = full_lists(g.n)
-    pairs = _listed_pairs(lists)
-    colorings = enumerate_colorings(g, cover, lists)
-    if not colorings:
-        return None
-    where = _support(colorings, pairs)
-    if any(not where[pair] for pair in pairs):
+    colorings, where = _marginal_columns(g, cover, full_lists(g.n))
+    if not colorings or not all(where.values()):
         return None
     k = len(colorings)
-    rows = []
-    for pair in pairs:
-        coeffs = [Q(0)] * k
-        for i in where[pair]:
-            coeffs[i] = Q(1)
-        rows.append((tuple(coeffs), "=", Q(1, 3)))
-    outcome = solve(LinearProgram(k, (Q(0),) * k, tuple(rows)))
-    if outcome.status != "optimal":
-        return None
-    return [(colorings[i], outcome.primal[i])
-            for i in range(k) if outcome.primal[i] != 0]
+    return _feasible_support(colorings, [(_indicator(k, cols), "=", Q(1, 3))
+                                         for cols in where.values()])
 
 
 def box_distribution(g: Multigraph, cover: Cover, lists: ListAssignment,
@@ -142,8 +143,7 @@ def box_distribution(g: Multigraph, cover: Cover, lists: ListAssignment,
     lower, upper = Q(lower), Q(upper)
     if lower > upper:
         raise ValueError(f"lower bound {lower} exceeds upper bound {upper}")
-    _require_vertices(g)
-    assert_valid(g, cover)
+    colorings, where = _marginal_columns(g, cover, lists)
     pins: dict[tuple[int, int], Fraction] = {}
     for v, c, val in pinned:
         if c not in lists[v]:
@@ -152,29 +152,19 @@ def box_distribution(g: Multigraph, cover: Cover, lists: ListAssignment,
         if pins.get((v, c), val) != val:
             raise ValueError(f"({v},{c}) pinned to both {pins[(v, c)]} and {val}")
         pins[(v, c)] = val
-    pairs = _listed_pairs(lists)
-    colorings = enumerate_colorings(g, cover, lists)
     if not colorings:
         return None
-    where = _support(colorings, pairs)
     k = len(colorings)
     rows = []
-    for pair in pairs:
-        coeffs = [Q(0)] * k
-        for i in where[pair]:
-            coeffs[i] = Q(1)
-        coeffs = tuple(coeffs)
+    for pair, cols in where.items():
+        coeffs = _indicator(k, cols)
         if pair in pins:
             rows.append((coeffs, "=", pins[pair]))
         else:
             rows.append((coeffs, ">=", lower))
             rows.append((coeffs, "<=", upper))
     rows.append(((Q(1),) * k, "=", Q(1)))
-    outcome = solve(LinearProgram(k, (Q(0),) * k, tuple(rows)))
-    if outcome.status != "optimal":
-        return None
-    return [(colorings[i], outcome.primal[i])
-            for i in range(k) if outcome.primal[i] != 0]
+    return _feasible_support(colorings, rows)
 
 
 @dataclass(frozen=True)
@@ -232,50 +222,34 @@ def framework_feasible(g: Multigraph, pa: PotentialAssignment, cover: Cover,
     check_admissible(g, pa, dist, eps)
 
     active = [(lists, prob) for lists, prob in dist.outcomes if prob > 0]
-    per_outcome: list[list[Coloring]] = []
-    for lists, _ in active:
-        colorings = enumerate_colorings(g, cover, lists)
-        if not colorings:
+    owner: list[int] = []
+    colorings: list[Coloring] = []
+    for o, (lists, _) in enumerate(active):
+        found = enumerate_colorings(g, cover, lists)
+        if not found:
             return None
-        per_outcome.append(colorings)
-
-    index: list[tuple[int, int]] = [(o, i) for o, colorings in enumerate(per_outcome)
-                                    for i in range(len(colorings))]
-    k = len(index)
-    pairs = _listed_pairs(full_lists(g.n))
-    where: dict[tuple[int, int], list[int]] = {pair: [] for pair in pairs}
-    for col, (o, i) in enumerate(index):
-        for v, c in enumerate(per_outcome[o][i]):
-            where[(v, c)].append(col)
-    if any(not where[pair] for pair in pairs):
+        owner += [o] * len(found)
+        colorings += found
+    where = _support(colorings, full_lists(g.n))
+    if not all(where.values()):
         return None
 
-    rows = []
-    for o, (_, prob) in enumerate(active):
-        coeffs = [Q(1) if index[col][0] == o else Q(0) for col in range(k)]
-        rows.append((tuple(coeffs), "=", prob))
-    for pair in pairs:
-        coeffs = [Q(0)] * k
-        for col in where[pair]:
-            coeffs[col] = Q(1)
-        rows.append((tuple(coeffs), ">=", eps))
+    k = len(colorings)
+    rows = [(_indicator(k, [col for col in range(k) if owner[col] == o]), "=", prob)
+            for o, (_, prob) in enumerate(active)]
+    rows += [(_indicator(k, cols), ">=", eps) for cols in where.values()]
     for v in pa.pi(4):
         for c in range(3):
-            coeffs = [Q(0)] * k
-            for col in where[(v, c)]:
-                coeffs[col] = Q(1)
             target = 2 * eps if c == pa.basepoint[v] else Q(1, 2) - eps
-            rows.append((tuple(coeffs), "=", target))
-    outcome = solve(LinearProgram(k, (Q(0),) * k, tuple(rows)))
-    if outcome.status != "optimal":
+            rows.append((_indicator(k, where[(v, c)]), "=", target))
+    support = _feasible_support(list(zip(owner, colorings)), rows)
+    if support is None:
         return None
     grouped: list[list[tuple[Coloring, Fraction]]] = [[] for _ in active]
-    for col, weight in enumerate(outcome.primal):
-        if weight != 0:
-            o, i = index[col]
-            grouped[o].append((per_outcome[o][i], weight))
-    return FrameworkWitness(tuple((active[o][0], tuple(grouped[o]))
-                                  for o in range(len(active))))
+    for (o, phi), weight in support:
+        grouped[o].append((phi, weight))
+    return FrameworkWitness(tuple((lists, tuple(found))
+                                  for (lists, _), found in zip(active, grouped)))
 
 
 def flex_report_json(report: FlexReport) -> dict:

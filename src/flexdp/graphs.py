@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 Q = Fraction
@@ -171,11 +171,6 @@ class Multigraph:
         return f"Multigraph({self.n}, {self.edge_items()})"
 
 
-def new_multigraph(vertex_count: int, edge_list: Iterable[tuple[int, int, int]]) -> Multigraph:
-    """Build a multigraph; duplicate pairs in the list have multiplicities summed."""
-    return Multigraph(vertex_count, edge_list)
-
-
 @dataclass(frozen=True)
 class PotentialAssignment:
     """Per-vertex value in {3,4,6} plus a distinguished basepoint color."""
@@ -213,14 +208,6 @@ class PotentialAssignment:
         keep = sorted(set(keep))
         return PotentialAssignment(tuple(self.rho[v] for v in keep),
                                    tuple(self.basepoint[v] for v in keep))
-
-    def with_value(self, v: int, value: int, basepoint: Optional[int] = None) -> "PotentialAssignment":
-        rho = list(self.rho)
-        bp = list(self.basepoint)
-        rho[v] = value
-        if basepoint is not None:
-            bp[v] = basepoint
-        return PotentialAssignment(tuple(rho), tuple(bp))
 
 
 def _check_assignment(g: Multigraph, pa: PotentialAssignment) -> None:
@@ -400,20 +387,6 @@ def _extend_cycle(g, m, length, path, used):
             return result
         used.discard(w)
         path.pop()
-    return None
-
-
-def find_I_subgraph_oracle(g: Multigraph, cap: int = 12) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Brute-force reference: try every vertex sequence of every odd length."""
-    if g.n > cap:
-        raise GraphError(f"oracle capped at {cap} vertices")
-    for m in range(1, (g.n - 1) // 2 + 1):
-        length = 2 * m + 1
-        for seq in permutations(range(g.n), length):
-            ok = all(g.multiplicity(seq[i], seq[i + 1]) >= _pattern_need(i + 1, m)
-                     for i in range(length - 1))
-            if ok and g.multiplicity(seq[-1], seq[0]) >= 1:
-                return m, seq
     return None
 
 

@@ -11,10 +11,6 @@ from math import lcm
 
 Q = Fraction
 
-ZERO = Q(0)
-ONE = Q(1)
-THIRD = Q(1, 3)
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or a plain integer string into a Fraction.
@@ -26,6 +22,8 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not an exact rational: {text!r}")
     if "/" in s:
         num, _, den = s.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator: {text!r}")
         return Q(int(num), int(den))
     return Q(int(s))
 

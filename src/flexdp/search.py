@@ -4,8 +4,9 @@ check, criticality, and the potential gap audit.
 Graph isomorphism is handled by brute-force canonical codes (minimum
 multiplicity vector over all vertex permutations), which is plenty at the
 desk cap of five vertices.  Parallel runs split the cover-class index
-range into chunks; chunks carry only immutable tuples and results merge by
-(value, first index), so output is identical for any job count.
+range into chunks; chunks carry only immutable tuples and return their
+values in index order, and one merge keeps the first index attaining the
+minimum, so output is identical for any job count.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, islice, permutations, product
 from typing import Iterator, Optional, Sequence
 
 from .covers import Cover, CoverEnumeration, serialize_cover, trivial_list_distribution
@@ -92,18 +93,40 @@ class WorstCoverReport:
     per_class_values: Optional[tuple[tuple[Cover, Fraction], ...]] = None
 
 
-def _eps_chunk(task: tuple) -> tuple[Optional[Fraction], int]:
-    """Worker: minimum epsilon* over cover classes [lo, hi) of one graph."""
+def _eps_chunk(task: tuple) -> list[Fraction]:
+    """Worker: epsilon* of cover classes [lo, hi) of one graph, in index order."""
     n, edges, lo, hi = task
     g = Multigraph(n, edges)
     enum = CoverEnumeration(g)
-    best: Optional[Fraction] = None
-    best_index = -1
-    for i in range(lo, hi):
-        eps = epsilon_star(g, enum.at(i)).epsilon_star
-        if best is None or eps < best:
-            best, best_index = eps, i
-    return best, best_index
+    return [epsilon_star(g, enum.at(i)).epsilon_star for i in range(lo, hi)]
+
+
+def _class_minima(graphs: Sequence[tuple[Multigraph, int]], jobs: int,
+                  keep: bool) -> list[tuple[Fraction, int, Optional[list[Fraction]]]]:
+    """Minimum epsilon* over the first `evaluated` cover classes of each graph.
+
+    Returns, per (graph, evaluated) pair, the minimum, the first index that
+    attains it, and with `keep` every value in index order.  The index
+    ranges are cut into chunks that run in a process pool when jobs > 1;
+    chunk results are merged in task order, so the output does not depend
+    on the job count.
+    """
+    if any(evaluated < 1 for _, evaluated in graphs):
+        raise ValueError("budget must be at least 1")
+    tasks = [(g.n, g.edge_items(), lo, min(lo + CHUNK, evaluated))
+             for g, evaluated in graphs for lo in range(0, evaluated, CHUNK)]
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = list(pool.map(_eps_chunk, tasks))
+    else:
+        chunks = map(_eps_chunk, tasks)
+    stream = chain.from_iterable(chunks)
+    minima = []
+    for _, evaluated in graphs:
+        values = list(islice(stream, evaluated))
+        best = min(values)
+        minima.append((best, values.index(best), values if keep else None))
+    return minima
 
 
 def min_epsilon_over_covers(g: Multigraph, budget: int = DEFAULT_BUDGET,
@@ -113,36 +136,16 @@ def min_epsilon_over_covers(g: Multigraph, budget: int = DEFAULT_BUDGET,
 
     The witness is the first class attaining the minimum in enumeration
     order.  When the class count exceeds the budget only the first `budget`
-    classes are evaluated and the report is flagged incomplete.  Collecting
-    per-class values forces a serial run.
+    classes are evaluated and the report is flagged incomplete; a budget
+    below 1 is rejected.
     """
     enum = CoverEnumeration(g)
-    total = enum.count
-    evaluated = min(total, budget)
-    values: Optional[list[tuple[Cover, Fraction]]] = [] if per_class else None
-    if jobs > 1 and not per_class and evaluated > CHUNK:
-        edges = g.edge_items()
-        tasks = [(g.n, edges, lo, min(lo + CHUNK, evaluated))
-                 for lo in range(0, evaluated, CHUNK)]
-        best, best_index = None, -1
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for eps, idx in pool.map(_eps_chunk, tasks):
-                if eps is not None and (best is None or eps < best
-                                        or (eps == best and idx < best_index)):
-                    best, best_index = eps, idx
-    else:
-        best, best_index = None, -1
-        for i in range(evaluated):
-            cover = enum.at(i)
-            eps = epsilon_star(g, cover).epsilon_star
-            if values is not None:
-                values.append((cover, eps))
-            if best is None or eps < best:
-                best, best_index = eps, i
-    assert best is not None
-    return WorstCoverReport(best, enum.at(best_index), evaluated == total,
-                            total, evaluated,
-                            tuple(values) if values is not None else None)
+    evaluated = min(enum.count, budget)
+    [(best, best_index, values)] = _class_minima([(g, evaluated)], jobs, per_class)
+    per_class_values = None if values is None else \
+        tuple((enum.at(i), eps) for i, eps in enumerate(values))
+    return WorstCoverReport(best, enum.at(best_index), evaluated == enum.count,
+                            enum.count, evaluated, per_class_values)
 
 
 # ---------------------------------------------------------------------------
@@ -215,35 +218,13 @@ def theorem_check(max_vertices: int, max_multiplicity: int, jobs: int = 1,
             kept.append((canonical_code(g), g, density))
     kept.sort(key=lambda item: (item[1].n, item[0]))
 
-    tasks = []
-    spans: list[tuple[int, int]] = []
-    for gi, (_, g, _) in enumerate(kept):
-        enum = CoverEnumeration(g)
-        evaluated = min(enum.count, budget)
-        start = len(tasks)
-        edges = g.edge_items()
-        for lo in range(0, evaluated, CHUNK):
-            tasks.append((g.n, edges, lo, min(lo + CHUNK, evaluated)))
-        spans.append((start, len(tasks)))
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_eps_chunk, tasks))
-    else:
-        results = [_eps_chunk(t) for t in tasks]
-
+    enums = [CoverEnumeration(g) for _, g, _ in kept]
+    minima = _class_minima([(g, min(enum.count, budget))
+                            for (_, g, _), enum in zip(kept, enums)], jobs, False)
     rows = []
-    for gi, (code, g, density) in enumerate(kept):
-        start, stop = spans[gi]
-        best, best_index = None, -1
-        for eps, idx in results[start:stop]:
-            if eps is not None and (best is None or eps < best
-                                    or (eps == best and idx < best_index)):
-                best, best_index = eps, idx
-        enum = CoverEnumeration(g)
-        evaluated = min(enum.count, budget)
+    for (code, g, density), enum, (best, best_index, _) in zip(kept, enums, minima):
         found = find_I_subgraph(g)
-        if evaluated < enum.count:
+        if budget < enum.count:
             status = "skipped"
         elif found is not None:
             status = "exception"

@@ -2,14 +2,14 @@
 
 Everything here is deliberately brute force: vertex enumeration for LPs,
 exhaustive assignment counting for colorings, explicit relabeling orbits
-for cover classes.  None of it shares code with the implementations under
-test.
+for cover classes, every vertex sequence for the inflexible family.  None
+of it shares code with the implementations under test.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from flexdp.covers import PERMS, Cover
 from flexdp.graphs import Multigraph
@@ -218,3 +218,22 @@ def random_2connected_subcubic(rng: random.Random, max_n: int = 8) -> Multigraph
         if (used == n and g.is_simple() and max(map(g.degree, range(g.n))) <= 3
                 and two_vertices >= 2 and is_2connected(g)):
             return g
+
+
+# ---------------------------------------------------------------------------
+# Inflexible-family oracle: every vertex sequence of every odd length
+# ---------------------------------------------------------------------------
+
+def find_I_subgraph_oracle(g: Multigraph, cap: int = 12):
+    """Smallest m and a vertex sequence v_1..v_{2m+1} closing an odd cycle
+    with multiplicity >= 2 on (v_1,v_2), (v_3,v_4), ..., (v_{2m-1},v_{2m})
+    and >= 1 on its other edges; None when there is none."""
+    if g.n > cap:
+        raise ValueError(f"oracle capped at {cap} vertices")
+    for m in range(1, (g.n - 1) // 2 + 1):
+        for seq in permutations(range(g.n), 2 * m + 1):
+            cycle = zip(seq, seq[1:] + seq[:1])
+            if all(g.multiplicity(u, v) >= (2 if i < 2 * m and i % 2 == 0 else 1)
+                   for i, (u, v) in enumerate(cycle)):
+                return m, seq
+    return None

@@ -185,3 +185,51 @@ def test_five_hundred_serialization_round_trips():
         assert parse_graph(serialize_graph(g, pa)) == (g, pa)
         cover = random_cover(rng, g)
         assert parse_cover(serialize_cover(cover), g) == cover
+
+
+def test_worst_per_class_independent_of_jobs(tmp_path, capsys):
+    graph = tmp_path / "k4.txt"
+    run(["gen", "k4", "--out", str(graph)])
+    _, serial, _ = invoke(capsys, "worst", str(graph), "--per-class",
+                          "--jobs", "1")
+    _, parallel, _ = invoke(capsys, "worst", str(graph), "--per-class",
+                            "--jobs", "2")
+    assert serial == parallel
+    assert "classes = 216" in serial and "  class 215: " in serial
+
+
+def test_critical_zero_denominator_is_usage_error(tmp_path, capsys):
+    graph = tmp_path / "c2.txt"
+    run(["gen", "c2", "--out", str(graph)])
+    code, _, err = invoke(capsys, "critical", str(graph), "--epsilon", "1/0")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_worst_zero_budget_is_usage_error(tmp_path, capsys):
+    graph = tmp_path / "c2.txt"
+    run(["gen", "c2", "--out", str(graph)])
+    code, _, err = invoke(capsys, "worst", str(graph), "--budget", "0")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_theorem_check_zero_budget_is_usage_error(capsys):
+    code, _, err = invoke(capsys, "theorem-check", "--max-vertices", "2",
+                          "--budget", "0")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_theorem_check_skipped_graphs_exit_3(capsys):
+    code, out, _ = invoke(capsys, "theorem-check", "--max-vertices", "3",
+                          "--max-mult", "2", "--budget", "2")
+    assert code == 3
+    assert "# skipped (budget): " in out
+    assert "'skipped': 5" in out
+
+
+def test_critical_budget_exhausted_exit_3(tmp_path, capsys):
+    graph = tmp_path / "c2.txt"
+    run(["gen", "c2", "--out", str(graph)])
+    code, out, err = invoke(capsys, "critical", str(graph), "--epsilon", "1/6",
+                            "--budget", "1")
+    assert code == 3
+    assert "verdict" not in out and err.startswith("budget exhausted:")

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from flexdp.covers import (IDENTITY, SWAP01, Cover, CoverEnumeration,
-                           CoverError, ListDistribution, count_cover_classes,
-                           enumerate_covers, tight_cover, parse_cover,
-                           serialize_cover, straight_cover, validate)
+                           CoverError, ListDistribution, tight_cover,
+                           parse_cover, serialize_cover, straight_cover,
+                           validate)
 from flexdp.graphs import Multigraph, gen_family
 from oracles import all_full_covers, random_connected_multigraph, \
     relabeling_canonical_form
@@ -97,14 +97,14 @@ class TestPaperCovers:
 
 class TestEnumeration:
     def test_single_edge_one_class(self):
-        assert count_cover_classes(Multigraph(2, [(0, 1, 1)])) == 1
+        assert CoverEnumeration(Multigraph(2, [(0, 1, 1)])).count == 1
 
     def test_doubled_edge_five_classes(self):
-        assert count_cover_classes(Multigraph(2, [(0, 1, 2)])) == 5
+        assert CoverEnumeration(Multigraph(2, [(0, 1, 2)])).count == 5
 
     def test_triangle_six_classes(self):
         g = Multigraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
-        assert count_cover_classes(g) == 6
+        assert CoverEnumeration(g).count == 6
 
     def test_every_enumerated_cover_validates(self):
         rng = random.Random(11)
@@ -134,7 +134,7 @@ class TestEnumeration:
             if g.edge_total() > 4 or g.n > 4:
                 continue
             checked += 1
-            ours = {relabeling_canonical_form(g, c) for c in enumerate_covers(g)}
+            ours = {relabeling_canonical_form(g, c) for c in CoverEnumeration(g)}
             brute = {relabeling_canonical_form(g, c) for c in all_full_covers(g)}
             assert ours == brute
 

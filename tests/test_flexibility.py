@@ -60,6 +60,16 @@ class TestEpsilonStar:
         assert not report.colorable
         assert report.distribution == ()
 
+    def test_solver_status_checked_without_assert(self, monkeypatch):
+        """A non-optimal status is a solver fault, raised even under -O."""
+        from flexdp import flexibility
+        from flexdp.lp import LpInternalError, LpOutcome
+        monkeypatch.setattr(flexibility, "solve",
+                            lambda program: LpOutcome("infeasible"))
+        g = Multigraph(2, [(0, 1, 2)])
+        with pytest.raises(LpInternalError):
+            epsilon_star(g, tight_cover("c2x", g))
+
     def test_certificates_on_random_instances(self):
         rng = random.Random(41)
         for _ in range(40):

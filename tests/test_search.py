@@ -51,6 +51,13 @@ class TestWorstCover:
         assert not report.complete
         assert report.classes_evaluated == 10 and report.classes_total == 216
 
+    def test_budget_below_one_rejected(self):
+        g, _ = gen_family("k4")
+        with pytest.raises(ValueError):
+            min_epsilon_over_covers(g, budget=0)
+        with pytest.raises(ValueError):
+            theorem_check(2, 2, budget=0)
+
     def test_witness_attains_minimum(self):
         g = Multigraph(2, [(0, 1, 2)])
         report = min_epsilon_over_covers(g)
