@@ -3,9 +3,10 @@
 Exit codes: 0 success or property verified, 1 a mathematically meaningful
 failure (counterexample, violation, infeasibility of a checked property),
 2 usage or input errors, 3 budget exhausted with nothing claimed (a
-theorem check that skipped a graph without finding a counterexample, or a
+theorem check that skipped a graph without finding a counterexample, a
 criticality check that met a component with more cover classes than the
-budget).  Rational values print exactly; with --json they appear as "p/q"
+budget, or a worst-cover search that stopped before every class was
+evaluated, so its printed minimum is only an upper bound).  Rational values print exactly; with --json they appear as "p/q"
 strings and are never rendered as floats.
 """
 from __future__ import annotations
@@ -139,7 +140,7 @@ def cmd_worst(args) -> int:
         "witness_cover": serialize_cover(report.witness_cover),
     }
     _emit(args, payload, "\n".join(lines))
-    return 0
+    return 0 if report.complete else 3
 
 
 def cmd_gen(args) -> int:

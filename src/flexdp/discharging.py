@@ -56,8 +56,17 @@ def conductively_connected(g: Multigraph, pa: PotentialAssignment,
     """
     if u == v:
         raise ValueError("conductive connectivity needs two distinct vertices")
-    conductive = {w for w, cls in enumerate(classify(g, pa).classes)
-                  if cls == "conductive"}
+    return _connected_through(g, _conductive(classify(g, pa)), u, v)
+
+
+def _conductive(classification: VertexClassification) -> frozenset[int]:
+    return frozenset(w for w, cls in enumerate(classification.classes)
+                     if cls == "conductive")
+
+
+def _connected_through(g: Multigraph, conductive: frozenset[int],
+                       u: int, v: int) -> bool:
+    """BFS from u to v whose internal vertices all lie in `conductive`."""
     queue = deque([u])
     seen = {u}
     while queue:
@@ -95,6 +104,7 @@ def run_discharging(g: Multigraph, pa: PotentialAssignment) -> DischargeReport:
     follows when the reported assumptions hold.
     """
     classification = classify(g, pa)
+    conductive = _conductive(classification)
     charges = classification.sigma
     positives = [v for v, s in enumerate(charges) if s >= 1]
     negatives = [v for v, s in enumerate(charges) if s < 0]
@@ -106,7 +116,7 @@ def run_discharging(g: Multigraph, pa: PotentialAssignment) -> DischargeReport:
     reach: dict[int, list[int]] = {}
     for p in positives:
         targets = [w for w in negatives
-                   if conductively_connected(g, pa, p, w)]
+                   if _connected_through(g, conductive, p, w)]
         reach[p] = targets
         sent[p] = len(targets)
         for w in targets:
@@ -116,7 +126,7 @@ def run_discharging(g: Multigraph, pa: PotentialAssignment) -> DischargeReport:
     violations: list[str] = []
     for i, p in enumerate(positives):
         for p2 in positives[i + 1:]:
-            if conductively_connected(g, pa, p, p2):
+            if _connected_through(g, conductive, p, p2):
                 violations.append(
                     f"positive vertices {p} and {p2} are conductively connected")
     for p in positives:
@@ -126,7 +136,7 @@ def run_discharging(g: Multigraph, pa: PotentialAssignment) -> DischargeReport:
                 f"{len(reach[p])} negative vertices")
     for w in insulated:
         connected_positives = sum(
-            1 for p in positives if conductively_connected(g, pa, w, p))
+            1 for p in positives if _connected_through(g, conductive, w, p))
         if connected_positives > -charges[w]:
             violations.append(
                 f"insulated vertex {w} is reached by {connected_positives} "

@@ -66,11 +66,12 @@ def _marginal_columns(g: Multigraph, cover: Cover, lists: ListAssignment
     return colorings, _support(colorings, lists)
 
 
-def _indicator(width: int, columns: Sequence[int]) -> tuple[Fraction, ...]:
-    """0/1 row of the given width with ones at `columns`."""
-    coeffs = [Q(0)] * width
+def _indicator(width: int, columns: Sequence[int]) -> tuple[int, ...]:
+    """0/1 row of the given width with ones at `columns`, as Python ints:
+    the LPs here have integer coefficients and Fraction right-hand sides."""
+    coeffs = [0] * width
     for i in columns:
-        coeffs[i] = Q(1)
+        coeffs[i] = 1
     return tuple(coeffs)
 
 
@@ -79,7 +80,7 @@ def _feasible_support(columns: Sequence, rows) -> Optional[list]:
     `rows`, x >= 0, one variable per column; None when infeasible.  The
     objective is zero, so the program is never unbounded."""
     k = len(columns)
-    outcome = solve(LinearProgram(k, (Q(0),) * k, tuple(rows)))
+    outcome = solve(LinearProgram(k, (0,) * k, tuple(rows)))
     if outcome.status != "optimal":
         return None
     return [(col, x) for col, x in zip(columns, outcome.primal) if x != 0]
@@ -113,9 +114,9 @@ def epsilon_star(g: Multigraph, cover: Cover,
             return FlexReport(Q(0), True, dist, request)
 
     k = len(colorings)
-    rows = [(_indicator(k, where[pair]) + (Q(-1),), ">=", Q(0)) for pair in pairs]
-    rows.append(((Q(1),) * k + (Q(0),), "=", Q(1)))
-    outcome = solve(LinearProgram(k + 1, (Q(0),) * k + (Q(1),), tuple(rows)))
+    rows = [(_indicator(k, where[pair]) + (-1,), ">=", Q(0)) for pair in pairs]
+    rows.append(((1,) * k + (0,), "=", Q(1)))
+    outcome = solve(LinearProgram(k + 1, (0,) * k + (1,), tuple(rows)))
     if outcome.status != "optimal":   # feasible at eps = 0 and bounded by 1
         raise LpInternalError(f"the epsilon* LP reported {outcome.status}")
     dist = tuple((phi, x) for phi, x in zip(colorings, outcome.primal) if x != 0)
@@ -163,7 +164,7 @@ def box_distribution(g: Multigraph, cover: Cover, lists: ListAssignment,
         else:
             rows.append((coeffs, ">=", lower))
             rows.append((coeffs, "<=", upper))
-    rows.append(((Q(1),) * k, "=", Q(1)))
+    rows.append(((1,) * k, "=", Q(1)))
     return _feasible_support(colorings, rows)
 
 

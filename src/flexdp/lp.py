@@ -1,21 +1,26 @@
 """Exact rational linear programming via two-phase simplex with Bland's rule.
 
-Maximization problems over rational data.  The tableau is kept as integer
-numerator rows with one positive denominator per row, which is exact and
-avoids per-entry gcd work; Bland's smallest-index rule guarantees
-termination.  Dual multipliers are read off the artificial columns of the
-final tableau, and every optimal solve is re-verified against the exact
-optimality certificate (feasibility, complementary slackness, strong
-duality) unless the caller opts out.
+Maximization problems over rational data: row coefficients and objective
+entries may be `int` or `Fraction`.  Each row is scaled to integers
+straight from its entries, and the tableau is kept as integer numerator
+rows with one positive denominator per row, which is exact and avoids
+per-entry gcd work; both z-rows are formed in integers over one common
+denominator.  Bland's smallest-index rule guarantees termination.  Dual
+multipliers are read off the artificial columns of the final tableau, and
+every optimal solve is re-verified against the exact optimality
+certificate (feasibility, complementary slackness, strong duality),
+computed as integer dot products over a scaled primal and dual, unless
+the caller opts out.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 Q = Fraction
+Number = Union[int, Fraction]
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
 _RELATIONS = (LESS, EQUAL, GREATER)
@@ -34,9 +39,9 @@ class LinearProgram:
     """max objective . x  subject to rows, x >= lower (default 0)."""
 
     num_vars: int
-    objective: tuple[Fraction, ...]
-    rows: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
-    lower: tuple[Fraction, ...] = ()
+    objective: tuple[Number, ...]
+    rows: tuple[tuple[tuple[Number, ...], str, Number], ...]
+    lower: tuple[Number, ...] = ()
 
     def __post_init__(self):
         if len(self.objective) != self.num_vars:
@@ -67,11 +72,7 @@ class LpOutcome:
 
 
 def _reduce_row(nums: list[int], den: int) -> tuple[list[int], int]:
-    g = den
-    for x in nums:
-        g = gcd(g, x)
-        if g == 1:
-            return nums, den
+    g = gcd(den, *nums)
     if g > 1:
         nums = [x // g for x in nums]
         den //= g
@@ -89,12 +90,6 @@ class _Tableau:
         self.ncols = ncols
         self.z: list[int] = []
         self.zden = 1
-
-    def value(self, i: int, j: int) -> Fraction:
-        return Q(self.rows[i][j], self.dens[i])
-
-    def zvalue(self, j: int) -> Fraction:
-        return Q(self.z[j], self.zden)
 
     def pivot(self, p: int, col: int) -> None:
         rp = self.rows[p]
@@ -153,59 +148,66 @@ class _Tableau:
             self.pivot(leave, entering)
 
 
+def _lcm(values: Iterable[int]) -> int:
+    common = 1
+    for d in values:
+        if d != 1:
+            common = common * d // gcd(common, d)
+    return common
+
+
+def _integral(values: Sequence[Number]) -> tuple[list[int], int]:
+    """Integer numerators of `values` over the lcm of their denominators."""
+    den = _lcm(v.denominator for v in values)
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def solve(lp: LinearProgram, check: bool = True) -> LpOutcome:
     """Exact two-phase simplex.  `check` re-verifies the certificate."""
     n = lp.num_vars
-    lower = lp.lower if lp.lower else (Q(0),) * n
-
-    # Shift x = x' + lower so all variables are >= 0.
-    shifted_rows = []
-    for coeffs, rel, rhs in lp.rows:
-        shift = sum((c * b for c, b in zip(coeffs, lower)), Q(0))
-        shifted_rows.append((coeffs, rel, rhs - shift))
-
-    m = len(shifted_rows)
-    n_slack = sum(1 for _, rel, _ in shifted_rows if rel != EQUAL)
+    m = len(lp.rows)
+    n_slack = sum(1 for _, rel, _ in lp.rows if rel != EQUAL)
     ncols = n + n_slack + m  # structural, slack/surplus, artificial
     art0 = n + n_slack
+    padding = [0] * (n_slack + m)
 
     rows: list[list[int]] = []
     dens: list[int] = []
     signs: list[int] = []  # +1 if the row kept its direction, -1 if negated
     slack_at = 0
-    for i, (coeffs, rel, rhs) in enumerate(shifted_rows):
+    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
+        if lp.lower:  # shift x = x' + lower so all variables are >= 0
+            rhs = rhs - sum((c * b for c, b in zip(coeffs, lp.lower) if c and b), 0)
+        nums, den = _integral((*coeffs, rhs))
         sign = 1
         if rhs < 0:
             sign = -1
-            coeffs = tuple(-c for c in coeffs)
-            rhs = -rhs
+            nums = [-a for a in nums]
             rel = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[rel]
         signs.append(sign)
-        row_q = list(coeffs) + [Q(0)] * (n_slack + m) + [rhs]
+        row = nums[:n] + padding + nums[n:]
         if rel != EQUAL:
-            row_q[n + slack_at] = Q(1) if rel == LESS else Q(-1)
+            row[n + slack_at] = den if rel == LESS else -den
             slack_at += 1
-        row_q[art0 + i] = Q(1)
-        den = 1
-        for v in row_q:
-            den = den * v.denominator // gcd(den, v.denominator)
-        nums = [int(v * den) for v in row_q]
-        nums, den = _reduce_row(nums, den)
-        rows.append(nums)
+        row[art0 + i] = den
+        row, den = _reduce_row(row, den)
+        rows.append(row)
         dens.append(den)
 
     tab = _Tableau(rows, dens, list(range(art0, art0 + m)), ncols)
 
-    # Phase 1: maximize -(sum of artificials); reduced costs from basis = I.
-    zq = [Q(0)] * (ncols + 1)
-    for j in range(ncols):
-        col_sum = sum((tab.value(i, j) for i in range(m)), Q(0))
-        cj = Q(-1) if j >= art0 else Q(0)
-        zq[j] = -col_sum - cj
-    zq[ncols] = -sum((tab.value(i, ncols) for i in range(m)), Q(0))
-    _load_zrow(tab, zq)
+    # Phase 1: maximize -(sum of artificials).  With basis = I the z-row is
+    # minus the column sums of the rows, zero under the artificials.
+    common = _lcm(dens)
+    scaled = rows if common == 1 else [[a * (common // d) for a in row]
+                                       for row, d in zip(rows, dens)]
+    z = [-sum(col) for col in zip(*scaled)] if m else [0] * (ncols + 1)
+    z[art0:ncols] = [0] * m
+    tab.z, tab.zden = _reduce_row(z, common)
     tab.run(barred=frozenset())
-    if tab.zvalue(ncols) != 0:
+    if tab.z[ncols] != 0:
         return LpOutcome(status="infeasible")
 
     # Drive artificials out of the basis; drop rows that turn out redundant.
@@ -218,58 +220,58 @@ def solve(lp: LinearProgram, check: bool = True) -> LpOutcome:
         else:
             tab.pivot(i, pivot_col)
 
-    # Phase 2 with the real objective.  Stored rows are unnormalized (the
-    # basic coefficient is not 1), so divide each row by it when forming
-    # c_B . B^-1 A.
-    cost = list(lp.objective) + [Q(0)] * (ncols - n)
-    zq = [Q(0)] * (ncols + 1)
-    for j in range(ncols + 1):
-        total = Q(0)
-        for i, b in enumerate(tab.basis):
-            cb = cost[b]
-            if cb:
-                total += cb * tab.value(i, j) / tab.value(i, b)
-        zq[j] = total - (cost[j] if j < ncols else Q(0))
-    _load_zrow(tab, zq)
+    # Phase 2 with the real objective: z = c_B . B^-1 A - c.  Stored rows
+    # are unnormalized (the basic coefficient is not 1), so row i enters
+    # with weight c_b / row[b]; only rows with a nonzero basic cost count.
+    cost, cden = _integral(lp.objective)
+    basic = [(cost[b], row, row[b]) for row, b in zip(tab.rows, tab.basis)
+             if b < n and cost[b]]
+    common = _lcm(piv for _, _, piv in basic)
+    z = [-common * c for c in cost] + [0] * (ncols + 1 - n)
+    for cb, row, piv in basic:
+        w = cb * (common // piv)
+        z = [a + w * r for a, r in zip(z, row)]
+    tab.z, tab.zden = _reduce_row(z, common * cden)
     status = tab.run(barred=frozenset(range(art0, art0 + m)))
     if status == "unbounded":
         return LpOutcome(status="unbounded")
 
-    x_shifted = [Q(0)] * ncols
-    for i, b in enumerate(tab.basis):
-        x_shifted[b] = Q(tab.rows[i][tab.ncols], tab.rows[i][b])
-    primal = tuple(x_shifted[j] + lower[j] for j in range(n))
-    value = sum((c * v for c, v in zip(lp.objective, primal)), Q(0))
+    primal = [Q(0)] * n
+    for row, b in zip(tab.rows, tab.basis):
+        if b < n:
+            primal[b] = Q(row[ncols], row[b])
+    value = Q(tab.z[ncols], tab.zden)
+    if lp.lower:
+        primal = [v + b for v, b in zip(primal, lp.lower)]
+        value += sum((c * b for c, b in zip(lp.objective, lp.lower)), 0)
 
     # The z-row is a combination of the standard-form rows minus the cost
     # row; the coefficient on row i sits under its artificial column, which
     # is exactly the dual multiplier (sign-corrected for negated rows).
-    dual = tuple(signs[i] * tab.zvalue(art0 + i) for i in range(m))
-    outcome = LpOutcome(status="optimal", primal=primal, value=value,
+    dual = tuple(signs[i] * Q(tab.z[art0 + i], tab.zden) for i in range(m))
+    outcome = LpOutcome(status="optimal", primal=tuple(primal), value=value,
                         dual=dual)
     if check:
         verify_certificate(lp, outcome)
     return outcome
 
 
-def _load_zrow(tab: _Tableau, zq: list[Fraction]) -> None:
-    den = 1
-    for v in zq:
-        den = den * v.denominator // gcd(den, v.denominator)
-    nums = [int(v * den) for v in zq]
-    tab.z, tab.zden = _reduce_row(nums, den)
-
-
 def verify_certificate(lp: LinearProgram, out: LpOutcome) -> None:
-    """Exact optimality check: raises LpInternalError on any violation."""
+    """Exact optimality check: raises LpInternalError on any violation.
+
+    The primal is scaled to integers over one denominator and the dual over
+    another, so every dot product below is an integer sum for integer rows;
+    a Fraction is built only where a sum meets its bound.
+    """
     if out.status != "optimal":
         return
-    x, y = out.primal, out.dual
-    lower = lp.lower if lp.lower else (Q(0),) * lp.num_vars
-    if any(xj < bj for xj, bj in zip(x, lower)):
+    x, y, lower = out.primal, out.dual, lp.lower
+    if any(xj < bj for xj, bj in zip(x, lower or (0,) * lp.num_vars)):
         raise LpInternalError("primal violates a lower bound")
+    xs, xden = _integral(x)
+    support = [(j, v) for j, v in enumerate(xs) if v]
     for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        lhs = sum((c * v for c, v in zip(coeffs, x)), Q(0))
+        lhs = Q(sum(coeffs[j] * v for j, v in support), xden)
         if rel == LESS and lhs > rhs:
             raise LpInternalError(f"row {i}: {lhs} > {rhs}")
         if rel == GREATER and lhs < rhs:
@@ -282,20 +284,26 @@ def verify_certificate(lp: LinearProgram, out: LpOutcome) -> None:
             raise LpInternalError(f"row {i}: dual sign for >= must be <= 0")
         if y[i] != 0 and lhs != rhs:
             raise LpInternalError(f"row {i}: complementary slackness fails")
-    value = sum((c * v for c, v in zip(lp.objective, x)), Q(0))
+    value = Q(sum(lp.objective[j] * v for j, v in support), xden)
     if value != out.value:
         raise LpInternalError("reported value differs from objective at primal")
-    reduced = []
-    for j in range(lp.num_vars):
-        rj = sum((y[i] * lp.rows[i][0][j] for i in range(len(lp.rows))), Q(0)) \
-            - lp.objective[j]
-        reduced.append(rj)
+
+    # Reduced costs y.A - c, all scaled by the dual denominator.
+    ys, yden = _integral(y)
+    reduced = [-yden * c for c in lp.objective]
+    for (coeffs, _, _), w in zip(lp.rows, ys):
+        if w:
+            reduced = [r + w * a for r, a in zip(reduced, coeffs)]
+    for j, rj in enumerate(reduced):
         if rj < 0:
-            raise LpInternalError(f"column {j}: dual infeasible (reduced cost {rj})")
-        if rj != 0 and x[j] != lower[j]:
+            raise LpInternalError(
+                f"column {j}: dual infeasible (reduced cost {Q(rj, yden)})")
+        if rj != 0 and (x[j] != lower[j] if lower else xs[j] != 0):
             raise LpInternalError(f"column {j}: complementary slackness fails")
-    dual_value = sum((y[i] * lp.rows[i][2] for i in range(len(lp.rows))), Q(0))
-    correction = sum((rj * bj for rj, bj in zip(reduced, lower)), Q(0))
+    rhs, rden = _integral([rhs for _, _, rhs in lp.rows])
+    dual_value = Q(sum(w * b for w, b in zip(ys, rhs) if w), yden * rden)
+    correction = Q(sum((rj * b for rj, b in zip(reduced, lower) if rj and b), 0),
+                   yden)
     if dual_value != value + correction:
         raise LpInternalError(
             f"strong duality fails: dual {dual_value} vs primal {value}")

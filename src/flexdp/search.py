@@ -243,16 +243,6 @@ def theorem_check(max_vertices: int, max_multiplicity: int, jobs: int = 1,
 # Criticality
 # ---------------------------------------------------------------------------
 
-def _component_flexible(task: tuple) -> bool:
-    n, edges, rho, basepoint, eps = task
-    g = Multigraph(n, edges)
-    pa = PotentialAssignment(rho, basepoint)
-    dist = trivial_list_distribution(g.n)
-    enum = CoverEnumeration(g)
-    return all(framework_feasible(g, pa, enum.at(i), dist, eps) is not None
-               for i in range(enum.count))
-
-
 def is_flexible(g: Multigraph, pa: PotentialAssignment, eps: Fraction,
                 budget: int = DEFAULT_BUDGET) -> bool:
     """Whether every cover class admits an eps-distribution (empty lists).
@@ -273,8 +263,9 @@ def is_flexible(g: Multigraph, pa: PotentialAssignment, eps: Fraction,
         if enum.count > budget:
             raise BudgetExceeded(
                 f"component with {enum.count} cover classes exceeds {budget}")
-        if not _component_flexible((sub.n, sub.edge_items(), sub_pa.rho,
-                                    sub_pa.basepoint, Q(eps))):
+        dist = trivial_list_distribution(sub.n)
+        if not all(framework_feasible(sub, sub_pa, enum.at(i), dist, eps)
+                   is not None for i in range(enum.count)):
             return False
     return True
 

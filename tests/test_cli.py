@@ -233,3 +233,14 @@ def test_critical_budget_exhausted_exit_3(tmp_path, capsys):
                             "--budget", "1")
     assert code == 3
     assert "verdict" not in out and err.startswith("budget exhausted:")
+
+
+def test_worst_budget_cut_exits_3(tmp_path, capsys):
+    graph = tmp_path / "k4.txt"
+    run(["gen", "k4", "--out", str(graph)])
+    code, out, _ = invoke(capsys, "worst", str(graph), "--budget", "10")
+    assert code == 3
+    assert "classes = 216 (incomplete: evaluated 10)" in out
+    code, out, _ = invoke(capsys, "worst", str(graph), "--budget", "216")
+    assert code == 0
+    assert "classes = 216\n" in out

@@ -141,6 +141,22 @@ class TestCriticality:
         g, pa = gen_family("im", 1)
         assert criticality_check(g, pa, Q(1, 5)) == "critical"
 
+    def test_each_component_enumerated_once(self, monkeypatch):
+        """I_1 is checked whole, minus each of its 3 edge pairs and minus
+        each of its 3 vertices: 7 one-component checks, 7 enumerations."""
+        from flexdp.covers import CoverEnumeration
+        built = []
+        original = CoverEnumeration.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CoverEnumeration, "__init__", counting_init)
+        g, pa = gen_family("im", 1)
+        assert criticality_check(g, pa, Q(1, 5)) == "critical"
+        assert len(built) == 7
+
     def test_k4_critical_at_any_positive_eps(self):
         g, pa = gen_family("k4")
         assert criticality_check(g, pa, Q(1, 100)) == "critical"
