@@ -2,12 +2,14 @@
 
 Exit codes: 0 success or property verified, 1 a mathematically meaningful
 failure (counterexample, violation, infeasibility of a checked property),
-2 usage or input errors, 3 budget exhausted with nothing claimed (a
-theorem check that skipped a graph without finding a counterexample, a
-criticality check that met a component with more cover classes than the
-budget, or a worst-cover search that stopped before every class was
-evaluated, so its printed minimum is only an upper bound).  Rational values print exactly; with --json they appear as "p/q"
-strings and are never rendered as floats.
+2 usage or input errors, including an input that cannot be read or an
+output path that cannot be written, 3 budget exhausted with nothing
+claimed (a theorem check that skipped a graph without finding a
+counterexample, a criticality check that met a component with more cover
+classes than the budget, or a worst-cover search that stopped before every
+class was evaluated, so its printed minimum is only an upper bound).
+Rational values print exactly; with --json they appear as "p/q" strings
+and are never rendered as floats.
 """
 from __future__ import annotations
 
@@ -62,6 +64,13 @@ def _load_cover(path, g) -> Cover:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except (GraphFormatError, CoverError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -150,13 +159,13 @@ def cmd_gen(args) -> int:
     g, pa = gen_family(args.kind, m=args.m, chains=chains)
     graph_text = serialize_graph(g, pa)
     if args.out:
-        Path(args.out).write_text(graph_text)
+        _write(args.out, graph_text)
     else:
         print(graph_text, end="")
     if args.cover_out:
         kind = {"c2": "c2x"}.get(args.kind, args.kind)
         cover = tight_cover(kind, g, m=args.m, chains=chains)
-        Path(args.cover_out).write_text(serialize_cover(cover))
+        _write(args.cover_out, serialize_cover(cover))
     return 0
 
 
@@ -165,7 +174,7 @@ def cmd_theorem_check(args) -> int:
                            jobs=args.jobs, budget=args.budget)
     tsv = report.to_tsv()
     if args.tsv:
-        Path(args.tsv).write_text(tsv)
+        _write(args.tsv, tsv)
     else:
         print(tsv, end="")
     summary = report.summary()
@@ -322,10 +331,8 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphError, GraphFormatError, CoverError, ValueError) as exc:
+    except (UsageError, GraphError, GraphFormatError, CoverError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:

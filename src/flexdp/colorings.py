@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 from .covers import Cover, ListAssignment, assert_valid, full_lists
 from .graphs import Multigraph
-from .rationals import common_denominator
+from .rationals import integral
 
 Q = Fraction
 
@@ -163,10 +163,10 @@ def distribution_to_multiset(dist: ColoringDistribution) -> list[Coloring]:
         raise ColoringError("negative weight in distribution")
     if sum(weights, Q(0)) != 1:
         raise ColoringError("weights must sum to 1")
-    n = common_denominator(weights)
+    counts, _ = integral(weights)
     multiset: list[Coloring] = []
-    for coloring, w in dist:
-        multiset.extend([coloring] * int(w * n))
+    for (coloring, _), count in zip(dist, counts):
+        multiset.extend([coloring] * count)
     multiset.sort()
     return multiset
 

@@ -152,26 +152,12 @@ def tight_cover(kind: str, g: Multigraph, m: Optional[int] = None,
     from .graphs import gen_family
 
     kind = kind.lower()
-    if kind == "im":
-        m = (g.n - 1) // 2 if m is None else m
-        _require_same_graph(g, gen_family("im", m)[0], "im")
-        matchings = {}
-        for u, v in g.pairs():
-            if g.multiplicity(u, v) == 2:
-                matchings[(u, v)] = (IDENTITY, SWAP01)
-            else:
-                matchings[(u, v)] = (IDENTITY,)
-        return Cover(matchings)
-    if kind == "jm":
-        m = (g.n - 3) // 2 if m is None else m
-        _require_same_graph(g, gen_family("jm", m)[0], "jm")
-        matchings = {}
-        for u, v in g.pairs():
-            if g.multiplicity(u, v) == 2:
-                matchings[(u, v)] = (IDENTITY, SWAP01)
-            else:
-                matchings[(u, v)] = (IDENTITY,)
-        return Cover(matchings)
+    if kind in ("im", "jm"):
+        if m is None:
+            m = (g.n - 1) // 2 if kind == "im" else (g.n - 3) // 2
+        _require_same_graph(g, gen_family(kind, m)[0], kind)
+        return Cover({(u, v): (IDENTITY, SWAP01) if g.multiplicity(u, v) == 2
+                      else (IDENTITY,) for u, v in g.pairs()})
     if kind == "s":
         if chains is None:
             raise CoverError("the s kind needs the chain lengths used to generate the graph")

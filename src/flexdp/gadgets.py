@@ -15,6 +15,8 @@ from typing import Sequence
 
 Q = Fraction
 
+SIMPLEX_SCALE = 40  # largest random factor in a sampled point's denominator
+
 
 class GadgetError(ValueError):
     """Input outside the gadget's feasible region."""
@@ -260,10 +262,10 @@ def _split_units(rng: random.Random, total: int, parts: int) -> list[int]:
     return [bounds[i + 1] - bounds[i] for i in range(parts)]
 
 
-def sample_simplex(rng: random.Random, parts: int, floor: Fraction,
-                   scale: int = 40) -> tuple[Fraction, ...]:
+def sample_simplex(rng: random.Random, parts: int, floor: Fraction
+                   ) -> tuple[Fraction, ...]:
     """Random rational point with all coordinates >= floor, summing to 1."""
-    den = floor.denominator * rng.randint(1, scale) * parts
+    den = floor.denominator * rng.randint(1, SIMPLEX_SCALE) * parts
     base = int(floor * den)
     slack = den - parts * base
     extra = _split_units(rng, slack, parts)

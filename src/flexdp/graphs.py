@@ -14,6 +14,8 @@ from typing import Iterable, Optional, Sequence
 
 Q = Fraction
 
+SUBSET_ORACLE_CAP = 20  # the oracle visits all 2^n - 1 subsets
+
 
 class GraphError(ValueError):
     """Structural violation: loop, bad index, bad multiplicity."""
@@ -235,12 +237,14 @@ def sigma(g: Multigraph, pa: PotentialAssignment, v: int) -> int:
 # Maximum average degree
 # ---------------------------------------------------------------------------
 
-def mad_subset_oracle(g: Multigraph, cap: int = 20) -> Fraction:
-    """mad by exhaustive subset enumeration; reference oracle for <= `cap` vertices."""
+def mad_subset_oracle(g: Multigraph) -> Fraction:
+    """mad by exhaustive subset enumeration; reference oracle for at most
+    SUBSET_ORACLE_CAP vertices."""
     if g.n == 0:
         raise GraphError("mad of the empty graph is undefined")
-    if g.n > cap:
-        raise GraphError(f"subset oracle capped at {cap} vertices, got {g.n}")
+    if g.n > SUBSET_ORACLE_CAP:
+        raise GraphError(f"subset oracle capped at {SUBSET_ORACLE_CAP} "
+                         f"vertices, got {g.n}")
     pair_bits = [(1 << u | 1 << v, m) for (u, v), m in g._mult.items()]
     best = Q(0)
     for mask in range(1, 1 << g.n):

@@ -1,23 +1,23 @@
 """Exact rational linear programming via two-phase simplex with Bland's rule.
 
 Maximization problems over rational data: row coefficients and objective
-entries may be `int` or `Fraction`.  Each row is scaled to integers
-straight from its entries, and the tableau is kept as integer numerator
-rows with one positive denominator per row, which is exact and avoids
-per-entry gcd work; both z-rows are formed in integers over one common
-denominator.  Bland's smallest-index rule guarantees termination.  Dual
-multipliers are read off the artificial columns of the final tableau, and
-every optimal solve is re-verified against the exact optimality
-certificate (feasibility, complementary slackness, strong duality),
-computed as integer dot products over a scaled primal and dual, unless
-the caller opts out.
+entries may be `int` or `Fraction`.  Each row is scaled to integers by its
+own denominator, and the whole tableau, z-row included, is kept as integer
+rows over one common denominator, updated by fraction-free pivots whose
+divisions are exact, so no entry ever needs a gcd.  Bland's smallest-index
+rule guarantees termination.  Dual multipliers are read off the artificial
+columns of the final z-row, and every optimal solve is verified against the
+exact optimality certificate (feasibility, complementary slackness, strong
+duality), computed as integer dot products over a scaled primal and dual.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from math import lcm
+from typing import Optional, Sequence, Union
+
+from .rationals import integral
 
 Q = Fraction
 Number = Union[int, Fraction]
@@ -71,70 +71,46 @@ class LpOutcome:
     dual: Optional[tuple[Fraction, ...]] = None
 
 
-def _reduce_row(nums: list[int], den: int) -> tuple[list[int], int]:
-    g = gcd(den, *nums)
-    if g > 1:
-        nums = [x // g for x in nums]
-        den //= g
-    return nums, den
-
-
 class _Tableau:
-    """Simplex tableau over integer rows with per-row denominators."""
+    """Fraction-free simplex tableau: integer rows over one denominator `d`.
 
-    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int],
-                 ncols: int):
-        self.rows = rows          # each of length ncols + 1, last entry = rhs
-        self.dens = dens
+    `rows` holds the constraint rows followed by the z-row, each of length
+    ncols + 1 with the right-hand side last; every entry stands for
+    entry / d, and d > 0.  Invariant: the basic column of row i holds d in
+    row i and 0 in every other row, the z-row included.  Each pivot divides
+    exactly (Edmonds 1967; Bareiss 1968), so no entry needs a gcd.
+    """
+
+    def __init__(self, rows: list[list[int]], basis: list[int], ncols: int):
+        self.rows = rows
         self.basis = basis
         self.ncols = ncols
-        self.z: list[int] = []
-        self.zden = 1
+        self.d = 1
 
     def pivot(self, p: int, col: int) -> None:
         rp = self.rows[p]
-        piv = rp[col]
-        for i in range(len(self.rows)):
-            if i == p:
+        piv, d = rp[col], self.d
+        for i, ri in enumerate(self.rows):
+            f = ri[col]
+            if i == p or (f == 0 and piv == d):
                 continue
-            ri = self.rows[i]
-            factor = ri[col]
-            if factor == 0:
-                continue
-            new = [a * piv - factor * b for a, b in zip(ri, rp)]
-            den = self.dens[i] * piv
-            if den < 0:
-                new = [-a for a in new]
-                den = -den
-            self.rows[i], self.dens[i] = _reduce_row(new, den)
-        factor = self.z[col]
-        if factor != 0:
-            new = [a * piv - factor * b for a, b in zip(self.z, rp)]
-            den = self.zden * piv
-            if den < 0:
-                new = [-a for a in new]
-                den = -den
-            self.z, self.zden = _reduce_row(new, den)
+            self.rows[i] = [(a * piv - f * b) // d for a, b in zip(ri, rp)]
         if piv < 0:
-            self.rows[p] = [-a for a in rp]
-        self.rows[p], self.dens[p] = _reduce_row(self.rows[p], self.dens[p])
+            self.rows = [[-a for a in row] for row in self.rows]
+        self.d = abs(piv)
         self.basis[p] = col
 
     def run(self, barred: frozenset[int]) -> str:
         """Bland's rule until optimal or unbounded."""
         while True:
-            entering = -1
-            for j in range(self.ncols):
-                if j in barred:
-                    continue
-                if self.z[j] < 0:
-                    entering = j
-                    break
+            z = self.rows[-1]
+            entering = next((j for j in range(self.ncols)
+                             if z[j] < 0 and j not in barred), -1)
             if entering < 0:
                 return "optimal"
             leave = -1
             best_num = best_den = 0  # ratio = rhs / coeff, both from the row
-            for i, row in enumerate(self.rows):
+            for i, row in enumerate(self.rows[:-1]):
                 coeff = row[entering]
                 if coeff <= 0:
                     continue
@@ -148,24 +124,8 @@ class _Tableau:
             self.pivot(leave, entering)
 
 
-def _lcm(values: Iterable[int]) -> int:
-    common = 1
-    for d in values:
-        if d != 1:
-            common = common * d // gcd(common, d)
-    return common
-
-
-def _integral(values: Sequence[Number]) -> tuple[list[int], int]:
-    """Integer numerators of `values` over the lcm of their denominators."""
-    den = _lcm(v.denominator for v in values)
-    if den == 1:
-        return [v.numerator for v in values], 1
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def solve(lp: LinearProgram, check: bool = True) -> LpOutcome:
-    """Exact two-phase simplex.  `check` re-verifies the certificate."""
+def solve(lp: LinearProgram) -> LpOutcome:
+    """Exact two-phase simplex; the certificate is verified on every solve."""
     n = lp.num_vars
     m = len(lp.rows)
     n_slack = sum(1 for _, rel, _ in lp.rows if rel != EQUAL)
@@ -173,6 +133,8 @@ def solve(lp: LinearProgram, check: bool = True) -> LpOutcome:
     art0 = n + n_slack
     padding = [0] * (n_slack + m)
 
+    # Row i is scaled to integers by its own denominator dens[i]; its slack
+    # gets +-1 and its artificial 1, so the starting basis is the identity.
     rows: list[list[int]] = []
     dens: list[int] = []
     signs: list[int] = []  # +1 if the row kept its direction, -1 if negated
@@ -180,7 +142,7 @@ def solve(lp: LinearProgram, check: bool = True) -> LpOutcome:
     for i, (coeffs, rel, rhs) in enumerate(lp.rows):
         if lp.lower:  # shift x = x' + lower so all variables are >= 0
             rhs = rhs - sum((c * b for c, b in zip(coeffs, lp.lower) if c and b), 0)
-        nums, den = _integral((*coeffs, rhs))
+        nums, den = integral((*coeffs, rhs))
         sign = 1
         if rhs < 0:
             sign = -1
@@ -189,25 +151,23 @@ def solve(lp: LinearProgram, check: bool = True) -> LpOutcome:
         signs.append(sign)
         row = nums[:n] + padding + nums[n:]
         if rel != EQUAL:
-            row[n + slack_at] = den if rel == LESS else -den
+            row[n + slack_at] = 1 if rel == LESS else -1
             slack_at += 1
-        row[art0 + i] = den
-        row, den = _reduce_row(row, den)
+        row[art0 + i] = 1
         rows.append(row)
         dens.append(den)
 
-    tab = _Tableau(rows, dens, list(range(art0, art0 + m)), ncols)
-
-    # Phase 1: maximize -(sum of artificials).  With basis = I the z-row is
-    # minus the column sums of the rows, zero under the artificials.
-    common = _lcm(dens)
-    scaled = rows if common == 1 else [[a * (common // d) for a in row]
-                                       for row, d in zip(rows, dens)]
+    # Phase 1: maximize -(sum of the artificials of the unscaled rows), so
+    # row i enters the z-row with weight L / dens[i]; with basis = I the
+    # z-row is zero under the artificials.
+    common = lcm(*dens)
+    scaled = rows if common == 1 else [[common // den * a for a in row]
+                                       for row, den in zip(rows, dens)]
     z = [-sum(col) for col in zip(*scaled)] if m else [0] * (ncols + 1)
     z[art0:ncols] = [0] * m
-    tab.z, tab.zden = _reduce_row(z, common)
+    tab = _Tableau(rows + [z], list(range(art0, art0 + m)), ncols)
     tab.run(barred=frozenset())
-    if tab.z[ncols] != 0:
+    if tab.rows[-1][ncols] != 0:
         return LpOutcome(status="infeasible")
 
     # Drive artificials out of the basis; drop rows that turn out redundant.
@@ -216,43 +176,40 @@ def solve(lp: LinearProgram, check: bool = True) -> LpOutcome:
             continue
         pivot_col = next((j for j in range(art0) if tab.rows[i][j] != 0), None)
         if pivot_col is None:
-            del tab.rows[i], tab.dens[i], tab.basis[i]
+            del tab.rows[i], tab.basis[i]
         else:
             tab.pivot(i, pivot_col)
 
-    # Phase 2 with the real objective: z = c_B . B^-1 A - c.  Stored rows
-    # are unnormalized (the basic coefficient is not 1), so row i enters
-    # with weight c_b / row[b]; only rows with a nonzero basic cost count.
-    cost, cden = _integral(lp.objective)
-    basic = [(cost[b], row, row[b]) for row, b in zip(tab.rows, tab.basis)
-             if b < n and cost[b]]
-    common = _lcm(piv for _, _, piv in basic)
-    z = [-common * c for c in cost] + [0] * (ncols + 1 - n)
-    for cb, row, piv in basic:
-        w = cb * (common // piv)
-        z = [a + w * r for a, r in zip(z, row)]
-    tab.z, tab.zden = _reduce_row(z, common * cden)
+    # Phase 2 with the real objective: z = d (c_B . B^-1 A - c), where each
+    # stored row is d times its row of B^-1 A.
+    cost, cden = integral(lp.objective)
+    d = tab.d
+    z = [-d * c for c in cost] + [0] * (ncols + 1 - n)
+    for row, b in zip(tab.rows, tab.basis):
+        if b < n and cost[b]:
+            z = [a + cost[b] * r for a, r in zip(z, row)]
+    tab.rows[-1] = z
     status = tab.run(barred=frozenset(range(art0, art0 + m)))
     if status == "unbounded":
         return LpOutcome(status="unbounded")
 
+    d, z = tab.d, tab.rows[-1]
     primal = [Q(0)] * n
     for row, b in zip(tab.rows, tab.basis):
         if b < n:
-            primal[b] = Q(row[ncols], row[b])
-    value = Q(tab.z[ncols], tab.zden)
+            primal[b] = Q(row[ncols], d)
+    value = Q(z[ncols], d * cden)
     if lp.lower:
         primal = [v + b for v, b in zip(primal, lp.lower)]
         value += sum((c * b for c, b in zip(lp.objective, lp.lower)), 0)
 
-    # The z-row is a combination of the standard-form rows minus the cost
-    # row; the coefficient on row i sits under its artificial column, which
-    # is exactly the dual multiplier (sign-corrected for negated rows).
-    dual = tuple(signs[i] * Q(tab.z[art0 + i], tab.zden) for i in range(m))
+    # The z-row is a combination of the scaled rows minus the cost row; the
+    # coefficient on scaled row i sits under its artificial column, and row
+    # i was scaled by dens[i] (and negated if sign is -1).
+    dual = tuple(Q(signs[i] * dens[i] * z[art0 + i], d * cden) for i in range(m))
     outcome = LpOutcome(status="optimal", primal=tuple(primal), value=value,
                         dual=dual)
-    if check:
-        verify_certificate(lp, outcome)
+    verify_certificate(lp, outcome)
     return outcome
 
 
@@ -268,7 +225,7 @@ def verify_certificate(lp: LinearProgram, out: LpOutcome) -> None:
     x, y, lower = out.primal, out.dual, lp.lower
     if any(xj < bj for xj, bj in zip(x, lower or (0,) * lp.num_vars)):
         raise LpInternalError("primal violates a lower bound")
-    xs, xden = _integral(x)
+    xs, xden = integral(x)
     support = [(j, v) for j, v in enumerate(xs) if v]
     for i, (coeffs, rel, rhs) in enumerate(lp.rows):
         lhs = Q(sum(coeffs[j] * v for j, v in support), xden)
@@ -289,7 +246,7 @@ def verify_certificate(lp: LinearProgram, out: LpOutcome) -> None:
         raise LpInternalError("reported value differs from objective at primal")
 
     # Reduced costs y.A - c, all scaled by the dual denominator.
-    ys, yden = _integral(y)
+    ys, yden = integral(y)
     reduced = [-yden * c for c in lp.objective]
     for (coeffs, _, _), w in zip(lp.rows, ys):
         if w:
@@ -300,7 +257,7 @@ def verify_certificate(lp: LinearProgram, out: LpOutcome) -> None:
                 f"column {j}: dual infeasible (reduced cost {Q(rj, yden)})")
         if rj != 0 and (x[j] != lower[j] if lower else xs[j] != 0):
             raise LpInternalError(f"column {j}: complementary slackness fails")
-    rhs, rden = _integral([rhs for _, _, rhs in lp.rows])
+    rhs, rden = integral([rhs for _, _, rhs in lp.rows])
     dual_value = Q(sum(w * b for w, b in zip(ys, rhs) if w), yden * rden)
     correction = Q(sum((rj * b for rj, b in zip(reduced, lower) if rj and b), 0),
                    yden)

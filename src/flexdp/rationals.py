@@ -1,13 +1,16 @@
 """Exact rational helpers shared by every module.
 
-All arithmetic in this package is carried out with `fractions.Fraction`,
+Every value in this package is exact: an `int` or a `fractions.Fraction`,
 which stores values in lowest terms with a positive denominator and never
-overflows.  Nothing here may ever pass through a float.
+overflows.  `integral` scales a sequence of them to integers over one
+denominator, which is how the LP does its arithmetic.  Nothing here may
+ever pass through a float.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import Sequence, Union
 
 Q = Fraction
 
@@ -39,9 +42,12 @@ def json_rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def common_denominator(values) -> int:
-    """lcm of the denominators of an iterable of Fractions (1 for empty)."""
-    result = 1
-    for v in values:
-        result = lcm(result, Q(v).denominator)
-    return result
+def integral(values: Sequence[Union[int, Fraction]]) -> tuple[list[int], int]:
+    """Integer numerators of `values` over the lcm of their denominators.
+
+    `values` are ints or Fractions; an empty sequence gives ([], 1).
+    """
+    den = lcm(*(v.denominator for v in values))
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den

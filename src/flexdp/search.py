@@ -25,6 +25,7 @@ from .rationals import rat_str
 Q = Fraction
 
 DESK_CAP = 5
+GAP_AUDIT_CAP = 20  # the audit visits all 2^n - 1 subsets
 DEFAULT_BUDGET = 10 ** 6
 CHUNK = 32
 
@@ -197,8 +198,7 @@ class TheoremReport:
 
 
 def theorem_check(max_vertices: int, max_multiplicity: int, jobs: int = 1,
-                  budget: int = DEFAULT_BUDGET,
-                  desk_cap: int = DESK_CAP) -> TheoremReport:
+                  budget: int = DEFAULT_BUDGET) -> TheoremReport:
     """Check every small sparse multigraph against the 1/5 threshold.
 
     Enumerates connected multigraphs up to isomorphism, keeps those with
@@ -207,8 +207,8 @@ def theorem_check(max_vertices: int, max_multiplicity: int, jobs: int = 1,
     Graphs whose cover count exceeds the budget are reported as skipped,
     never silently passed.
     """
-    if max_vertices > desk_cap:
-        raise ValueError(f"max_vertices {max_vertices} above desk cap {desk_cap}")
+    if max_vertices > DESK_CAP:
+        raise ValueError(f"max_vertices {max_vertices} above desk cap {DESK_CAP}")
     if max_multiplicity > 2:
         raise ValueError("max_multiplicity above 2 is outside the check's scope")
     kept: list[tuple[str, Multigraph, Fraction]] = []
@@ -294,16 +294,15 @@ def criticality_check(g: Multigraph, pa: PotentialAssignment, eps: Fraction,
 # Potential gap audit
 # ---------------------------------------------------------------------------
 
-def gap_audit(g: Multigraph, pa: PotentialAssignment,
-              cap: int = 20) -> list[tuple[int, ...]]:
+def gap_audit(g: Multigraph, pa: PotentialAssignment) -> list[tuple[int, ...]]:
     """All nonempty S with potential(S) <= |E(S, complement)|, by size.
 
     An empty result certifies the gap property potential(S) >= 1 + boundary
     for every nonempty subset; in particular every vertex then satisfies
     d(v) <= rho(v) - 1.
     """
-    if g.n > cap:
-        raise ValueError(f"gap audit capped at {cap} vertices, got {g.n}")
+    if g.n > GAP_AUDIT_CAP:
+        raise ValueError(f"gap audit capped at {GAP_AUDIT_CAP} vertices, got {g.n}")
     violations = []
     for mask in range(1, 1 << g.n):
         subset = tuple(v for v in range(g.n) if mask >> v & 1)

@@ -130,6 +130,18 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "jm", "--m", "1", "--out"),
+    ("gen", "jm", "--m", "1", "--cover-out"),
+    ("theorem-check", "--max-vertices", "2", "--tsv"),
+], ids=["out", "cover-out", "tsv"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "no-such-dir" / "file.txt"
+    code, _, err = invoke(capsys, *argv, str(target))
+    assert code == 2
+    assert err.startswith("error: cannot write") and "Traceback" not in err
+
+
 def test_worst_command(tmp_path, capsys):
     c2 = tmp_path / "c2.txt"
     run(["gen", "c2", "--out", str(c2)])

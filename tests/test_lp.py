@@ -1,4 +1,5 @@
 """LP engine: spec examples, certificate checks, and the brute-force oracle."""
+import hashlib
 import random
 from fractions import Fraction as Q
 
@@ -38,9 +39,24 @@ def test_unbounded_direction():
 
 
 def test_degenerate_redundant_rows():
+    """The second equality is redundant and is deleted after phase 1, also
+    in the copy with the equalities scaled by 1/2 and 2/3."""
     rows = [((1, 1), "=", 1), ((2, 2), "=", 2), ((1, 0), "<=", Q(3, 4))]
-    out = solve(lp([1, 0], rows))
-    assert out.value == Q(3, 4)
+    scaled = [((Q(1, 2), Q(1, 2)), "=", Q(1, 2)),
+              ((Q(4, 3), Q(4, 3)), "=", Q(4, 3)), rows[2]]
+    for program in (rows, scaled):
+        out = solve(lp([1, 0], program))
+        assert out.value == Q(3, 4)
+        assert out.primal == (Q(3, 4), Q(1, 4)) and out.dual == (0, 0, 1)
+
+
+def test_mixed_row_denominators_pin_the_dual():
+    """Degenerate at the origin, with two optimal duals; phase 1 must weigh
+    each artificial as a variable of its unscaled row to reach (0, 2)."""
+    out = solve(lp([0, 1], [((Q(-1, 3), Q(2, 3)), "<=", 0),
+                            ((Q(1, 2), Q(1, 2)), "=", 0)]))
+    assert out.primal == (0, 0) and out.value == 0
+    assert out.dual == (0, 2)
 
 
 def test_classic_cycling_instance_terminates():
@@ -206,3 +222,25 @@ def test_duals_certify_value_on_random_optimal_lps():
         dual_value = sum((out.dual[i] * program.rows[i][2]
                           for i in range(len(program.rows))), Q(0))
         assert dual_value == out.value
+
+
+def test_witnesses_pinned_on_degenerate_lps():
+    """6,000 small LPs with mixed row denominators, many degenerate: the
+    sha256 of every outcome's repr pins primal and dual witnesses, not only
+    values, so any change to the pivot sequence shows.  The digest was
+    generated with the per-row-denominator tableau that preceded the
+    fraction-free one."""
+    rng = random.Random(1)
+    digest = hashlib.sha256()
+    for _ in range(6000):
+        n, m = rng.randint(1, 6), rng.randint(1, 7)
+        rows = []
+        for _ in range(m):
+            den = rng.choice((1, 2, 3, 5))
+            rows.append((tuple(Q(rng.randint(-2, 2), den) for _ in range(n)),
+                         rng.choice(("<=", "=", ">=")),
+                         Q(rng.randint(-1, 2), den)))
+        digest.update(repr(solve(lp([rng.choice((-1, 0, 1)) for _ in range(n)],
+                                    rows))).encode())
+    assert digest.hexdigest() == (
+        "88bfbef133a3e29865670d7fe12aee495d6fbd8a892d46fa8188bf9285a6b6ff")
