@@ -157,14 +157,15 @@ def cmd_gen(args) -> int:
     if args.chains:
         chains = [int(x) for x in args.chains.split(",")]
     g, pa = gen_family(args.kind, m=args.m, chains=chains)
+    if args.cover_out:  # an unknown cover kind fails before anything is written
+        kind = {"c2": "c2x"}.get(args.kind, args.kind)
+        cover = tight_cover(kind, g, m=args.m, chains=chains)
     graph_text = serialize_graph(g, pa)
     if args.out:
         _write(args.out, graph_text)
     else:
         print(graph_text, end="")
     if args.cover_out:
-        kind = {"c2": "c2x"}.get(args.kind, args.kind)
-        cover = tight_cover(kind, g, m=args.m, chains=chains)
         _write(args.cover_out, serialize_cover(cover))
     return 0
 

@@ -304,6 +304,8 @@ def selftest(samples: int, seed: int) -> dict[str, dict]:
     distribution is reported as well, and a fixed probe per case keeps all
     four branches covered regardless of the draw.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     rng = random.Random(seed)
     report: dict[str, dict] = {}
 

@@ -1,12 +1,12 @@
 """Quantification over covers and graphs: worst cover, desk-scale theorem
 check, criticality, and the potential gap audit.
 
-Graph isomorphism is handled by brute-force canonical codes (minimum
-multiplicity vector over all vertex permutations), which is plenty at the
-desk cap of five vertices.  Parallel runs split the cover-class index
-range into chunks; chunks carry only immutable tuples and return their
-values in index order, and one merge keeps the first index attaining the
-minimum, so output is identical for any job count.
+Graphs are enumerated up to isomorphism by orderly generation (Read 1978):
+multiplicity vectors are scanned in lexicographic order, and only those that
+no vertex relabeling makes smaller are kept.  Parallel runs split the
+cover-class index range into chunks; chunks carry only immutable tuples and
+return their values in index order, and one merge keeps the first index
+attaining the minimum, so output is identical for any job count.
 """
 from __future__ import annotations
 
@@ -46,38 +46,33 @@ def cover_hash(cover: Cover) -> str:
 # Canonical codes and graph enumeration
 # ---------------------------------------------------------------------------
 
+def _relabelings(n: int) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
+    """K_n's vertex pairs, and per permutation the index each pair is sent to."""
+    pairs = list(combinations(range(n), 2))
+    index = {pair: i for i, (u, v) in enumerate(pairs) for pair in ((u, v), (v, u))}
+    return pairs, [tuple(index[p[u], p[v]] for u, v in pairs)
+                   for p in permutations(range(n))]
+
+
 def canonical_code(g: Multigraph) -> str:
     """Minimum multiplicity vector over all vertex relabelings."""
-    pairs = list(combinations(range(g.n), 2))
-    best: Optional[tuple[int, ...]] = None
-    for perm in permutations(range(g.n)):
-        vec = tuple(g.multiplicity(perm[u], perm[v]) for u, v in pairs)
-        if best is None or vec < best:
-            best = vec
-    body = ",".join(map(str, best or ()))
-    return f"{g.n}:{body}"
-
-
-def _graph_from_code_vector(n: int, vec: Sequence[int]) -> Multigraph:
-    pairs = list(combinations(range(n), 2))
-    return Multigraph(n, [(u, v, m) for (u, v), m in zip(pairs, vec) if m > 0])
+    pairs, maps = _relabelings(g.n)
+    vec = [g.multiplicity(u, v) for u, v in pairs]
+    best = min(tuple(vec[j] for j in m) for m in maps)
+    return f"{g.n}:{','.join(map(str, best))}"
 
 
 def enumerate_connected_multigraphs(max_vertices: int,
                                     max_multiplicity: int) -> Iterator[Multigraph]:
-    """Connected multigraphs up to isomorphism, smallest vertex count first."""
+    """Connected multigraphs up to isomorphism, in (vertex count, code) order:
+    each class once, as the graph whose own multiplicity vector is its code."""
     for n in range(1, max_vertices + 1):
-        pairs = list(combinations(range(n), 2))
-        seen: set[str] = set()
+        pairs, maps = _relabelings(n)
         for vec in product(range(max_multiplicity + 1), repeat=len(pairs)):
-            g = _graph_from_code_vector(n, vec)
-            if not g.is_connected():
-                continue
-            code = canonical_code(g)
-            if code in seen:
-                continue
-            seen.add(code)
-            yield g
+            if all(tuple(vec[j] for j in m) >= vec for m in maps):
+                g = Multigraph(n, [(u, v, k) for (u, v), k in zip(pairs, vec) if k])
+                if g.is_connected():
+                    yield g
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +200,17 @@ def theorem_check(max_vertices: int, max_multiplicity: int, jobs: int = 1,
     mad < 3, and asserts min-over-covers epsilon* >= 1/5 except for graphs
     containing a member of the inflexible family, which are only flagged.
     Graphs whose cover count exceeds the budget are reported as skipped,
-    never silently passed.
+    never silently passed.  Rows come in (vertex count, code) order.
     """
-    if max_vertices > DESK_CAP:
-        raise ValueError(f"max_vertices {max_vertices} above desk cap {DESK_CAP}")
-    if max_multiplicity > 2:
-        raise ValueError("max_multiplicity above 2 is outside the check's scope")
+    if not 1 <= max_vertices <= DESK_CAP:
+        raise ValueError(f"max_vertices {max_vertices} outside 1..{DESK_CAP}")
+    if not 0 <= max_multiplicity <= 2:
+        raise ValueError(f"max_multiplicity {max_multiplicity} outside 0..2")
     kept: list[tuple[str, Multigraph, Fraction]] = []
     for g in enumerate_connected_multigraphs(max_vertices, max_multiplicity):
         density = mad(g)
         if density < 3:
             kept.append((canonical_code(g), g, density))
-    kept.sort(key=lambda item: (item[1].n, item[0]))
 
     enums = [CoverEnumeration(g) for _, g, _ in kept]
     minima = _class_minima([(g, min(enum.count, budget))

@@ -2,8 +2,9 @@
 
 Everything here is deliberately brute force: vertex enumeration for LPs,
 exhaustive assignment counting for colorings, explicit relabeling orbits
-for cover classes, every vertex sequence for the inflexible family.  None
-of it shares code with the implementations under test.
+for cover classes and for graph classes, every vertex sequence for the
+inflexible family.  None of it shares code with the implementations under
+test.
 """
 from __future__ import annotations
 
@@ -149,6 +150,42 @@ def relabeling_canonical_form(g: Multigraph, cover: Cover) -> tuple:
     """Minimum serialized form over all per-vertex color relabelings."""
     return min(_apply_relabeling(cover, sigma)
                for sigma in product(PERMS, repeat=g.n))
+
+
+# ---------------------------------------------------------------------------
+# Graph-class oracle: explicit relabeling orbits of edge lists
+# ---------------------------------------------------------------------------
+
+def _edge_list_connected(n: int, edges) -> bool:
+    reached = {0}
+    grew = True
+    while grew:
+        grew = False
+        for u, v, _ in edges:
+            if (u in reached) != (v in reached):
+                reached |= {u, v}
+                grew = True
+    return len(reached) == n
+
+
+def _relabeled_edge_list(edges, perm) -> tuple:
+    return tuple(sorted((min(perm[u], perm[v]), max(perm[u], perm[v]), k)
+                        for u, v, k in edges))
+
+
+def connected_multigraph_classes(max_vertices: int, max_mult: int) -> set:
+    """Isomorphism classes of connected multigraphs on 1..max_vertices
+    vertices with multiplicities <= max_mult.  Each class is the frozenset
+    of (n, sorted edge list) forms of all its relabelings."""
+    classes = set()
+    for n in range(1, max_vertices + 1):
+        slots = list(combinations(range(n), 2))
+        for mults in product(range(max_mult + 1), repeat=len(slots)):
+            edges = [(u, v, k) for (u, v), k in zip(slots, mults) if k]
+            if _edge_list_connected(n, edges):
+                classes.add(frozenset((n, _relabeled_edge_list(edges, perm))
+                                      for perm in permutations(range(n))))
+    return classes
 
 
 # ---------------------------------------------------------------------------

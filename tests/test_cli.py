@@ -224,9 +224,13 @@ def test_worst_zero_budget_is_usage_error(tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
-def test_theorem_check_zero_budget_is_usage_error(capsys):
-    code, _, err = invoke(capsys, "theorem-check", "--max-vertices", "2",
-                          "--budget", "0")
+@pytest.mark.parametrize("argv", [
+    ("--max-vertices", "2", "--budget", "0"),
+    ("--max-vertices", "0"),
+    ("--max-vertices", "2", "--max-mult", "-1"),
+], ids=["budget", "max-vertices", "max-mult"])
+def test_theorem_check_zero_budget_is_usage_error(capsys, argv):
+    code, _, err = invoke(capsys, "theorem-check", *argv)
     assert code == 2 and err.startswith("error:")
 
 
@@ -256,3 +260,18 @@ def test_worst_budget_cut_exits_3(tmp_path, capsys):
     code, out, _ = invoke(capsys, "worst", str(graph), "--budget", "216")
     assert code == 0
     assert "classes = 216\n" in out
+
+
+def test_gen_unknown_cover_kind_writes_nothing(tmp_path, capsys):
+    graph, cover = tmp_path / "k4.txt", tmp_path / "k4cov.txt"
+    code, out, err = invoke(capsys, "gen", "k4", "--out", str(graph),
+                            "--cover-out", str(cover))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert not graph.exists() and not cover.exists()
+    code, out, _ = invoke(capsys, "gen", "k4", "--cover-out", str(cover))
+    assert code == 2 and out == "" and not cover.exists()
+
+
+def test_gadget_selftest_negative_samples_is_usage_error(capsys):
+    code, out, err = invoke(capsys, "gadgets", "--selftest", "--samples", "-3")
+    assert code == 2 and out == "" and err.startswith("error:")

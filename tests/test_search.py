@@ -1,16 +1,17 @@
 """Worst-cover search, graph enumeration, theorem check, criticality, gap."""
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 
 from flexdp.covers import straight_cover
 from flexdp.flexibility import epsilon_star
-from flexdp.graphs import Multigraph, PotentialAssignment, gen_family
+from flexdp.graphs import Multigraph, PotentialAssignment, gen_family, mad
 from flexdp.search import (BudgetExceeded, canonical_code, criticality_check,
                            enumerate_connected_multigraphs, gap_audit,
                            is_flexible, min_epsilon_over_covers, theorem_check)
-from oracles import random_connected_multigraph
+from oracles import connected_multigraph_classes, random_connected_multigraph
 
 
 class TestCanonicalCode:
@@ -29,6 +30,37 @@ class TestCanonicalCode:
         for g in enumerate_connected_multigraphs(5, 1):
             per_n[g.n] = per_n.get(g.n, 0) + 1
         assert per_n == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
+        # (6,1) is OEIS A001349; the mad < 3 counts at the largest n are the
+        # next-scale theorem-check inputs: 57 six-vertex and 65 five-vertex
+        for (v, m), counts, sparse in [
+                ((6, 1), {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112},
+                 {1: 1, 2: 1, 3: 2, 4: 5, 5: 16, 6: 57}),
+                ((5, 2), {1: 1, 2: 2, 3: 7, 4: 53, 5: 712},
+                 {1: 1, 2: 2, 3: 5, 4: 15, 5: 65})]:
+            per_n, sparse_n = {}, {}
+            for g in enumerate_connected_multigraphs(v, m):
+                per_n[g.n] = per_n.get(g.n, 0) + 1
+                if mad(g) < 3:
+                    sparse_n[g.n] = sparse_n.get(g.n, 0) + 1
+            assert per_n == counts and sparse_n == sparse
+
+    @pytest.mark.parametrize("max_vertices, max_mult", [(3, 3), (4, 2), (5, 1)])
+    def test_one_graph_per_oracle_class(self, max_vertices, max_mult):
+        classes = connected_multigraph_classes(max_vertices, max_mult)
+        forms = [(g.n, tuple(sorted(g.edge_items()))) for g in
+                 enumerate_connected_multigraphs(max_vertices, max_mult)]
+        assert len(forms) == len(classes)
+        assert all(sum(form in orbit for form in forms) == 1 for orbit in classes)
+
+    @pytest.mark.parametrize("max_vertices, max_mult", [(3, 3), (4, 2), (5, 1)])
+    def test_yields_own_code_in_increasing_order(self, max_vertices, max_mult):
+        keys = []
+        for g in enumerate_connected_multigraphs(max_vertices, max_mult):
+            own = ",".join(str(g.multiplicity(u, v))
+                           for u, v in combinations(range(g.n), 2))
+            assert canonical_code(g) == f"{g.n}:{own}"
+            keys.append((g.n, canonical_code(g)))
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 class TestWorstCover:
