@@ -66,6 +66,17 @@ def _load_cover(path, g) -> Cover:
         raise UsageError(f"{path}: {exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    """Reject an output path that cannot be written, before anything is."""
+    target = Path(path)
+    if target.exists():
+        writable = not target.is_dir() and os.access(target, os.W_OK)
+    else:
+        writable = target.parent.is_dir() and os.access(target.parent, os.W_OK)
+    if not writable:
+        raise UsageError(f"cannot write {path}: not a writable file path")
+
+
 def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
@@ -138,6 +149,7 @@ def cmd_worst(args) -> int:
              f"classes = {report.classes_total}"
              + ("" if report.complete else
                 f" (incomplete: evaluated {report.classes_evaluated})"),
+             f"orbits = {report.orbits}",
              f"witness_cover = {cover_hash(report.witness_cover)}"]
     if args.per_class and report.per_class_values:
         lines += [f"  class {i}: {rat_str(v)}"
@@ -157,9 +169,13 @@ def cmd_gen(args) -> int:
     if args.chains:
         chains = [int(x) for x in args.chains.split(",")]
     g, pa = gen_family(args.kind, m=args.m, chains=chains)
-    if args.cover_out:  # an unknown cover kind fails before anything is written
+    # an unknown cover kind or an unwritable path fails before anything is written
+    if args.cover_out:
         kind = {"c2": "c2x"}.get(args.kind, args.kind)
         cover = tight_cover(kind, g, m=args.m, chains=chains)
+    for path in (args.out, args.cover_out):
+        if path:
+            _check_writable(path)
     graph_text = serialize_graph(g, pa)
     if args.out:
         _write(args.out, graph_text)

@@ -10,10 +10,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Iterator, Optional, Sequence
 
-from .graphs import Multigraph, GraphFormatError
+from .graphs import GraphFormatError, Multigraph, _relabelings
 
 Q = Fraction
 
@@ -54,17 +54,6 @@ class Cover:
     def slots(self, u: int, v: int) -> tuple[Perm, ...]:
         key = (u, v) if u < v else (v, u)
         return self.matchings.get(key, ())
-
-    def drop_matching(self, u: int, v: int, index: int) -> "Cover":
-        key = (u, v) if u < v else (v, u)
-        slots = list(self.matchings[key])
-        del slots[index]
-        new = dict(self.matchings)
-        if slots:
-            new[key] = tuple(slots)
-        else:
-            del new[key]
-        return Cover(new)
 
     def key(self) -> tuple:
         return tuple((pair, perms) for pair, perms in self.matchings.items())
@@ -186,8 +175,10 @@ def tight_cover(kind: str, g: Multigraph, m: Optional[int] = None,
 # Enumeration of cover classes
 # ---------------------------------------------------------------------------
 
-def _spanning_tree_pairs(g: Multigraph) -> set[tuple[int, int]]:
-    tree = set()
+def _spanning_tree(g: Multigraph) -> list[tuple[int, int]]:
+    """Breadth-first spanning tree from vertex 0, as (parent, child) edges
+    in the order they are found."""
+    tree = []
     seen = {0}
     queue = deque([0])
     while queue:
@@ -195,9 +186,26 @@ def _spanning_tree_pairs(g: Multigraph) -> set[tuple[int, int]]:
         for y in g.neighbors(x):
             if y not in seen:
                 seen.add(y)
-                tree.add((min(x, y), max(x, y)))
+                tree.append((x, y))
                 queue.append(y)
     return tree
+
+
+_PERM_ID = {p: i for i, p in enumerate(PERMS)}
+_COMPOSE = tuple(tuple(_PERM_ID[tuple(a[b[i]] for i in range(3))] for b in PERMS)
+                 for a in PERMS)                    # id of a after b
+_INVERSE = tuple(_PERM_ID[tuple(p.index(i) for i in range(3))] for p in PERMS)
+# _CONJUGATE[r][mask]: the set of perm ids `mask` conjugated by r, q -> r q r^-1
+_CONJUGATE = tuple(tuple(sum(1 << _COMPOSE[_COMPOSE[r][q]][_INVERSE[r]]
+                             for q in range(6) if mask >> q & 1)
+                         for mask in range(64)) for r in range(6))
+
+
+def _automorphisms(g: Multigraph) -> list[tuple[int, ...]]:
+    """Vertex permutations that preserve every edge multiplicity."""
+    pairs, perms, maps = _relabelings(g.n)
+    vec = tuple(g.multiplicity(u, v) for u, v in pairs)
+    return [p for p, m in zip(perms, maps) if tuple(vec[j] for j in m) == vec]
 
 
 class CoverEnumeration:
@@ -205,19 +213,26 @@ class CoverEnumeration:
 
     Relabeling each list L(v) independently lets the first matching of every
     spanning-tree pair be pinned to the identity; all other slots range over
-    the remaining distinct permutations.  A class can be hit more than once:
-    one permutation applied to every list keeps the tree pinned and
-    conjugates the other matchings (on the (4,2) graphs, 289 indices fall
-    into 90 classes).  Every pair uses its full matching budget
-    min(multiplicity, 6): dropping matchings never shrinks the set of
+    the remaining distinct permutations.  Every pair uses its full matching
+    budget min(multiplicity, 6): dropping matchings never shrinks the set of
     colorings, so full covers dominate every worst-case question.
+
+    A class can be hit more than once: one permutation applied to every
+    list keeps the tree pinned and conjugates the other matchings, and a
+    doubled tree pair can have either slot pinned.  On the 23 graphs of
+    `theorem_check(4,2)` the 289 indices fall into 82 classes under
+    per-vertex relabeling (the gauge group S3^n), and into 76 orbits once
+    graph automorphisms act too.  `representatives` picks one index per
+    S3^n x Aut(G) orbit, and every question whose answer is invariant under
+    that group (epsilon* with full lists) need only be asked there.
     """
 
     def __init__(self, g: Multigraph):
         if not g.is_connected():
             raise CoverError("cover enumeration requires a connected graph")
         self.g = g
-        tree = _spanning_tree_pairs(g)
+        self.tree = _spanning_tree(g)
+        tree = {(min(x, y), max(x, y)) for x, y in self.tree}
         self.pairs: list[tuple[int, int]] = list(g.pairs())
         self.choices: list[tuple[tuple[Perm, ...], ...]] = []
         non_identity = tuple(p for p in PERMS if p != IDENTITY)
@@ -233,16 +248,78 @@ class CoverEnumeration:
         for opts in self.choices:
             self.count *= len(opts)
 
-    def at(self, index: int) -> Cover:
-        if not (0 <= index < self.count):
-            raise IndexError(index)
+    def _digits(self, index: int) -> list[int]:
         digits = []
         for opts in reversed(self.choices):
             index, d = divmod(index, len(opts))
             digits.append(d)
         digits.reverse()
+        return digits
+
+    def at(self, index: int) -> Cover:
+        if not (0 <= index < self.count):
+            raise IndexError(index)
+        digits = self._digits(index)
         return Cover({pair: self.choices[i][d]
                       for i, (pair, d) in enumerate(zip(self.pairs, digits))})
+
+    def representatives(self, limit: int) -> tuple[list[int], list[int]]:
+        """One index per S3^n x Aut(G) orbit among the indices 0..limit-1.
+
+        Scans the indices in order.  An index no earlier orbit reached is a
+        representative; its orbit is then marked by enumerating every
+        tree-pinned image: each automorphism, each relabeling of the root's
+        list, and each choice of which slot on each tree pair becomes the
+        identity (the relabeling of every other list then follows down the
+        tree).  Each representative is therefore the smallest index of its
+        orbit.  Returns the representatives in increasing order and, per
+        index, its representative.
+        """
+        position = {pair: t for t, pair in enumerate(self.pairs)}
+        weights = []
+        weight = 1
+        for opts in reversed(self.choices):
+            weights.append(weight)
+            weight *= len(opts)
+        weights.reverse()
+        digit_of = [{sum(1 << _PERM_ID[p] for p in combo): d
+                     for d, combo in enumerate(opts)} for opts in self.choices]
+        # per automorphism: where each pair goes, and whether it flips
+        moves = [[(position[min(p[u], p[v]), max(p[u], p[v])], p[u] > p[v])
+                  for u, v in self.pairs] for p in _automorphisms(self.g)]
+        # per tree edge (parent, child): the pair and whether the parent is
+        # its smaller end, i.e. whether the matching reads parent -> child
+        tree = [(x, y, position[min(x, y), max(x, y)], x < y) for x, y in self.tree]
+        rep_of = [-1] * limit
+        reps = []
+        for index in range(limit):
+            if rep_of[index] >= 0:
+                continue
+            reps.append(index)
+            slots = [[_PERM_ID[q] for q in self.choices[t][d]]
+                     for t, d in enumerate(self._digits(index))]
+            for move in moves:
+                image = [()] * len(slots)
+                for t, (target, flip) in enumerate(move):
+                    image[target] = [_INVERSE[q] for q in slots[t]] if flip else slots[t]
+                for pinned in product(*(image[t] for _, _, t, _ in tree)):
+                    gauge = [0] * self.g.n
+                    for (x, y, _, down), q in zip(tree, pinned):
+                        gauge[y] = _COMPOSE[gauge[x]][_INVERSE[q] if down else q]
+                    masks = []
+                    for t, (u, v) in enumerate(self.pairs):
+                        after, before = gauge[v], _INVERSE[gauge[u]]
+                        mask = 0
+                        for q in image[t]:
+                            mask |= 1 << _COMPOSE[_COMPOSE[after][q]][before]
+                        masks.append(mask)
+                    # relabeling the root's list by r conjugates every matching by r
+                    for conjugate in _CONJUGATE:
+                        j = sum(digit_of[t][conjugate[mask]] * weights[t]
+                                for t, mask in enumerate(masks))
+                        if j < limit:
+                            rep_of[j] = index
+        return reps, rep_of
 
     def __len__(self) -> int:
         return self.count

@@ -3,10 +3,14 @@ check, criticality, and the potential gap audit.
 
 Graphs are enumerated up to isomorphism by orderly generation (Read 1978):
 multiplicity vectors are scanned in lexicographic order, and only those that
-no vertex relabeling makes smaller are kept.  Parallel runs split the
-cover-class index range into chunks; chunks carry only immutable tuples and
-return their values in index order, and one merge keeps the first index
-attaining the minimum, so output is identical for any job count.
+no vertex relabeling makes smaller are kept.  The worst-cover search solves
+one epsilon* LP per cover orbit under per-vertex list relabeling and graph
+automorphisms (`CoverEnumeration.representatives`), since epsilon* with full
+lists is invariant under both; each orbit is represented by its smallest
+index, so the first index attaining the minimum is always evaluated.
+Parallel runs split the representatives into chunks; chunks carry only
+immutable tuples and return their values in order, and one merge keeps the
+first index attaining the minimum, so output is identical for any job count.
 """
 from __future__ import annotations
 
@@ -14,12 +18,13 @@ import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice, permutations, product
+from itertools import chain, islice, product
 from typing import Iterator, Optional, Sequence
 
 from .covers import Cover, CoverEnumeration, serialize_cover, trivial_list_distribution
 from .flexibility import epsilon_star, framework_feasible
-from .graphs import Multigraph, PotentialAssignment, find_I_subgraph, mad, potential
+from .graphs import (Multigraph, PotentialAssignment, _relabelings,
+                     find_I_subgraph, mad, potential)
 from .rationals import rat_str
 
 Q = Fraction
@@ -46,17 +51,9 @@ def cover_hash(cover: Cover) -> str:
 # Canonical codes and graph enumeration
 # ---------------------------------------------------------------------------
 
-def _relabelings(n: int) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
-    """K_n's vertex pairs, and per permutation the index each pair is sent to."""
-    pairs = list(combinations(range(n), 2))
-    index = {pair: i for i, (u, v) in enumerate(pairs) for pair in ((u, v), (v, u))}
-    return pairs, [tuple(index[p[u], p[v]] for u, v in pairs)
-                   for p in permutations(range(n))]
-
-
 def canonical_code(g: Multigraph) -> str:
     """Minimum multiplicity vector over all vertex relabelings."""
-    pairs, maps = _relabelings(g.n)
+    pairs, _, maps = _relabelings(g.n)
     vec = [g.multiplicity(u, v) for u, v in pairs]
     best = min(tuple(vec[j] for j in m) for m in maps)
     return f"{g.n}:{','.join(map(str, best))}"
@@ -67,7 +64,7 @@ def enumerate_connected_multigraphs(max_vertices: int,
     """Connected multigraphs up to isomorphism, in (vertex count, code) order:
     each class once, as the graph whose own multiplicity vector is its code."""
     for n in range(1, max_vertices + 1):
-        pairs, maps = _relabelings(n)
+        pairs, _, maps = _relabelings(n)
         for vec in product(range(max_multiplicity + 1), repeat=len(pairs)):
             if all(tuple(vec[j] for j in m) >= vec for m in maps):
                 g = Multigraph(n, [(u, v, k) for (u, v), k in zip(pairs, vec) if k])
@@ -86,31 +83,35 @@ class WorstCoverReport:
     complete: bool
     classes_total: int
     classes_evaluated: int
+    orbits: int                     # orbits among them: epsilon* queries made
     per_class_values: Optional[tuple[tuple[Cover, Fraction], ...]] = None
 
 
 def _eps_chunk(task: tuple) -> list[Fraction]:
-    """Worker: epsilon* of cover classes [lo, hi) of one graph, in index order."""
-    n, edges, lo, hi = task
+    """Worker: epsilon* of the given cover classes of one graph, in order."""
+    n, edges, indices = task
     g = Multigraph(n, edges)
     enum = CoverEnumeration(g)
-    return [epsilon_star(g, enum.at(i)).epsilon_star for i in range(lo, hi)]
+    return [epsilon_star(g, enum.at(i)).epsilon_star for i in indices]
 
 
-def _class_minima(graphs: Sequence[tuple[Multigraph, int]], jobs: int,
-                  keep: bool) -> list[tuple[Fraction, int, Optional[list[Fraction]]]]:
+def _class_minima(enums: Sequence[tuple[CoverEnumeration, int]], jobs: int,
+                  keep: bool) -> list[tuple[Fraction, int, int, Optional[list[Fraction]]]]:
     """Minimum epsilon* over the first `evaluated` cover classes of each graph.
 
-    Returns, per (graph, evaluated) pair, the minimum, the first index that
-    attains it, and with `keep` every value in index order.  The index
-    ranges are cut into chunks that run in a process pool when jobs > 1;
-    chunk results are merged in task order, so the output does not depend
-    on the job count.
+    Only one representative per orbit is evaluated.  Returns, per
+    (enumeration, evaluated) pair, the minimum, the first index that attains
+    it, the number of orbits, and with `keep` every index's value in index
+    order.  The representatives are cut into chunks that run in a process
+    pool when jobs > 1; chunk results are merged in task order, so the
+    output does not depend on the job count.
     """
-    if any(evaluated < 1 for _, evaluated in graphs):
+    if any(evaluated < 1 for _, evaluated in enums):
         raise ValueError("budget must be at least 1")
-    tasks = [(g.n, g.edge_items(), lo, min(lo + CHUNK, evaluated))
-             for g, evaluated in graphs for lo in range(0, evaluated, CHUNK)]
+    scans = [enum.representatives(evaluated) for enum, evaluated in enums]
+    tasks = [(enum.g.n, enum.g.edge_items(), tuple(reps[lo:lo + CHUNK]))
+             for (enum, _), (reps, _) in zip(enums, scans)
+             for lo in range(0, len(reps), CHUNK)]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_eps_chunk, tasks))
@@ -118,10 +119,12 @@ def _class_minima(graphs: Sequence[tuple[Multigraph, int]], jobs: int,
         chunks = map(_eps_chunk, tasks)
     stream = chain.from_iterable(chunks)
     minima = []
-    for _, evaluated in graphs:
-        values = list(islice(stream, evaluated))
-        best = min(values)
-        minima.append((best, values.index(best), values if keep else None))
+    for reps, rep_of in scans:
+        value = dict(zip(reps, islice(stream, len(reps))))
+        best = min(value.values())
+        first = next(i for i in reps if value[i] == best)
+        minima.append((best, first, len(reps),
+                       [value[r] for r in rep_of] if keep else None))
     return minima
 
 
@@ -133,15 +136,17 @@ def min_epsilon_over_covers(g: Multigraph, budget: int = DEFAULT_BUDGET,
     The witness is the first class attaining the minimum in enumeration
     order.  When the class count exceeds the budget only the first `budget`
     classes are evaluated and the report is flagged incomplete; a budget
-    below 1 is rejected.
+    below 1 is rejected.  `per_class_values` gives every evaluated class the
+    value of its orbit's representative.
     """
     enum = CoverEnumeration(g)
     evaluated = min(enum.count, budget)
-    [(best, best_index, values)] = _class_minima([(g, evaluated)], jobs, per_class)
+    [(best, best_index, orbits, values)] = _class_minima([(enum, evaluated)], jobs,
+                                                         per_class)
     per_class_values = None if values is None else \
         tuple((enum.at(i), eps) for i, eps in enumerate(values))
     return WorstCoverReport(best, enum.at(best_index), evaluated == enum.count,
-                            enum.count, evaluated, per_class_values)
+                            enum.count, evaluated, orbits, per_class_values)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +163,7 @@ class GraphRow:
     witness_hash: str
     classes: int
     status: str                     # ok | exception | counterexample | skipped
+    orbits: int                     # orbits among the evaluated classes
 
 
 @dataclass(frozen=True)
@@ -213,10 +219,11 @@ def theorem_check(max_vertices: int, max_multiplicity: int, jobs: int = 1,
             kept.append((canonical_code(g), g, density))
 
     enums = [CoverEnumeration(g) for _, g, _ in kept]
-    minima = _class_minima([(g, min(enum.count, budget))
-                            for (_, g, _), enum in zip(kept, enums)], jobs, False)
+    minima = _class_minima([(enum, min(enum.count, budget)) for enum in enums],
+                           jobs, False)
     rows = []
-    for (code, g, density), enum, (best, best_index, _) in zip(kept, enums, minima):
+    for (code, g, density), enum, (best, best_index, orbits, _) in zip(kept, enums,
+                                                                       minima):
         found = find_I_subgraph(g)
         if budget < enum.count:
             status = "skipped"
@@ -229,7 +236,7 @@ def theorem_check(max_vertices: int, max_multiplicity: int, jobs: int = 1,
         rows.append(GraphRow(code, g.n, density,
                              found[0] if found is not None else None,
                              best, cover_hash(enum.at(best_index)),
-                             enum.count, status))
+                             enum.count, status, orbits))
     return TheoremReport(max_vertices, max_multiplicity, tuple(rows))
 
 

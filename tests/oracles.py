@@ -2,9 +2,9 @@
 
 Everything here is deliberately brute force: vertex enumeration for LPs,
 exhaustive assignment counting for colorings, explicit relabeling orbits
-for cover classes and for graph classes, every vertex sequence for the
-inflexible family.  None of it shares code with the implementations under
-test.
+for cover classes (per-vertex color relabelings, then graph automorphisms)
+and for graph classes, every vertex sequence for the inflexible family.
+None of it shares code with the implementations under test.
 """
 from __future__ import annotations
 
@@ -150,6 +150,42 @@ def relabeling_canonical_form(g: Multigraph, cover: Cover) -> tuple:
     """Minimum serialized form over all per-vertex color relabelings."""
     return min(_apply_relabeling(cover, sigma)
                for sigma in product(PERMS, repeat=g.n))
+
+
+def _apply_vertex_permutation(cover: Cover, perm) -> Cover:
+    """The cover carried along perm; a pair whose ends swap order has its
+    matchings inverted, so they still read from the smaller end."""
+    matchings = {}
+    for (u, v), perms in cover.matchings.items():
+        a, b = perm[u], perm[v]
+        if a > b:
+            a, b = b, a
+            perms = tuple(tuple(p.index(c) for c in range(3)) for p in perms)
+        matchings[(a, b)] = perms
+    return Cover(matchings)
+
+
+def orbit_canonical_form(g: Multigraph, cover: Cover) -> tuple:
+    """Minimum of `relabeling_canonical_form` over the automorphisms of g,
+    found among all vertex permutations."""
+    automorphisms = [perm for perm in permutations(range(g.n))
+                     if all(g.multiplicity(perm[u], perm[v]) == g.multiplicity(u, v)
+                            for u, v in combinations(range(g.n), 2))]
+    return min(relabeling_canonical_form(g, _apply_vertex_permutation(cover, perm))
+               for perm in automorphisms)
+
+
+def drop_matching(cover: Cover, u: int, v: int, index: int) -> Cover:
+    """The cover without slot `index` of pair {u,v}."""
+    key = (u, v) if u < v else (v, u)
+    slots = list(cover.matchings[key])
+    del slots[index]
+    matchings = dict(cover.matchings)
+    if slots:
+        matchings[key] = tuple(slots)
+    else:
+        del matchings[key]
+    return Cover(matchings)
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,25 @@ def test_worst_budget_cut_exits_3(tmp_path, capsys):
     assert "classes = 216\n" in out
 
 
+def test_worst_reports_orbits_in_text_only(tmp_path, capsys):
+    graph = tmp_path / "k4.txt"
+    run(["gen", "k4", "--out", str(graph)])
+    _, out, _ = invoke(capsys, "worst", str(graph))
+    assert "classes = 216\norbits = 11\n" in out
+    _, out, _ = invoke(capsys, "worst", str(graph), "--budget", "10")
+    assert "orbits = 4\n" in out
+    _, out, _ = invoke(capsys, "worst", str(graph), "--json")
+    assert "orbits" not in json.loads(out)
+
+
+def test_gen_unwritable_cover_path_writes_nothing(tmp_path, capsys):
+    graph, cover = tmp_path / "j1.txt", tmp_path / "no-such-dir" / "j1cov.txt"
+    code, out, err = invoke(capsys, "gen", "jm", "--m", "1", "--out", str(graph),
+                            "--cover-out", str(cover))
+    assert code == 2 and out == "" and err.startswith("error: cannot write")
+    assert not graph.exists() and not cover.exists()
+
+
 def test_gen_unknown_cover_kind_writes_nothing(tmp_path, capsys):
     graph, cover = tmp_path / "k4.txt", tmp_path / "k4cov.txt"
     code, out, err = invoke(capsys, "gen", "k4", "--out", str(graph),

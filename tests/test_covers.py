@@ -7,9 +7,10 @@ from flexdp.covers import (IDENTITY, SWAP01, Cover, CoverEnumeration,
                            CoverError, ListDistribution, tight_cover,
                            parse_cover, serialize_cover, straight_cover,
                            validate)
-from flexdp.graphs import Multigraph, gen_family
-from oracles import all_full_covers, random_connected_multigraph, \
-    relabeling_canonical_form
+from flexdp.graphs import Multigraph, gen_family, mad
+from flexdp.search import enumerate_connected_multigraphs
+from oracles import all_full_covers, orbit_canonical_form, \
+    random_connected_multigraph, relabeling_canonical_form
 
 from fractions import Fraction as Q
 
@@ -137,6 +138,49 @@ class TestEnumeration:
             ours = {relabeling_canonical_form(g, c) for c in CoverEnumeration(g)}
             brute = {relabeling_canonical_form(g, c) for c in all_full_covers(g)}
             assert ours == brute
+
+
+class TestRepresentatives:
+    @pytest.mark.parametrize("max_vertices, max_mult, classes, orbits",
+                             [(3, 3, 20, 19), (4, 2, 82, 76)])
+    def test_one_representative_per_brute_force_orbit(self, max_vertices,
+                                                      max_mult, classes, orbits):
+        """On every sparse graph at this scale, each S3^n x Aut(G) orbit of
+        the enumerated indices holds exactly one representative, its
+        smallest index, and rep_of stays inside the orbit."""
+        class_total = orbit_total = 0
+        for g in enumerate_connected_multigraphs(max_vertices, max_mult):
+            if mad(g) >= 3:
+                continue
+            enum = CoverEnumeration(g)
+            reps, rep_of = enum.representatives(enum.count)
+            s3_forms = [relabeling_canonical_form(g, c) for c in enum]
+            # a class's canonical form is a cover of that class, so the orbit
+            # form need only be found once per class
+            orbit_form = {form: orbit_canonical_form(g, Cover(dict(form)))
+                          for form in set(s3_forms)}
+            orbit = [orbit_form[form] for form in s3_forms]
+            members: dict[tuple, list[int]] = {}
+            for i, key in enumerate(orbit):
+                members.setdefault(key, []).append(i)
+            for indices in members.values():
+                assert [i for i in indices if i in reps] == [indices[0]]
+            assert len(reps) == len(members)
+            assert all(orbit[rep_of[i]] == orbit[i] for i in range(enum.count))
+            class_total += len(orbit_form)
+            orbit_total += len(members)
+        assert (class_total, orbit_total) == (classes, orbits)
+
+    def test_limit_cuts_the_scan(self):
+        """Over the first `limit` indices: the same representatives as the
+        full scan below the limit, and every index mapped to one of them."""
+        g, _ = gen_family("k4")
+        enum = CoverEnumeration(g)
+        full_reps, full_rep_of = enum.representatives(enum.count)
+        for limit in (1, 10, 100):
+            reps, rep_of = enum.representatives(limit)
+            assert reps == [r for r in full_reps if r < limit]
+            assert rep_of == full_rep_of[:limit]
 
 
 class TestListDistribution:

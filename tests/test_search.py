@@ -1,11 +1,12 @@
 """Worst-cover search, graph enumeration, theorem check, criticality, gap."""
+import hashlib
 import random
 from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
 
-from flexdp.covers import straight_cover
+from flexdp.covers import CoverEnumeration, straight_cover
 from flexdp.flexibility import epsilon_star
 from flexdp.graphs import Multigraph, PotentialAssignment, gen_family, mad
 from flexdp.search import (BudgetExceeded, canonical_code, criticality_check,
@@ -124,6 +125,46 @@ class TestWorstCover:
         g, _ = gen_family("h5")
         report = min_epsilon_over_covers(g)
         assert report.epsilon_min == Q(1, 4)
+
+
+class TestOrbitRepresentatives:
+    @pytest.mark.parametrize("g, budget", [
+        (Multigraph(4, [(0, 1, 2), (0, 2, 1), (1, 2, 1), (2, 3, 2)]), 10 ** 6),
+        (gen_family("k4")[0], 10 ** 6),
+        (gen_family("k4")[0], 10),
+    ], ids=["doubled-tree-pairs", "k4", "k4-budget-10"])
+    def test_per_class_matches_per_index_scan(self, g, budget):
+        """One LP per orbit gives every index the value a full per-index
+        scan gives it, and the same minimum and first witness."""
+        enum = CoverEnumeration(g)
+        evaluated = min(enum.count, budget)
+        values = [epsilon_star(g, enum.at(i)).epsilon_star for i in range(evaluated)]
+        report = min_epsilon_over_covers(g, budget=budget, per_class=True)
+        assert report.per_class_values == tuple(
+            (enum.at(i), v) for i, v in enumerate(values))
+        assert report.epsilon_min == min(values)
+        assert report.witness_cover == enum.at(values.index(min(values)))
+        assert report.classes_evaluated == evaluated
+        assert report.orbits < evaluated
+
+    # sha256 of the TSVs written by the full per-index scan this replaced
+    @pytest.mark.parametrize("max_vertices, max_mult, digest", [
+        (4, 2, "b24cd72fb9ef2bafa55b475c1997e9e055513c1ffcace3171bd7b42fed246edb"),
+        (5, 1, "4dede60e0964be7ae7dc7c9660ff7876a51366bcc1f0d83a651e2ef5967546fe"),
+    ])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_tsv_unchanged_by_the_orbit_cut(self, max_vertices, max_mult,
+                                            digest, jobs):
+        tsv = theorem_check(max_vertices, max_mult, jobs=jobs).to_tsv()
+        assert hashlib.sha256(tsv.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("max_vertices, max_mult, classes, orbits",
+                             [(4, 2, 289, 76), (5, 1, 920, 157)])
+    def test_orbit_counts(self, max_vertices, max_mult, classes, orbits):
+        rows = theorem_check(max_vertices, max_mult).rows
+        assert sum(r.classes for r in rows) == classes
+        assert sum(r.orbits for r in rows) == orbits
+        assert "orbits" not in theorem_check(2, 2).to_tsv()
 
 
 class TestTheoremCheck:
