@@ -10,10 +10,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Iterator, Optional, Sequence
 
-from .graphs import GraphFormatError, Multigraph, _relabelings
+from .graphs import GraphFormatError, Multigraph
 
 Q = Fraction
 
@@ -195,17 +195,63 @@ _PERM_ID = {p: i for i, p in enumerate(PERMS)}
 _COMPOSE = tuple(tuple(_PERM_ID[tuple(a[b[i]] for i in range(3))] for b in PERMS)
                  for a in PERMS)                    # id of a after b
 _INVERSE = tuple(_PERM_ID[tuple(p.index(i) for i in range(3))] for p in PERMS)
-# _CONJUGATE[r][mask]: the set of perm ids `mask` conjugated by r, q -> r q r^-1
-_CONJUGATE = tuple(tuple(sum(1 << _COMPOSE[_COMPOSE[r][q]][_INVERSE[r]]
-                             for q in range(6) if mask >> q & 1)
-                         for mask in range(64)) for r in range(6))
+# _TWIST[q][a * 6 + b]: q once its ends' lists are relabeled by a and b, b q a^-1
+_TWIST = tuple(tuple(_COMPOSE[_COMPOSE[b][q]][_INVERSE[a]] for a in range(6) for b in range(6))
+               for q in range(6))
+# a set of perm ids, as a bit mask, mapped to the set of their inverses
+_INVERSE_MASK = tuple(sum(1 << _INVERSE[q] for q in range(6) if mask >> q & 1)
+                      for mask in range(64))
 
 
-def _automorphisms(g: Multigraph) -> list[tuple[int, ...]]:
-    """Vertex permutations that preserve every edge multiplicity."""
-    pairs, perms, maps = _relabelings(g.n)
-    vec = tuple(g.multiplicity(u, v) for u, v in pairs)
-    return [p for p, m in zip(perms, maps) if tuple(vec[j] for j in m) == vec]
+def _automorphism_generators(g: Multigraph) -> list[tuple[int, ...]]:
+    """Generators of Aut(G), found without listing the group.
+
+    For k = n-1 down to 0, and for each v > k that the generators found so
+    far cannot send k to, a backtracking search looks for one automorphism
+    that fixes 0..k-1 and sends k to v.  It extends a partial vertex map one
+    vertex at a time and prunes on degree and on the multiplicities to the
+    vertices already mapped.  The maps found fixing 0..k-1 then reach the
+    whole orbit of k, so by induction they generate each point stabiliser
+    and finally Aut(G) (Sims 1970).  Each map found lies outside the group
+    the earlier ones generate, so it at least doubles that group: there are
+    at most log2 |Aut(G)| of them.
+    """
+    n = g.n
+    mult = [[g.multiplicity(u, v) for v in range(n)] for u in range(n)]
+    degree = [sum(row) for row in mult]
+
+    def fits(image: list[int], v: int) -> bool:
+        k = len(image)
+        return (v not in image and degree[v] == degree[k]
+                and all(mult[v][w] == mult[k][u] for u, w in enumerate(image)))
+
+    def extend(image: list[int]) -> Optional[tuple[int, ...]]:
+        if len(image) == n:
+            return tuple(image)
+        for v in range(n):
+            if fits(image, v):
+                found = extend(image + [v])
+                if found is not None:
+                    return found
+        return None
+
+    generators: list[tuple[int, ...]] = []
+    for k in reversed(range(n)):
+        orbit = {k}
+        for v in range(k + 1, n):
+            if v in orbit or not fits(list(range(k)), v):
+                continue
+            found = extend(list(range(k)) + [v])
+            if found is not None:
+                generators.append(found)
+                frontier = list(orbit)
+                while frontier:
+                    w = frontier.pop()
+                    for p in generators:
+                        if p[w] not in orbit:
+                            orbit.add(p[w])
+                            frontier.append(p[w])
+    return generators
 
 
 class CoverEnumeration:
@@ -266,60 +312,158 @@ class CoverEnumeration:
     def representatives(self, limit: int) -> tuple[list[int], list[int]]:
         """One index per S3^n x Aut(G) orbit among the indices 0..limit-1.
 
-        Scans the indices in order.  An index no earlier orbit reached is a
-        representative; its orbit is then marked by enumerating every
-        tree-pinned image: each automorphism, each relabeling of the root's
-        list, and each choice of which slot on each tree pair becomes the
-        identity (the relabeling of every other list then follows down the
-        tree).  Each representative is therefore the smallest index of its
-        orbit.  Returns the representatives in increasing order and, per
-        index, its representative.
+        Scans the indices in order.  An index no earlier class reached is a
+        representative, and `_relabeled_indices` marks its whole S3^n class
+        below the limit.  Graph automorphisms then merge classes: for each
+        class and each generator from `_automorphism_generators`, the
+        image's class is found the same way and joined to it (union-find,
+        smaller index as root).  Each representative is therefore the
+        smallest index of its merged orbit.  With limit = count the merged
+        sets are exactly the orbits; below it, two classes of one orbit
+        that are linked only through indices past the limit both stay
+        representatives, which costs an LP but changes no answer.
+
+        Cost: per class, 1 + (number of generators) runs of
+        `_relabeled_indices`, each bounded by its distinct states, never
+        by |Aut(G)| or by the size of the gauge group.  Returns the
+        representatives in increasing order and, per index, its
+        representative.
         """
-        position = {pair: t for t, pair in enumerate(self.pairs)}
+        steps = self._pinning_steps()
+        masks = [[sum(1 << _PERM_ID[p] for p in combo) for combo in opts]
+                 for opts in self.choices]
+        digit_of = [{mask: d for d, mask in enumerate(row)} for row in masks]
         weights = []
         weight = 1
         for opts in reversed(self.choices):
             weights.append(weight)
             weight *= len(opts)
         weights.reverse()
-        digit_of = [{sum(1 << _PERM_ID[p] for p in combo): d
-                     for d, combo in enumerate(opts)} for opts in self.choices]
-        # per automorphism: where each pair goes, and whether it flips
-        moves = [[(position[min(p[u], p[v]), max(p[u], p[v])], p[u] > p[v])
-                  for u, v in self.pairs] for p in _automorphisms(self.g)]
-        # per tree edge (parent, child): the pair and whether the parent is
-        # its smaller end, i.e. whether the matching reads parent -> child
-        tree = [(x, y, position[min(x, y), max(x, y)], x < y) for x, y in self.tree]
+        tables: dict[tuple[int, int], tuple[int, ...]] = {}
+
+        def table(t: int, mask: int) -> tuple[int, ...]:
+            # index contribution of pair t, for its ends' relabelings (a, b)
+            # at a * 6 + b; a pairing the enumeration lacks pushes past limit
+            if (t, mask) not in tables:
+                twists = [_TWIST[q] for q in range(6) if mask >> q & 1]
+                row = []
+                for ab in range(36):
+                    d = digit_of[t].get(sum(1 << twist[ab] for twist in twists))
+                    row.append(limit if d is None else d * weights[t])
+                tables[t, mask] = tuple(row)
+            return tables[t, mask]
+
+        def members(cover: list[int], first: bool = False) -> set[int]:
+            return self._relabeled_indices(steps, cover, limit, table, first)
+
+        def cover_masks(index: int) -> list[int]:
+            return [masks[t][d] for t, d in enumerate(self._digits(index))]
+
         rep_of = [-1] * limit
-        reps = []
+        classes = []
         for index in range(limit):
-            if rep_of[index] >= 0:
-                continue
-            reps.append(index)
-            slots = [[_PERM_ID[q] for q in self.choices[t][d]]
-                     for t, d in enumerate(self._digits(index))]
+            if rep_of[index] < 0:
+                classes.append(index)
+                for j in members(cover_masks(index)):
+                    rep_of[j] = index
+
+        root = {c: c for c in classes}
+
+        def find(c: int) -> int:
+            while root[c] != c:
+                root[c] = c = root[root[c]]
+            return c
+
+        position = {pair: t for t, pair in enumerate(self.pairs)}
+        # per generator: where each pair goes, and whether its ends swap order
+        moves = [[(position[min(p[u], p[v]), max(p[u], p[v])], p[u] > p[v])
+                  for u, v in self.pairs] for p in _automorphism_generators(self.g)]
+        for c in classes:
+            cover = cover_masks(c)
             for move in moves:
-                image = [()] * len(slots)
-                for t, (target, flip) in enumerate(move):
-                    image[target] = [_INVERSE[q] for q in slots[t]] if flip else slots[t]
-                for pinned in product(*(image[t] for _, _, t, _ in tree)):
-                    gauge = [0] * self.g.n
-                    for (x, y, _, down), q in zip(tree, pinned):
-                        gauge[y] = _COMPOSE[gauge[x]][_INVERSE[q] if down else q]
-                    masks = []
-                    for t, (u, v) in enumerate(self.pairs):
-                        after, before = gauge[v], _INVERSE[gauge[u]]
-                        mask = 0
-                        for q in image[t]:
-                            mask |= 1 << _COMPOSE[_COMPOSE[after][q]][before]
-                        masks.append(mask)
-                    # relabeling the root's list by r conjugates every matching by r
-                    for conjugate in _CONJUGATE:
-                        j = sum(digit_of[t][conjugate[mask]] * weights[t]
-                                for t, mask in enumerate(masks))
-                        if j < limit:
-                            rep_of[j] = index
-        return reps, rep_of
+                image = [0] * len(cover)
+                for mask, (target, flip) in zip(cover, move):
+                    image[target] = _INVERSE_MASK[mask] if flip else mask
+                found = members(image, first=True)
+                if found:
+                    a, b = find(c), find(rep_of[found.pop()])
+                    root[max(a, b)] = min(a, b)
+        return [c for c in classes if find(c) == c], [find(r) for r in rep_of]
+
+    def _pinning_steps(self) -> list[tuple]:
+        """The plan `_relabeled_indices` follows: one step per BFS tree edge.
+
+        Vertices get their relabeling in BFS order.  A pair with more than
+        one choice is read when its later end is relabeled; a vertex's
+        relabeling is kept (in the frontier) while a read or a tree child
+        still needs it.  A step is (x's place in the frontier, the tree
+        pair, whether x is its smaller end, the reads as (pair, place of u,
+        place of v) in the frontier extended by the child, the places kept).
+        """
+        order = [0] + [y for _, y in self.tree]
+        rank = {v: k for k, v in enumerate(order)}
+        needed = [0] * self.g.n
+        reads: list[list[tuple[int, int, int]]] = [[] for _ in order]
+        for t, (u, v) in enumerate(self.pairs):
+            if len(self.choices[t]) > 1:
+                k = max(rank[u], rank[v])
+                reads[k].append((t, u, v))
+                needed[u] = max(needed[u], k)
+                needed[v] = max(needed[v], k)
+        for k, (x, _) in enumerate(self.tree, 1):
+            needed[x] = max(needed[x], k)
+        position = {pair: t for t, pair in enumerate(self.pairs)}
+        frontier, steps = [0], []
+        for k, (x, y) in enumerate(self.tree, 1):
+            extended = frontier + [y]
+            place = {v: i for i, v in enumerate(extended)}
+            frontier = [v for v in extended if needed[v] > k]
+            steps.append((place[x], position[min(x, y), max(x, y)], x < y,
+                          tuple((t, place[u], place[v]) for t, u, v in reads[k]),
+                          tuple(place[v] for v in frontier)))
+        return steps
+
+    def _relabeled_indices(self, steps: list[tuple], cover: list[int], limit: int,
+                           table, first: bool = False) -> set[int]:
+        """Indices below `limit` of the tree-pinned relabelings of a cover:
+        all of them, or with `first` any one.
+
+        `cover` gives each pair's matchings as a bit mask of perm ids.  The
+        root's list takes each of the 6 relabelings, and down the tree each
+        child's relabeling follows from which slot of its tree pair becomes
+        the identity.  The search is depth-first over states (step, index
+        so far, frontier relabelings); it visits each state once and drops
+        any whose index so far already reaches `limit` (digits only add),
+        so its cost is bounded by the distinct states, not by the
+        6 * product(tree slot counts) relabelings they stand for.
+        """
+        work = [(x_at, [_INVERSE[q] if down else q
+                        for q in range(6) if cover[tree_pair] >> q & 1],
+                 [(table(t, cover[t]), u_at, v_at) for t, u_at, v_at in reads], keep)
+                for x_at, tree_pair, down, reads, keep in steps]
+        stack = [(0, 0, r) for r in range(6)] if work else [(0, 0)]
+        seen, found = set(), set()
+        while stack:
+            state = stack.pop()
+            if state in seen:
+                continue
+            seen.add(state)
+            k, index, *gauge = state
+            if k == len(work):
+                found.add(index)
+                if first:
+                    break
+                continue
+            x_at, pins, rows, keep = work[k]
+            parent = gauge[x_at]
+            for pin in pins:
+                frontier = gauge + [_COMPOSE[parent][pin]]
+                total = index
+                for row, u_at, v_at in rows:
+                    total += row[frontier[u_at] * 6 + frontier[v_at]]
+                if total < limit:
+                    stack.append((k + 1, total, *(frontier[i] for i in keep)))
+        return found
 
     def __len__(self) -> int:
         return self.count

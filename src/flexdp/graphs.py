@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 Q = Fraction
@@ -344,22 +344,6 @@ def mad(g: Multigraph) -> Fraction:
         else:
             hi = mid
     return candidates[lo]
-
-
-# ---------------------------------------------------------------------------
-# Vertex relabelings
-# ---------------------------------------------------------------------------
-
-def _relabelings(n: int) -> tuple[tuple[tuple[int, int], ...],
-                                  tuple[tuple[int, ...], ...],
-                                  tuple[tuple[int, ...], ...]]:
-    """K_n's vertex pairs, every vertex permutation p, and per p the index
-    each pair (u, v) is sent to, that of (p[u], p[v])."""
-    pairs = tuple(combinations(range(n), 2))
-    index = {pair: i for i, (u, v) in enumerate(pairs) for pair in ((u, v), (v, u))}
-    perms = tuple(permutations(range(n)))
-    return pairs, perms, tuple(tuple(index[p[u], p[v]] for u, v in pairs)
-                               for p in perms)
 
 
 # ---------------------------------------------------------------------------

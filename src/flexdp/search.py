@@ -18,13 +18,12 @@ import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import chain, combinations, islice, permutations, product
 from typing import Iterator, Optional, Sequence
 
 from .covers import Cover, CoverEnumeration, serialize_cover, trivial_list_distribution
 from .flexibility import epsilon_star, framework_feasible
-from .graphs import (Multigraph, PotentialAssignment, _relabelings,
-                     find_I_subgraph, mad, potential)
+from .graphs import Multigraph, PotentialAssignment, find_I_subgraph, mad, potential
 from .rationals import rat_str
 
 Q = Fraction
@@ -51,9 +50,17 @@ def cover_hash(cover: Cover) -> str:
 # Canonical codes and graph enumeration
 # ---------------------------------------------------------------------------
 
+def _relabelings(n: int) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
+    """K_n's vertex pairs, and per permutation the index each pair is sent to."""
+    pairs = list(combinations(range(n), 2))
+    index = {pair: i for i, (u, v) in enumerate(pairs) for pair in ((u, v), (v, u))}
+    return pairs, [tuple(index[p[u], p[v]] for u, v in pairs)
+                   for p in permutations(range(n))]
+
+
 def canonical_code(g: Multigraph) -> str:
     """Minimum multiplicity vector over all vertex relabelings."""
-    pairs, _, maps = _relabelings(g.n)
+    pairs, maps = _relabelings(g.n)
     vec = [g.multiplicity(u, v) for u, v in pairs]
     best = min(tuple(vec[j] for j in m) for m in maps)
     return f"{g.n}:{','.join(map(str, best))}"
@@ -64,7 +71,7 @@ def enumerate_connected_multigraphs(max_vertices: int,
     """Connected multigraphs up to isomorphism, in (vertex count, code) order:
     each class once, as the graph whose own multiplicity vector is its code."""
     for n in range(1, max_vertices + 1):
-        pairs, _, maps = _relabelings(n)
+        pairs, maps = _relabelings(n)
         for vec in product(range(max_multiplicity + 1), repeat=len(pairs)):
             if all(tuple(vec[j] for j in m) >= vec for m in maps):
                 g = Multigraph(n, [(u, v, k) for (u, v), k in zip(pairs, vec) if k])
@@ -99,12 +106,13 @@ def _class_minima(enums: Sequence[tuple[CoverEnumeration, int]], jobs: int,
                   keep: bool) -> list[tuple[Fraction, int, int, Optional[list[Fraction]]]]:
     """Minimum epsilon* over the first `evaluated` cover classes of each graph.
 
-    Only one representative per orbit is evaluated.  Returns, per
-    (enumeration, evaluated) pair, the minimum, the first index that attains
-    it, the number of orbits, and with `keep` every index's value in index
-    order.  The representatives are cut into chunks that run in a process
-    pool when jobs > 1; chunk results are merged in task order, so the
-    output does not depend on the job count.
+    Only the representatives from `CoverEnumeration.representatives` are
+    evaluated.  Returns, per (enumeration, evaluated) pair, the minimum, the
+    first index that attains it, the number of representatives (the orbit
+    count), and with `keep` every index's value in index order.  The
+    representatives are cut into chunks that run in a process pool when
+    jobs > 1; chunk results are merged in task order, so the output does
+    not depend on the job count.
     """
     if any(evaluated < 1 for _, evaluated in enums):
         raise ValueError("budget must be at least 1")

@@ -165,14 +165,17 @@ def _apply_vertex_permutation(cover: Cover, perm) -> Cover:
     return Cover(matchings)
 
 
+def automorphisms(g: Multigraph) -> set:
+    """The vertex permutations that keep every multiplicity, among all n!."""
+    return {perm for perm in permutations(range(g.n))
+            if all(g.multiplicity(perm[u], perm[v]) == g.multiplicity(u, v)
+                   for u, v in combinations(range(g.n), 2))}
+
+
 def orbit_canonical_form(g: Multigraph, cover: Cover) -> tuple:
-    """Minimum of `relabeling_canonical_form` over the automorphisms of g,
-    found among all vertex permutations."""
-    automorphisms = [perm for perm in permutations(range(g.n))
-                     if all(g.multiplicity(perm[u], perm[v]) == g.multiplicity(u, v)
-                            for u, v in combinations(range(g.n), 2))]
+    """Minimum of `relabeling_canonical_form` over the automorphisms of g."""
     return min(relabeling_canonical_form(g, _apply_vertex_permutation(cover, perm))
-               for perm in automorphisms)
+               for perm in automorphisms(g))
 
 
 def drop_matching(cover: Cover, u: int, v: int, index: int) -> Cover:

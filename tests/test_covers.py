@@ -1,15 +1,16 @@
 """Cover validation, the adversarial covers, and class enumeration."""
 import random
+from itertools import combinations
 
 import pytest
 
 from flexdp.covers import (IDENTITY, SWAP01, Cover, CoverEnumeration,
                            CoverError, ListDistribution, tight_cover,
                            parse_cover, serialize_cover, straight_cover,
-                           validate)
+                           validate, _automorphism_generators)
 from flexdp.graphs import Multigraph, gen_family, mad
 from flexdp.search import enumerate_connected_multigraphs
-from oracles import all_full_covers, orbit_canonical_form, \
+from oracles import all_full_covers, automorphisms, orbit_canonical_form, \
     random_connected_multigraph, relabeling_canonical_form
 
 from fractions import Fraction as Q
@@ -171,16 +172,60 @@ class TestRepresentatives:
             orbit_total += len(members)
         assert (class_total, orbit_total) == (classes, orbits)
 
-    def test_limit_cuts_the_scan(self):
-        """Over the first `limit` indices: the same representatives as the
-        full scan below the limit, and every index mapped to one of them."""
-        g, _ = gen_family("k4")
+    @pytest.mark.parametrize("g", [
+        gen_family("k4")[0],
+        Multigraph(4, [(0, 1, 2), (0, 2, 1), (1, 2, 1), (2, 3, 2)]),
+    ], ids=["k4", "doubled-tree-pairs"])
+    def test_limit_cuts_the_scan(self, g):
+        """Over the first `limit` indices: every index maps to a smaller or
+        equal representative of its own orbit (the full scan, checked
+        against the oracle above, names the orbits), and the smallest
+        index of each orbit below the limit is a representative."""
         enum = CoverEnumeration(g)
-        full_reps, full_rep_of = enum.representatives(enum.count)
-        for limit in (1, 10, 100):
-            reps, rep_of = enum.representatives(limit)
-            assert reps == [r for r in full_reps if r < limit]
-            assert rep_of == full_rep_of[:limit]
+        _, orbit_of = enum.representatives(enum.count)
+        for limit in (1, 2, 10, 100):
+            reps, rep_of = enum.representatives(min(limit, enum.count))
+            assert reps == sorted(set(rep_of))
+            assert all(r <= i and orbit_of[r] == orbit_of[i]
+                       for i, r in enumerate(rep_of))
+            firsts = {orbit_of[i]: i for i in reversed(range(len(rep_of)))}
+            assert set(firsts.values()) <= set(reps)
+
+    @pytest.mark.parametrize("g, limit", [
+        (gen_family("jm", 5)[0], 10),
+        (Multigraph(12, [(i, i + 1, 1) for i in range(11)]), 1),
+        (Multigraph(12, [(i, i + 1, 3) for i in range(11)]), 10),
+        (Multigraph(12, [(0, i, 1) for i in range(1, 12)]), 1),
+        (Multigraph(12, [(0, i, 2) for i in range(1, 12)]), 10),
+        (Multigraph(12, [(u, v, 6) for u, v in combinations(range(12), 2)]), 1),
+        (Multigraph(5, [(u, v, 6) for u, v in combinations(range(5), 2)]), 1),
+    ], ids=["j5-budget-10", "path-12", "path-12-triple-budget-10", "star-12",
+            "star-12-double-budget-10", "k12-sextuple", "k5-sextuple"])
+    def test_scan_is_not_bounded_by_the_group_order(self, g, limit):
+        """Graphs with up to 11! automorphisms, or covers that every list
+        relabeling fixes: the scan answers in milliseconds (it never lists
+        Aut(G) or the 6 * product(tree slot counts) pinned relabelings)."""
+        enum = CoverEnumeration(g)
+        reps, rep_of = enum.representatives(limit)
+        assert reps[0] == 0 and reps == sorted(set(rep_of))
+        assert all(r <= i for i, r in enumerate(rep_of))
+
+    def test_automorphism_generators_generate_the_group(self):
+        rng = random.Random(6)
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            g = Multigraph(n, [(u, v, k) for u, v in combinations(range(n), 2)
+                               if (k := rng.choice((0, 0, 1, 1, 2)))])
+            group = {tuple(range(n))}
+            frontier = list(group)
+            while frontier:
+                p = frontier.pop()
+                for q in _automorphism_generators(g):
+                    r = tuple(q[i] for i in p)
+                    if r not in group:
+                        group.add(r)
+                        frontier.append(r)
+            assert group == automorphisms(g)
 
 
 class TestListDistribution:

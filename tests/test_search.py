@@ -148,23 +148,21 @@ class TestOrbitRepresentatives:
         assert report.orbits < evaluated
 
     # sha256 of the TSVs written by the full per-index scan this replaced
-    @pytest.mark.parametrize("max_vertices, max_mult, digest", [
-        (4, 2, "b24cd72fb9ef2bafa55b475c1997e9e055513c1ffcace3171bd7b42fed246edb"),
-        (5, 1, "4dede60e0964be7ae7dc7c9660ff7876a51366bcc1f0d83a651e2ef5967546fe"),
+    @pytest.mark.parametrize("max_vertices, max_mult, digest, classes, orbits", [
+        (4, 2, "b24cd72fb9ef2bafa55b475c1997e9e055513c1ffcace3171bd7b42fed246edb",
+         289, 76),
+        (5, 1, "4dede60e0964be7ae7dc7c9660ff7876a51366bcc1f0d83a651e2ef5967546fe",
+         920, 157),
     ])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_tsv_unchanged_by_the_orbit_cut(self, max_vertices, max_mult,
-                                            digest, jobs):
-        tsv = theorem_check(max_vertices, max_mult, jobs=jobs).to_tsv()
+                                            digest, classes, orbits, jobs):
+        report = theorem_check(max_vertices, max_mult, jobs=jobs)
+        tsv = report.to_tsv()
         assert hashlib.sha256(tsv.encode()).hexdigest() == digest
-
-    @pytest.mark.parametrize("max_vertices, max_mult, classes, orbits",
-                             [(4, 2, 289, 76), (5, 1, 920, 157)])
-    def test_orbit_counts(self, max_vertices, max_mult, classes, orbits):
-        rows = theorem_check(max_vertices, max_mult).rows
-        assert sum(r.classes for r in rows) == classes
-        assert sum(r.orbits for r in rows) == orbits
-        assert "orbits" not in theorem_check(2, 2).to_tsv()
+        assert "orbits" not in tsv
+        assert sum(r.classes for r in report.rows) == classes
+        assert sum(r.orbits for r in report.rows) == orbits
 
 
 class TestTheoremCheck:
