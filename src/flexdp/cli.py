@@ -2,12 +2,14 @@
 
 Exit codes: 0 success or property verified, 1 a mathematically meaningful
 failure (counterexample, violation, infeasibility of a checked property),
-2 usage or input errors, including an input that cannot be read or an
-output path that cannot be written, 3 budget exhausted with nothing
-claimed (a theorem check that skipped a graph without finding a
-counterexample, a criticality check that met a component with more cover
-classes than the budget, or a worst-cover search that stopped before every
-class was evaluated, so its printed minimum is only an upper bound).
+2 usage or input errors, including an input that cannot be read, an
+output path that cannot be written, and a standard output whose reader
+closed it early (`worst G --per-class | head -3` ends with exit 2, no
+message and no traceback), 3 budget exhausted with nothing claimed (a
+theorem check that skipped a graph without finding a counterexample, a
+criticality check that met a component with more cover classes than the
+budget, or a worst-cover search that stopped before every class was
+evaluated, so its printed minimum is only an upper bound).
 Rational values print exactly; with --json they appear as "p/q" strings
 and are never rendered as floats.
 """
@@ -347,7 +349,12 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return 2
     except (UsageError, GraphError, GraphFormatError, CoverError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -355,6 +362,18 @@ def run(argv) -> int:
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
+
+
+def _stdout_to_devnull() -> None:
+    """The reader of stdout has gone: point its descriptor at os.devnull, so
+    the flush of what is still buffered at interpreter exit cannot raise."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    except (OSError, ValueError):
+        pass  # a stdout without a descriptor has nothing to flush to one
+    finally:
+        os.close(devnull)
 
 
 def main() -> None:

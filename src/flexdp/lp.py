@@ -1,20 +1,17 @@
-"""Exact rational linear programming via two-phase simplex with Bland's rule.
+"""Exact rational linear programming: revised simplex with Bland's rule.
 
-Maximization problems over rational data: row coefficients and objective
-entries may be `int` or `Fraction`.  Each row is scaled to integers by its
-own denominator, and the whole tableau, z-row included, is kept as integer
-rows over one common denominator, updated by fraction-free pivots whose
-divisions are exact, so no entry ever needs a gcd.  Bland's smallest-index
-rule guarantees termination.  Dual multipliers are read off the artificial
-columns of the final z-row, and every optimal solve is verified against the
-exact optimality certificate (feasibility, complementary slackness, strong
-duality), computed as integer dot products over a scaled primal and dual.
+Maximization over `int` or `Fraction` data, kept as sparse integer columns
+(each row scaled by its own denominator).  The kernel `_Revised` prices
+columns on demand and pivots only d*B^-1 over one common denominator d.
+Every optimal solve is verified against the exact optimality certificate
+(feasibility, complementary slackness, strong duality).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .rationals import integral
@@ -71,142 +68,144 @@ class LpOutcome:
     dual: Optional[tuple[Fraction, ...]] = None
 
 
-class _Tableau:
-    """Fraction-free simplex tableau: integer rows over one denominator `d`.
+def _dot(row: list[int], col: tuple) -> int:
+    """row . A_j; a column is (row indices, entries or None if all are 1)."""
+    ks, vs = col
+    get = row.__getitem__
+    return sum(map(get, ks)) if vs is None else sum(map(mul, map(get, ks), vs))
 
-    `rows` holds the constraint rows followed by the z-row, each of length
-    ncols + 1 with the right-hand side last; every entry stands for
-    entry / d, and d > 0.  Invariant: the basic column of row i holds d in
-    row i and 0 in every other row, the z-row included.  Each pivot divides
-    exactly (Edmonds 1967; Bareiss 1968), so no entry needs a gcd.
+
+class _Revised:
+    """Revised simplex over sparse columns, fraction-free over `d` > 0.
+
+    `cols[j]` is column A_j of the scaled matrix (see `_dot`), `cost[j]` its
+    phase cost.  `rows[i]` is row i of d*B^-1 with beta_i = d*(B^-1 b)_i
+    appended; `rows[-1]` is u with u.b appended.  Invariant: the tableau
+    over d has row_i . A_j in row i and u.A_j - d*cost[j] in the z-row.
+    The artificials start as the identity, so `rows` is the dense
+    tableau's artificial block and right-hand side, and `pivot` is its
+    exact update (Edmonds 1967; Bareiss 1968) on that block: every reduced
+    cost and ratio Bland's rule reads, and so every basis, is the same.
     """
 
-    def __init__(self, rows: list[list[int]], basis: list[int], ncols: int):
-        self.rows = rows
-        self.basis = basis
-        self.ncols = ncols
+    def __init__(self, cols: list, rows: list[list[int]], cost: list[int]):
+        self.cols, self.rows, self.cost = cols, rows, cost
+        self.basis = list(range(len(cols) - len(rows) + 1, len(cols)))
         self.d = 1
 
-    def pivot(self, p: int, col: int) -> None:
+    def column(self, j: int) -> list[int]:
+        """Tableau column j over d: d*B^-1 A_j, then its z entry."""
+        out = [_dot(r, self.cols[j]) for r in self.rows]
+        out[-1] -= self.d * self.cost[j]
+        return out
+
+    def pivot(self, p: int, j: int, column: list[int]) -> None:
         rp = self.rows[p]
-        piv, d = rp[col], self.d
-        for i, ri in enumerate(self.rows):
-            f = ri[col]
+        piv, d = column[p], self.d
+        for i, (ri, f) in enumerate(zip(self.rows, column)):
             if i == p or (f == 0 and piv == d):
                 continue
             self.rows[i] = [(a * piv - f * b) // d for a, b in zip(ri, rp)]
         if piv < 0:
             self.rows = [[-a for a in row] for row in self.rows]
         self.d = abs(piv)
-        self.basis[p] = col
+        self.basis[p] = j
 
-    def run(self, barred: frozenset[int]) -> str:
-        """Bland's rule until optimal or unbounded."""
+    def run(self, ncols: int) -> str:
+        """Bland's rule over columns below `ncols` until optimal or unbounded."""
+        cols, cost = self.cols, self.cost
         while True:
-            z = self.rows[-1]
-            entering = next((j for j in range(self.ncols)
-                             if z[j] < 0 and j not in barred), -1)
+            u, d = self.rows[-1], self.d
+            entering = next((j for j in range(ncols)
+                             if _dot(u, cols[j]) < d * cost[j]), -1)
             if entering < 0:
                 return "optimal"
+            column = self.column(entering)
             leave = -1
-            best_num = best_den = 0  # ratio = rhs / coeff, both from the row
-            for i, row in enumerate(self.rows[:-1]):
-                coeff = row[entering]
-                if coeff <= 0:
+            best_num = best_den = 0  # ratio = beta / coefficient
+            for i, (row, den) in enumerate(zip(self.rows[:-1], column)):
+                if den <= 0:
                     continue
-                num, den = row[self.ncols], coeff
+                num = row[-1]
                 if leave < 0 or num * best_den < best_num * den or (
                         num * best_den == best_num * den
                         and self.basis[i] < self.basis[leave]):
                     leave, best_num, best_den = i, num, den
             if leave < 0:
                 return "unbounded"
-            self.pivot(leave, entering)
+            self.pivot(leave, entering, column)
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
     """Exact two-phase simplex; the certificate is verified on every solve."""
     n = lp.num_vars
     m = len(lp.rows)
-    n_slack = sum(1 for _, rel, _ in lp.rows if rel != EQUAL)
-    ncols = n + n_slack + m  # structural, slack/surplus, artificial
-    art0 = n + n_slack
-    padding = [0] * (n_slack + m)
-
-    # Row i is scaled to integers by its own denominator dens[i]; its slack
-    # gets +-1 and its artificial 1, so the starting basis is the identity.
-    rows: list[list[int]] = []
-    dens: list[int] = []
-    signs: list[int] = []  # +1 if the row kept its direction, -1 if negated
-    slack_at = 0
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
+    # Row i is scaled to integers by its own denominator dens[i] and negated
+    # if its rhs is negative; its slack gets +-1 and its artificial 1.
+    cols: list = [[] for _ in range(n)]
+    slacks, rhs, dens, signs = [], [], [], []
+    for i, (coeffs, rel, b) in enumerate(lp.rows):
         if lp.lower:  # shift x = x' + lower so all variables are >= 0
-            rhs = rhs - sum((c * b for c, b in zip(coeffs, lp.lower) if c and b), 0)
-        nums, den = integral((*coeffs, rhs))
-        sign = 1
-        if rhs < 0:
-            sign = -1
-            nums = [-a for a in nums]
-            rel = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[rel]
-        signs.append(sign)
-        row = nums[:n] + padding + nums[n:]
+            b = b - sum((c * lb for c, lb in zip(coeffs, lp.lower) if c and lb), 0)
+        nums, den = integral((*coeffs, b))
+        sign = -1 if b < 0 else 1
+        for j, a in enumerate(nums[:n]):
+            if a:
+                cols[j].append((i, sign * a))
         if rel != EQUAL:
-            row[n + slack_at] = 1 if rel == LESS else -1
-            slack_at += 1
-        row[art0 + i] = 1
-        rows.append(row)
+            slacks.append([(i, sign if rel == LESS else -sign)])
+        signs.append(sign)
+        rhs.append(sign * nums[n])
         dens.append(den)
+    art0 = n + len(slacks)
+    cols = [(tuple(k for k, _ in c), None if all(a == 1 for _, a in c)
+             else tuple(a for _, a in c)) for c in cols + slacks]
+    cols += [((i,), None) for i in range(m)]
 
-    # Phase 1: maximize -(sum of the artificials of the unscaled rows), so
-    # row i enters the z-row with weight L / dens[i]; with basis = I the
-    # z-row is zero under the artificials.
+    # Phase 1: maximize -(sum of the artificials of the unscaled rows): with
+    # B = I, u is the artificials' costs -L / dens[i].
     common = lcm(*dens)
-    scaled = rows if common == 1 else [[common // den * a for a in row]
-                                       for row, den in zip(rows, dens)]
-    z = [-sum(col) for col in zip(*scaled)] if m else [0] * (ncols + 1)
-    z[art0:ncols] = [0] * m
-    tab = _Tableau(rows + [z], list(range(art0, art0 + m)), ncols)
-    tab.run(barred=frozenset())
-    if tab.rows[-1][ncols] != 0:
+    weights = [-(common // den) for den in dens]
+    rows = [[int(i == k) for k in range(m)] + [b] for i, b in enumerate(rhs)]
+    rows.append(weights + [sum(w * b for w, b in zip(weights, rhs))])
+    tab = _Revised(cols, rows, [0] * art0 + weights)
+    tab.run(art0 + m)
+    if tab.rows[-1][m] != 0:
         return LpOutcome(status="infeasible")
 
     # Drive artificials out of the basis; drop rows that turn out redundant.
     for i in range(m - 1, -1, -1):
         if tab.basis[i] < art0:
             continue
-        pivot_col = next((j for j in range(art0) if tab.rows[i][j] != 0), None)
-        if pivot_col is None:
+        j = next((j for j in range(art0) if _dot(tab.rows[i], cols[j])), -1)
+        if j < 0:
             del tab.rows[i], tab.basis[i]
         else:
-            tab.pivot(i, pivot_col)
+            tab.pivot(i, j, tab.column(j))
 
-    # Phase 2 with the real objective: z = d (c_B . B^-1 A - c), where each
-    # stored row is d times its row of B^-1 A.
+    # Phase 2, artificials barred: u = c_B . d B^-1 for the real costs.
     cost, cden = integral(lp.objective)
-    d = tab.d
-    z = [-d * c for c in cost] + [0] * (ncols + 1 - n)
+    z = [0] * (m + 1)
     for row, b in zip(tab.rows, tab.basis):
         if b < n and cost[b]:
             z = [a + cost[b] * r for a, r in zip(z, row)]
     tab.rows[-1] = z
-    status = tab.run(barred=frozenset(range(art0, art0 + m)))
-    if status == "unbounded":
+    tab.cost = cost + [0] * (art0 + m - n)
+    if tab.run(art0) == "unbounded":
         return LpOutcome(status="unbounded")
 
     d, z = tab.d, tab.rows[-1]
     primal = [Q(0)] * n
     for row, b in zip(tab.rows, tab.basis):
         if b < n:
-            primal[b] = Q(row[ncols], d)
-    value = Q(z[ncols], d * cden)
+            primal[b] = Q(row[m], d)
+    value = Q(z[m], d * cden)
     if lp.lower:
         primal = [v + b for v, b in zip(primal, lp.lower)]
         value += sum((c * b for c, b in zip(lp.objective, lp.lower)), 0)
 
-    # The z-row is a combination of the scaled rows minus the cost row; the
-    # coefficient on scaled row i sits under its artificial column, and row
-    # i was scaled by dens[i] (and negated if sign is -1).
-    dual = tuple(Q(signs[i] * dens[i] * z[art0 + i], d * cden) for i in range(m))
+    # u_i weighs row i, which was scaled by dens[i] and negated if sign < 0.
+    dual = tuple(Q(signs[i] * dens[i] * z[i], d * cden) for i in range(m))
     outcome = LpOutcome(status="optimal", primal=tuple(primal), value=value,
                         dual=dual)
     verify_certificate(lp, outcome)

@@ -1,9 +1,10 @@
 """Independent reference implementations used to validate the fast paths.
 
-Everything here is deliberately brute force: vertex enumeration for LPs,
-exhaustive assignment counting for colorings, explicit relabeling orbits
-for cover classes (per-vertex color relabelings, then graph automorphisms)
-and for graph classes, every vertex sequence for the inflexible family.
+Everything here is deliberately brute force or textbook: vertex enumeration
+and a dense `Fraction` simplex for LPs, exhaustive assignment counting for
+colorings, explicit relabeling orbits for cover classes (per-vertex color
+relabelings, then graph automorphisms) and for graph classes, every vertex
+sequence for the inflexible family.
 None of it shares code with the implementations under test.
 """
 from __future__ import annotations
@@ -94,6 +95,86 @@ def oracle_solve(lp):
 
 
 # ---------------------------------------------------------------------------
+# LP oracle: textbook dense two-phase simplex with Bland's rule
+# ---------------------------------------------------------------------------
+
+def bland_simplex(lp):
+    """(status, primal, value, dual) by a dense `Fraction` tableau.
+
+    Rows with a negative right-hand side are negated; each inequality row
+    gets a slack and every row an artificial, in row order.  Phase 1
+    maximises minus the sum of the artificials of the unscaled rows.  Bland's
+    rule enters the smallest-index column with a negative z entry and
+    breaks ratio ties by the smaller basis index.  Artificials still basic
+    after phase 1 are driven out from the last row to the first, and a row
+    that is zero outside the artificial columns is deleted.  The duals are
+    the final z-row's artificial entries, negated for negated rows.  Primal,
+    value and dual are None unless the status is "optimal".
+    """
+    assert not lp.lower, "the oracle takes x >= 0 only"
+    n, m = lp.num_vars, len(lp.rows)
+    slack_of = {}
+    for i, (_, rel, _) in enumerate(lp.rows):
+        if rel != "=":
+            slack_of[i] = n + len(slack_of)
+    art0 = n + len(slack_of)
+    tab, signs, basis = [], [], list(range(art0, art0 + m))
+    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
+        sign = -1 if rhs < 0 else 1
+        row = [Q(sign * a) for a in coeffs] + [Q(0)] * (art0 + m - n)
+        if rel != "=":
+            row[slack_of[i]] = Q(sign if rel == "<=" else -sign)
+        row[art0 + i] = Q(1)
+        tab.append(row + [Q(sign * rhs)])
+        signs.append(sign)
+
+    def z_row(cost):
+        z = [-c for c in cost] + [Q(0)]
+        for row, b in zip(tab, basis):
+            z = [a + cost[b] * r for a, r in zip(z, row)]
+        return z
+
+    def pivot(p, col, z):
+        tab[p] = [a / tab[p][col] for a in tab[p]]
+        for i, row in enumerate(tab):
+            if i != p and row[col]:
+                tab[i] = [a - row[col] * b for a, b in zip(row, tab[p])]
+        basis[p] = col
+        return [a - z[col] * b for a, b in zip(z, tab[p])]
+
+    def run(z, ncols):
+        while True:
+            col = next((j for j in range(ncols) if z[j] < 0), None)
+            if col is None:
+                return "optimal", z
+            ratios = [(row[-1] / row[col], basis[i], i)
+                      for i, row in enumerate(tab) if row[col] > 0]
+            if not ratios:
+                return "unbounded", z
+            z = pivot(min(ratios)[2], col, z)
+
+    _, z = run(z_row([Q(0)] * art0 + [Q(-1)] * m), art0 + m)
+    if z[-1] != 0:
+        return "infeasible", None, None, None
+    for i in range(len(tab) - 1, -1, -1):
+        if basis[i] >= art0:
+            col = next((j for j in range(art0) if tab[i][j] != 0), None)
+            if col is None:
+                del tab[i], basis[i]
+            else:
+                z = pivot(i, col, z)
+    status, z = run(z_row(list(lp.objective) + [Q(0)] * (art0 + m - n)), art0)
+    if status == "unbounded":
+        return status, None, None, None
+    primal = [Q(0)] * n
+    for row, b in zip(tab, basis):
+        if b < n:
+            primal[b] = row[-1]
+    dual = tuple(sign * z[art0 + i] for i, sign in enumerate(signs))
+    return "optimal", tuple(primal), z[-1], dual
+
+
+# ---------------------------------------------------------------------------
 # Coloring oracles
 # ---------------------------------------------------------------------------
 
@@ -144,6 +225,16 @@ def _apply_relabeling(cover: Cover, sigma) -> tuple:
                              for perm in perms)
         canonical.append(((u, v), tuple(transformed)))
     return tuple(canonical)
+
+
+def cover_form(g: Multigraph, cover: Cover) -> tuple:
+    """The serialized form of the cover itself, as `relabeling_orbit` lists it."""
+    return _apply_relabeling(cover, ((0, 1, 2),) * g.n)
+
+
+def relabeling_orbit(g: Multigraph, cover: Cover) -> set:
+    """Serialized forms of the cover under every per-vertex color relabeling."""
+    return {_apply_relabeling(cover, sigma) for sigma in product(PERMS, repeat=g.n)}
 
 
 def relabeling_canonical_form(g: Multigraph, cover: Cover) -> tuple:

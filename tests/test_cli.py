@@ -1,9 +1,15 @@
 """CLI: exit codes, output formats, and file round-trips."""
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flexdp
 from flexdp.cli import run
 from flexdp.covers import parse_cover
 from flexdp.graphs import gen_family, parse_graph, serialize_graph
@@ -294,3 +300,39 @@ def test_gen_unknown_cover_kind_writes_nothing(tmp_path, capsys):
 def test_gadget_selftest_negative_samples_is_usage_error(capsys):
     code, out, err = invoke(capsys, "gadgets", "--selftest", "--samples", "-3")
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write fails with EPIPE."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_exit_2_without_traceback(tmp_path, capsys, monkeypatch):
+    graph = tmp_path / "k4.txt"
+    run(["gen", "k4", "--out", str(graph)])
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert run(["worst", str(graph), "--per-class"]) == 2
+    assert capsys.readouterr().err == ""
+
+
+def test_stdout_pipe_closed_early_exits_2_silently(tmp_path):
+    """The whole process, interpreter exit included: the pipe's read end
+    is closed before anything is written, as `| head` does once it has
+    read its lines, and the buffered rest must not raise at exit."""
+    graph = tmp_path / "k4.txt"
+    run(["gen", "k4", "--out", str(graph)])
+    src = str(Path(flexdp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flexdp.cli", "worst", str(graph), "--per-class"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == b""

@@ -7,9 +7,13 @@ import pytest
 
 from dataclasses import replace
 
+from flexdp import flexibility
+from flexdp.covers import CoverEnumeration, tight_cover
+from flexdp.graphs import gen_family, mad
 from flexdp.lp import (LinearProgram, LpError, LpInternalError, solve,
                        verify_certificate)
-from oracles import oracle_solve
+from flexdp.search import enumerate_connected_multigraphs
+from oracles import bland_simplex, oracle_solve
 
 
 def lp(objective, rows, lower=None):
@@ -244,3 +248,50 @@ def test_witnesses_pinned_on_degenerate_lps():
                                     rows))).encode())
     assert digest.hexdigest() == (
         "88bfbef133a3e29865670d7fe12aee495d6fbd8a892d46fa8188bf9285a6b6ff")
+
+
+def _outcome(program):
+    out = solve(program)
+    return out.status, out.primal, out.value, out.dual
+
+
+def test_witnesses_match_dense_bland_oracle():
+    """The first 2,000 LPs of the pinned-digest generator above: `solve`
+    returns the textbook dense simplex's status, primal, value and dual."""
+    rng = random.Random(1)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(2000):
+        n, m = rng.randint(1, 6), rng.randint(1, 7)
+        rows = []
+        for _ in range(m):
+            den = rng.choice((1, 2, 3, 5))
+            rows.append((tuple(Q(rng.randint(-2, 2), den) for _ in range(n)),
+                         rng.choice(("<=", "=", ">=")),
+                         Q(rng.randint(-1, 2), den)))
+        program = lp([rng.choice((-1, 0, 1)) for _ in range(n)], rows)
+        expected = bland_simplex(program)
+        assert _outcome(program) == expected
+        statuses[expected[0]] += 1
+    assert all(statuses.values()), statuses
+
+
+def test_epsilon_star_lps_match_dense_bland_oracle(monkeypatch):
+    """The epsilon* LPs of the tight J_1..J_3 covers and of every (4,2)
+    graph with mad < 3 under its first cover class, as `epsilon_star`
+    builds them, solve to the dense oracle's witnesses."""
+    programs = []
+
+    def recording(program):
+        programs.append(program)
+        return solve(program)
+
+    monkeypatch.setattr(flexibility, "solve", recording)
+    for m in (1, 2, 3):
+        g = gen_family("jm", m)[0]
+        flexibility.epsilon_star(g, tight_cover("jm", g))
+    graphs = [g for g in enumerate_connected_multigraphs(4, 2) if mad(g) < 3]
+    for g in graphs:
+        flexibility.epsilon_star(g, CoverEnumeration(g).at(0), shortcut=False)
+    assert len(programs) == 3 + len(graphs)
+    for program in programs:
+        assert _outcome(program) == bland_simplex(program)

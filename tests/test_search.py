@@ -6,13 +6,14 @@ from itertools import combinations
 
 import pytest
 
-from flexdp.covers import CoverEnumeration, straight_cover
+from flexdp.covers import CoverEnumeration, full_lists, straight_cover
 from flexdp.flexibility import epsilon_star
 from flexdp.graphs import Multigraph, PotentialAssignment, gen_family, mad
 from flexdp.search import (BudgetExceeded, canonical_code, criticality_check,
                            enumerate_connected_multigraphs, gap_audit,
                            is_flexible, min_epsilon_over_covers, theorem_check)
-from oracles import connected_multigraph_classes, random_connected_multigraph
+from oracles import (colorings_by_brute_force, connected_multigraph_classes,
+                     random_connected_multigraph)
 
 
 class TestCanonicalCode:
@@ -125,6 +126,26 @@ class TestWorstCover:
         g, _ = gen_family("h5")
         report = min_epsilon_over_covers(g)
         assert report.epsilon_min == Q(1, 4)
+
+    def test_ten_vertex_path_one_large_lp(self):
+        """A tree has one cover class, here one LP over 3 * 2^9 = 1,536
+        colorings; its optimal distribution is a probability vector on
+        proper colorings with every marginal at least 1/3."""
+        g = Multigraph(10, [(v, v + 1, 1) for v in range(9)])
+        report = min_epsilon_over_covers(g)
+        assert report.epsilon_min == Q(1, 3) and report.complete
+        assert report.classes_total == 1
+        flex = epsilon_star(g, report.witness_cover)
+        assert flex.epsilon_star == Q(1, 3)
+        proper = set(colorings_by_brute_force(g, report.witness_cover,
+                                              full_lists(g.n)))
+        assert len(proper) == 1536
+        assert all(tuple(phi) in proper and w > 0 for phi, w in flex.distribution)
+        assert sum(w for _, w in flex.distribution) == 1
+        for v in range(g.n):
+            for c in range(3):
+                assert sum(w for phi, w in flex.distribution
+                           if phi[v] == c) >= Q(1, 3)
 
 
 class TestOrbitRepresentatives:
