@@ -140,10 +140,12 @@ def solve(lp: LinearProgram) -> LpOutcome:
     """Exact two-phase simplex; the certificate is verified on every solve."""
     n = lp.num_vars
     m = len(lp.rows)
-    # Row i is scaled to integers by its own denominator dens[i] and negated
-    # if its rhs is negative; its slack gets +-1 and its artificial 1.
-    cols: list = [[] for _ in range(n)]
-    slacks, rhs, dens, signs = [], [], [], []
+    # Column j has row indices ks[j] and entries vs[j].  Row i is scaled by
+    # its denominator dens[i] and negated if its rhs is negative; its slack
+    # gets +-1 and its artificial 1.
+    ks = [[] for _ in range(n)]
+    vs = [[] for _ in range(n)]
+    rhs, dens, signs = [], [], []
     for i, (coeffs, rel, b) in enumerate(lp.rows):
         if lp.lower:  # shift x = x' + lower so all variables are >= 0
             b = b - sum((c * lb for c, lb in zip(coeffs, lp.lower) if c and lb), 0)
@@ -151,19 +153,20 @@ def solve(lp: LinearProgram) -> LpOutcome:
         sign = -1 if b < 0 else 1
         for j, a in enumerate(nums[:n]):
             if a:
-                cols[j].append((i, sign * a))
+                ks[j].append(i)
+                vs[j].append(sign * a)
         if rel != EQUAL:
-            slacks.append([(i, sign if rel == LESS else -sign)])
+            ks.append([i])
+            vs.append([sign if rel == LESS else -sign])
         signs.append(sign)
         rhs.append(sign * nums[n])
         dens.append(den)
-    art0 = n + len(slacks)
-    cols = [(tuple(k for k, _ in c), None if all(a == 1 for _, a in c)
-             else tuple(a for _, a in c)) for c in cols + slacks]
-    cols += [((i,), None) for i in range(m)]
+    art0 = len(ks)
+    cols = [(tuple(k), None if v.count(1) == len(v) else tuple(v))
+            for k, v in zip(ks, vs)] + [((i,), None) for i in range(m)]
 
     # Phase 1: maximize -(sum of the artificials of the unscaled rows): with
-    # B = I, u is the artificials' costs -L / dens[i].
+    # B = I, u is the artificials' costs -L/dens[i].
     common = lcm(*dens)
     weights = [-(common // den) for den in dens]
     rows = [[int(i == k) for k in range(m)] + [b] for i, b in enumerate(rhs)]
