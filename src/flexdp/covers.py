@@ -274,6 +274,8 @@ class CoverEnumeration:
     """
 
     def __init__(self, g: Multigraph):
+        if g.n == 0:
+            raise CoverError("cover enumeration requires at least one vertex")
         if not g.is_connected():
             raise CoverError("cover enumeration requires a connected graph")
         self.g = g
@@ -464,9 +466,6 @@ class CoverEnumeration:
                 if total < limit:
                     stack.append((k + 1, total, *(frontier[i] for i in keep)))
         return found
-
-    def __len__(self) -> int:
-        return self.count
 
     def __iter__(self) -> Iterator[Cover]:
         for i in range(self.count):

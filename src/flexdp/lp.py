@@ -1,8 +1,9 @@
 """Exact rational linear programming: revised simplex with Bland's rule.
 
-Maximization over `int` or `Fraction` data, kept as sparse integer columns
-(each row scaled by its own denominator).  The kernel `_Revised` prices
-columns on demand and pivots only d*B^-1 over one common denominator d.
+Maximization over `int` or `Fraction` data, `x >= 0` only (any other bound
+is written as a row), kept as sparse integer columns (each row scaled by its
+own denominator).  The kernel `_Revised` prices columns on demand and pivots
+only d*B^-1 over one common denominator d.
 Every optimal solve is verified against the exact optimality certificate
 (feasibility, complementary slackness, strong duality).
 """
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .rationals import integral
 
@@ -33,12 +34,11 @@ class LpInternalError(AssertionError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max objective . x  subject to rows, x >= lower (default 0)."""
+    """max objective . x  subject to rows, x >= 0."""
 
     num_vars: int
     objective: tuple[Number, ...]
     rows: tuple[tuple[tuple[Number, ...], str, Number], ...]
-    lower: tuple[Number, ...] = ()
 
     def __post_init__(self):
         if len(self.objective) != self.num_vars:
@@ -48,16 +48,6 @@ class LinearProgram:
                 raise LpError("row width does not match num_vars")
             if rel not in _RELATIONS:
                 raise LpError(f"unknown relation {rel!r}")
-        if self.lower and len(self.lower) != self.num_vars:
-            raise LpError("lower bound width does not match num_vars")
-
-    @classmethod
-    def build(cls, objective: Sequence, rows, lower: Optional[Sequence] = None) -> "LinearProgram":
-        obj = tuple(Q(c) for c in objective)
-        rws = tuple((tuple(Q(a) for a in coeffs), rel, Q(rhs))
-                    for coeffs, rel, rhs in rows)
-        low = tuple(Q(b) for b in lower) if lower is not None else ()
-        return cls(len(obj), obj, rws, low)
 
 
 @dataclass(frozen=True)
@@ -147,8 +137,6 @@ def solve(lp: LinearProgram) -> LpOutcome:
     vs = [[] for _ in range(n)]
     rhs, dens, signs = [], [], []
     for i, (coeffs, rel, b) in enumerate(lp.rows):
-        if lp.lower:  # shift x = x' + lower so all variables are >= 0
-            b = b - sum((c * lb for c, lb in zip(coeffs, lp.lower) if c and lb), 0)
         nums, den = integral((*coeffs, b))
         sign = -1 if b < 0 else 1
         for j, a in enumerate(nums[:n]):
@@ -203,9 +191,6 @@ def solve(lp: LinearProgram) -> LpOutcome:
         if b < n:
             primal[b] = Q(row[m], d)
     value = Q(z[m], d * cden)
-    if lp.lower:
-        primal = [v + b for v, b in zip(primal, lp.lower)]
-        value += sum((c * b for c, b in zip(lp.objective, lp.lower)), 0)
 
     # u_i weighs row i, which was scaled by dens[i] and negated if sign < 0.
     dual = tuple(Q(signs[i] * dens[i] * z[i], d * cden) for i in range(m))
@@ -224,9 +209,9 @@ def verify_certificate(lp: LinearProgram, out: LpOutcome) -> None:
     """
     if out.status != "optimal":
         return
-    x, y, lower = out.primal, out.dual, lp.lower
-    if any(xj < bj for xj, bj in zip(x, lower or (0,) * lp.num_vars)):
-        raise LpInternalError("primal violates a lower bound")
+    x, y = out.primal, out.dual
+    if any(xj < 0 for xj in x):
+        raise LpInternalError("primal violates x >= 0")
     xs, xden = integral(x)
     support = [(j, v) for j, v in enumerate(xs) if v]
     for i, (coeffs, rel, rhs) in enumerate(lp.rows):
@@ -257,12 +242,10 @@ def verify_certificate(lp: LinearProgram, out: LpOutcome) -> None:
         if rj < 0:
             raise LpInternalError(
                 f"column {j}: dual infeasible (reduced cost {Q(rj, yden)})")
-        if rj != 0 and (x[j] != lower[j] if lower else xs[j] != 0):
+        if rj != 0 and xs[j] != 0:
             raise LpInternalError(f"column {j}: complementary slackness fails")
     rhs, rden = integral([rhs for _, _, rhs in lp.rows])
     dual_value = Q(sum(w * b for w, b in zip(ys, rhs) if w), yden * rden)
-    correction = Q(sum((rj * b for rj, b in zip(reduced, lower) if rj and b), 0),
-                   yden)
-    if dual_value != value + correction:
+    if dual_value != value:
         raise LpInternalError(
             f"strong duality fails: dual {dual_value} vs primal {value}")

@@ -121,7 +121,7 @@ def _class_minima(enums: Sequence[tuple[CoverEnumeration, int]], jobs: int,
              for (enum, _), (reps, _) in zip(enums, scans)
              for lo in range(0, len(reps), CHUNK)]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunks = list(pool.map(_eps_chunk, tasks))
     else:
         chunks = map(_eps_chunk, tasks)

@@ -67,12 +67,11 @@ def _vertices(constraints, n):
 def oracle_solve(lp):
     """(status, value) by brute force; exact, exponential, tiny LPs only."""
     n = lp.num_vars
-    lower = lp.lower if lp.lower else (Q(0),) * n
     constraints = [(list(row[0]), row[1], row[2]) for row in lp.rows]
     for j in range(n):
         bound = [Q(0)] * n
         bound[j] = Q(1)
-        constraints.append((bound, ">=", lower[j]))
+        constraints.append((bound, ">=", Q(0)))
     vertices = _vertices(constraints, n)
     if not vertices:
         return "infeasible", None
@@ -111,7 +110,6 @@ def bland_simplex(lp):
     the final z-row's artificial entries, negated for negated rows.  Primal,
     value and dual are None unless the status is "optimal".
     """
-    assert not lp.lower, "the oracle takes x >= 0 only"
     n, m = lp.num_vars, len(lp.rows)
     slack_of = {}
     for i, (_, rel, _) in enumerate(lp.rows):

@@ -216,10 +216,10 @@ def test_criterion_12_lp_engine_soundness():
         m = rng.randint(1, 5)
         rand_q = lambda: Q(rng.randint(-4, 4), rng.randint(1, 3))
         from flexdp.lp import LinearProgram
-        program = LinearProgram.build(
-            [rand_q() for _ in range(n)],
-            [(tuple(rand_q() for _ in range(n)),
-              rng.choice(["<=", "=", ">="]), rand_q()) for _ in range(m)])
+        program = LinearProgram(
+            n, tuple(rand_q() for _ in range(n)),
+            tuple((tuple(rand_q() for _ in range(n)),
+                   rng.choice(["<=", "=", ">="]), rand_q()) for _ in range(m)))
         outcome = solve(program)  # certificate re-verified on every solve
         status, value = oracle_solve(program)
         assert outcome.status == status

@@ -131,6 +131,14 @@ def test_malformed_input_is_usage_error(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_empty_graph_worst_is_usage_error(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("vertices 0\n")
+    code, _, err = invoke(capsys, "worst", str(empty))
+    assert code == 2
+    assert err.strip() == "error: cover enumeration requires at least one vertex"
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = invoke(capsys, "flex", "/nonexistent/graph.txt")
     assert code == 2

@@ -16,8 +16,11 @@ from flexdp.search import enumerate_connected_multigraphs
 from oracles import bland_simplex, oracle_solve
 
 
-def lp(objective, rows, lower=None):
-    return LinearProgram.build(objective, rows, lower)
+def lp(objective, rows):
+    """The program over Fractions, x >= 0, with its width from `objective`."""
+    objective = tuple(Q(c) for c in objective)
+    return LinearProgram(len(objective), objective, tuple(
+        (tuple(Q(a) for a in coeffs), rel, Q(rhs)) for coeffs, rel, rhs in rows))
 
 
 def test_single_cap():
@@ -75,7 +78,8 @@ def test_classic_cycling_instance_terminates():
 
 
 def test_lower_bounds_shift():
-    out = solve(lp([-1], [((1,), "<=", 5)], lower=[Q(2)]))
+    """A lower bound other than 0 is a `>=` row."""
+    out = solve(lp([-1], [((1,), "<=", 5), ((1,), ">=", 2)]))
     assert out.value == -2
     assert out.primal == (Q(2),)
 
@@ -87,9 +91,14 @@ def test_no_rows():
     assert out.dual == ()
 
 
-def test_width_mismatch_rejected():
-    with pytest.raises(LpError):
-        LinearProgram.build([1, 2], [((1,), "<=", 1)])
+@pytest.mark.parametrize("objective, rows, message", [
+    ((1,), (((1, 2), "<=", 1),), "objective width"),
+    ((1, 2), (((1,), "<=", 1),), "row width"),
+    ((1, 2), (((1, 2), "<", 1),), "unknown relation '<'"),
+], ids=["objective", "row", "relation"])
+def test_width_mismatch_rejected(objective, rows, message):
+    with pytest.raises(LpError, match=message):
+        LinearProgram(2, objective, rows)
 
 
 def _random_lp(rng, integral=False):
@@ -156,14 +165,14 @@ _INT_LP = LinearProgram(3, (3, 2, 0), (
     ((1, 3, 0), "<=", 9),
     ((1, 0, 0), "<=", 3),
     ((1, 1, 0), ">=", 1)))
-# The same program with every row and the objective rescaled by Fractions
-# and explicit lower bounds, only the last of which is binding.
+# The same program with every row and the objective rescaled by Fractions,
+# plus a loose fifth row x0 >= 1.
 _FRACTION_LP = lp([Q(3, 2), 1, 0],
                   [((Q(1, 2), Q(1, 2), Q(1, 2)), "<=", 2),
                    ((Q(1, 3), 1, 0), "<=", 3),
                    ((Q(2, 5), 0, 0), "<=", Q(6, 5)),
-                   ((Q(3, 7), Q(3, 7), 0), ">=", Q(3, 7))],
-                  lower=[1, 0, 0])
+                   ((Q(3, 7), Q(3, 7), 0), ">=", Q(3, 7)),
+                   ((1, 0, 0), ">=", 1)])
 
 
 def _set(values, i, new):
@@ -173,9 +182,9 @@ def _set(values, i, new):
 
 
 _TAMPERS = {
-    "below_lower_bound": (
+    "negative_primal": (
         lambda out: replace(out, primal=_set(out.primal, 2, Q(-1, 2))),
-        "lower bound"),
+        "primal violates x >= 0"),
     "violated_row": (
         lambda out: replace(out, primal=_set(out.primal, 1, out.primal[1] + 1)),
         "row 0: .* > "),
@@ -212,6 +221,19 @@ def test_certificate_check_rejects_tampering(program, tamper):
     change, message = _TAMPERS[tamper]
     with pytest.raises(LpInternalError, match=message):
         verify_certificate(program, change(out))
+
+
+@pytest.mark.parametrize("objective, row, primal, message", [
+    ((-1, 0), ((1, 0), ">=", 1), (0, 0), "row 0: 0 < 1"),
+    ((1, 0), ((1, 1), "=", 1), (1, 1), "row 0: 2 != 1"),
+], ids=["ge", "eq"])
+def test_certificate_check_rejects_violated_row(objective, row, primal, message):
+    """The `>=` and `=` counterparts of the `violated_row` tamper above."""
+    program = lp(objective, [row])
+    out = solve(program)
+    verify_certificate(program, out)
+    with pytest.raises(LpInternalError, match=message):
+        verify_certificate(program, replace(out, primal=primal))
 
 
 def test_duals_certify_value_on_random_optimal_lps():

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from flexdp import search
 from flexdp.covers import CoverEnumeration, full_lists, straight_cover
 from flexdp.flexibility import epsilon_star
 from flexdp.graphs import Multigraph, PotentialAssignment, gen_family, mad
@@ -184,6 +185,31 @@ class TestOrbitRepresentatives:
         assert "orbits" not in tsv
         assert sum(r.classes for r in report.rows) == classes
         assert sum(r.orbits for r in report.rows) == orbits
+
+    def test_pool_has_at_most_one_worker_per_chunk(self, monkeypatch):
+        """jobs=1000 asks the pool for one worker per chunk, no more.  The
+        recording executor maps in this process and starts none."""
+        calls = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                calls.append((self.max_workers, len(tasks)))
+                return map(fn, tasks)
+
+        serial = theorem_check(4, 2, jobs=1).to_tsv()
+        monkeypatch.setattr(search, "ProcessPoolExecutor", Recorder)
+        assert theorem_check(4, 2, jobs=1000).to_tsv() == serial
+        assert calls == [(23, 23)]
 
 
 class TestTheoremCheck:
