@@ -7,7 +7,6 @@ smaller endpoint conflicts with color perm[i] at the larger one.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -175,22 +174,6 @@ def tight_cover(kind: str, g: Multigraph, m: Optional[int] = None,
 # Enumeration of cover classes
 # ---------------------------------------------------------------------------
 
-def _spanning_tree(g: Multigraph) -> list[tuple[int, int]]:
-    """Breadth-first spanning tree from vertex 0, as (parent, child) edges
-    in the order they are found."""
-    tree = []
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if y not in seen:
-                seen.add(y)
-                tree.append((x, y))
-                queue.append(y)
-    return tree
-
-
 _PERM_ID = {p: i for i, p in enumerate(PERMS)}
 _COMPOSE = tuple(tuple(_PERM_ID[tuple(a[b[i]] for i in range(3))] for b in PERMS)
                  for a in PERMS)                    # id of a after b
@@ -258,7 +241,9 @@ class CoverEnumeration:
     """Mixed-radix index that hits every relabeling class at least once.
 
     Relabeling each list L(v) independently lets the first matching of every
-    spanning-tree pair be pinned to the identity; all other slots range over
+    spanning-tree pair be pinned to the identity.  The tree is the one of
+    `Multigraph.bfs`, kept in `tree` as (parent, child) edges in visit
+    order; witness hashes depend on that order.  All other slots range over
     the remaining distinct permutations.  Every pair uses its full matching
     budget min(multiplicity, 6): dropping matchings never shrinks the set of
     colorings, so full covers dominate every worst-case question.
@@ -276,10 +261,11 @@ class CoverEnumeration:
     def __init__(self, g: Multigraph):
         if g.n == 0:
             raise CoverError("cover enumeration requires at least one vertex")
-        if not g.is_connected():
+        order, parent = g.bfs()
+        if parent.count(-1) > 1:
             raise CoverError("cover enumeration requires a connected graph")
         self.g = g
-        self.tree = _spanning_tree(g)
+        self.tree = [(parent[y], y) for y in order[1:]]
         tree = {(min(x, y), max(x, y)) for x, y in self.tree}
         self.pairs: list[tuple[int, int]] = list(g.pairs())
         self.choices: list[tuple[tuple[Perm, ...], ...]] = []
@@ -491,17 +477,13 @@ class ListDistribution:
         if total != 1:
             raise CoverError(f"probabilities sum to {total}, not 1")
 
-    @classmethod
-    def point_mass(cls, lists: ListAssignment) -> "ListDistribution":
-        return cls(((lists, Q(1)),))
-
 
 def trivial_list_distribution(n: int) -> ListDistribution:
     """The empty list distribution: full lists with probability one.
 
     Only a valid h-list distribution when no vertex has rho = 3.
     """
-    return ListDistribution.point_mass(full_lists(n))
+    return ListDistribution(((full_lists(n), Q(1)),))
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,9 @@ def _support(colorings: Sequence[Coloring], lists: ListAssignment
 
 def _marginal_columns(g: Multigraph, cover: Cover, lists: ListAssignment
                       ) -> tuple[list[Coloring], dict[tuple[int, int], list[int]]]:
-    """Validate the inputs; return the colorings and their `_support`."""
+    """Validate the inputs; return the colorings and their `_support`.
+    `enumerate_colorings` checks the cover, then the lists."""
     _require_vertices(g)
-    assert_valid(g, cover)
     colorings = enumerate_colorings(g, cover, lists)
     return colorings, _support(colorings, lists)
 
@@ -147,6 +147,8 @@ def box_distribution(g: Multigraph, cover: Cover, lists: ListAssignment,
     colorings, where = _marginal_columns(g, cover, lists)
     pins: dict[tuple[int, int], Fraction] = {}
     for v, c, val in pinned:
+        if not 0 <= v < g.n:
+            raise ValueError(f"pinned vertex {v} out of range for {g.n} vertices")
         if c not in lists[v]:
             raise ValueError(f"pinned color {c} not in the list of vertex {v}")
         val = Q(val)

@@ -272,18 +272,6 @@ def sample_simplex(rng: random.Random, parts: int, floor: Fraction
     return tuple(Q(base + e, den) for e in extra)
 
 
-def sample_pendent(rng: random.Random) -> tuple[Fraction, ...]:
-    return sample_simplex(rng, 3, Q(1, 5))
-
-
-def sample_butterfly(rng: random.Random) -> tuple[Fraction, ...]:
-    return sample_simplex(rng, 3, Q(1, 5))
-
-
-def sample_one_positive(rng: random.Random) -> tuple[Fraction, ...]:
-    return sample_simplex(rng, 3, Q(3, 10))
-
-
 def sample_parallel3(rng: random.Random) -> tuple[Fraction, ...]:
     """Rejection sample a feasible 6-vector, then normalize by label swaps."""
     while True:
@@ -312,7 +300,7 @@ def selftest(samples: int, seed: int) -> dict[str, dict]:
     fifth = Q(1, 5)
     passed = 0
     for _ in range(samples):
-        m = gadget_pendent(sample_pendent(rng))
+        m = gadget_pendent(sample_simplex(rng, 3, fifth))
         if m.output() == (Q(2, 5), Q(3, 10), Q(3, 10)) and all(
                 m.entries[i][i] == 0 for i in range(3)):
             passed += 1
@@ -320,7 +308,7 @@ def selftest(samples: int, seed: int) -> dict[str, dict]:
 
     passed = 0
     for _ in range(samples):
-        m = gadget_butterfly(sample_butterfly(rng))
+        m = gadget_butterfly(sample_simplex(rng, 3, fifth))
         if m.output() == (fifth,) * 5:
             passed += 1
     report["butterfly"] = {"passed": passed, "samples": samples}
@@ -328,7 +316,7 @@ def selftest(samples: int, seed: int) -> dict[str, dict]:
     passed = 0
     third = Q(1, 3)
     for _ in range(samples):
-        m = gadget_one_positive(sample_one_positive(rng))
+        m = gadget_one_positive(sample_simplex(rng, 3, Q(3, 10)))
         ok = m.output() == (Q(2, 5), Q(3, 10), Q(3, 10))
         ok = ok and all(x == 0 or x >= third for row in m.entries for x in row)
         if ok:

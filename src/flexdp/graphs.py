@@ -26,7 +26,11 @@ class GraphFormatError(ValueError):
 
 
 class Multigraph:
-    """Loopless multigraph with positive integer edge multiplicities."""
+    """Loopless multigraph with positive integer edge multiplicities.
+
+    `bfs` is the one breadth-first walk; `components`, `is_connected`,
+    `bfs_order` and the spanning tree of `CoverEnumeration` read from it.
+    """
 
     __slots__ = ("n", "_mult", "_adj")
 
@@ -120,45 +124,49 @@ class Multigraph:
                  if u in remap and v in remap]
         return Multigraph(len(keep), edges)
 
-    def components(self) -> list[list[int]]:
+    def bfs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Breadth-first walk over every vertex: the visit order, and per
+        vertex its parent (-1 for the vertex a component's walk starts at).
+
+        The walk starts at vertex 0, restarts at the smallest unseen vertex
+        and visits neighbours in increasing order.  So each component is one
+        contiguous run of the order, opened by its smallest vertex, and
+        every parent comes before its child.
+        """
+        parent = [-1] * self.n
         seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
+        order: list[int] = []
+        for root in range(self.n):
+            if seen[root]:
                 continue
-            comp = []
-            queue = deque([start])
-            seen[start] = True
-            while queue:
-                x = queue.popleft()
-                comp.append(x)
-                for y in self._adj[x]:
+            seen[root] = True
+            head = len(order)
+            order.append(root)
+            while head < len(order):
+                x = order[head]
+                head += 1
+                for y in sorted(self._adj[x]):
                     if not seen[y]:
                         seen[y] = True
-                        queue.append(y)
-            comps.append(sorted(comp))
-        return comps
+                        parent[y] = x
+                        order.append(y)
+        return tuple(order), tuple(parent)
+
+    def components(self) -> list[list[int]]:
+        """Sorted vertex lists of the components, by smallest vertex."""
+        order, parent = self.bfs()
+        comps: list[list[int]] = []
+        for v in order:
+            if parent[v] < 0:
+                comps.append([])
+            comps[-1].append(v)
+        return [sorted(comp) for comp in comps]
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.bfs()[1].count(-1) <= 1
 
     def bfs_order(self) -> tuple[int, ...]:
-        """BFS order from vertex 0, restarting at the smallest unseen vertex."""
-        order = []
-        seen = [False] * self.n
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            queue = deque([start])
-            while queue:
-                x = queue.popleft()
-                order.append(x)
-                for y in self.neighbors(x):
-                    if not seen[y]:
-                        seen[y] = True
-                        queue.append(y)
-        return tuple(order)
+        return self.bfs()[0]
 
     # -- value semantics -------------------------------------------------
 

@@ -112,10 +112,13 @@ def _class_minima(enums: Sequence[tuple[CoverEnumeration, int]], jobs: int,
     count), and with `keep` every index's value in index order.  The
     representatives are cut into chunks that run in a process pool when
     jobs > 1; chunk results are merged in task order, so the output does
-    not depend on the job count.
+    not depend on the job count.  A budget or job count below 1 raises
+    ValueError.
     """
     if any(evaluated < 1 for _, evaluated in enums):
         raise ValueError("budget must be at least 1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     scans = [enum.representatives(evaluated) for enum, evaluated in enums]
     tasks = [(enum.g.n, enum.g.edge_items(), tuple(reps[lo:lo + CHUNK]))
              for (enum, _), (reps, _) in zip(enums, scans)
@@ -144,8 +147,8 @@ def min_epsilon_over_covers(g: Multigraph, budget: int = DEFAULT_BUDGET,
     The witness is the first class attaining the minimum in enumeration
     order.  When the class count exceeds the budget only the first `budget`
     classes are evaluated and the report is flagged incomplete; a budget
-    below 1 is rejected.  `per_class_values` gives every evaluated class the
-    value of its orbit's representative.
+    or job count below 1 is rejected.  `per_class_values` gives every
+    evaluated class the value of its orbit's representative.
     """
     enum = CoverEnumeration(g)
     evaluated = min(enum.count, budget)

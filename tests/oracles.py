@@ -3,8 +3,8 @@
 Everything here is deliberately brute force or textbook: vertex enumeration
 and a dense `Fraction` simplex for LPs, exhaustive assignment counting for
 colorings, explicit relabeling orbits for cover classes (per-vertex color
-relabelings, then graph automorphisms) and for graph classes, every vertex
-sequence for the inflexible family.
+relabelings, then graph automorphisms) and for graph classes, a union-find
+for connected components, every vertex sequence for the inflexible family.
 None of it shares code with the implementations under test.
 """
 from __future__ import annotations
@@ -294,6 +294,25 @@ def _edge_list_connected(n: int, edges) -> bool:
                 reached |= {u, v}
                 grew = True
     return len(reached) == n
+
+
+def components_by_union_find(g: Multigraph) -> list[list[int]]:
+    """Connected components from a union-find over the edge list, each
+    sorted, ordered by smallest vertex."""
+    root = list(range(g.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v, _ in g.edge_items():
+        a, b = find(u), find(v)
+        root[max(a, b)] = min(a, b)
+    comps: dict[int, list[int]] = {}
+    for v in range(g.n):
+        comps.setdefault(find(v), []).append(v)
+    return [comps[r] for r in sorted(comps)]
 
 
 def _relabeled_edge_list(edges, perm) -> tuple:

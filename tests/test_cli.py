@@ -238,6 +238,17 @@ def test_worst_zero_budget_is_usage_error(tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("command", ["worst", "theorem-check"])
+def test_jobs_below_one_is_usage_error(tmp_path, capsys, command, jobs):
+    graph = tmp_path / "c2.txt"
+    run(["gen", "c2", "--out", str(graph)])
+    target = [str(graph)] if command == "worst" else ["--max-vertices", "2"]
+    code, out, err = invoke(capsys, command, *target, "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err == f"error: jobs must be at least 1, got {jobs}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("--max-vertices", "2", "--budget", "0"),
     ("--max-vertices", "0"),

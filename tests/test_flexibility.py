@@ -5,8 +5,8 @@ from fractions import Fraction as Q
 import pytest
 
 from flexdp.colorings import enumerate_colorings, marginal
-from flexdp.covers import (Cover, IDENTITY, ListDistribution, full_lists,
-                           tight_cover, straight_cover,
+from flexdp.covers import (Cover, CoverError, IDENTITY, ListDistribution,
+                           full_lists, tight_cover, straight_cover,
                            trivial_list_distribution)
 from flexdp.flexibility import (FlexReport, InadmissibleDistribution,
                                 box_distribution, epsilon_star,
@@ -203,6 +203,13 @@ class TestBoxDistribution:
             box_distribution(g, Cover({}), full_lists(1), Q(0), Q(1),
                              [(0, 0, Q(1, 3)), (0, 0, Q(1, 2))])
 
+    @pytest.mark.parametrize("vertex", [2, -1])
+    def test_pinned_vertex_out_of_range_rejected(self, vertex):
+        g = Multigraph(2, [(0, 1, 1)])
+        with pytest.raises(ValueError, match=f"pinned vertex {vertex} out of range"):
+            box_distribution(g, straight_cover(g), full_lists(2), Q(0), Q(1),
+                             [(vertex, 0, Q(1, 3))])
+
     def test_crossed_bounds_rejected(self):
         g = Multigraph(1, [])
         with pytest.raises(ValueError):
@@ -275,3 +282,23 @@ def test_empty_graph_rejected_everywhere():
         fractional_packing(empty, Cover({}))
     with pytest.raises(ValueError):
         box_distribution(empty, Cover({}), (), Q(0), Q(1))
+
+
+_ONE_EDGE = Multigraph(3, [(0, 1, 1)])
+_NON_EDGE_COVER = Cover({(0, 1): (IDENTITY,), (1, 2): (IDENTITY,)})
+
+
+@pytest.mark.parametrize("query", [
+    lambda: epsilon_star(_ONE_EDGE, _NON_EDGE_COVER),
+    lambda: fractional_packing(_ONE_EDGE, _NON_EDGE_COVER),
+    lambda: box_distribution(_ONE_EDGE, _NON_EDGE_COVER, full_lists(3), Q(0), Q(1)),
+    # the cover is checked before the lists, which are too short here
+    lambda: box_distribution(_ONE_EDGE, _NON_EDGE_COVER, full_lists(2), Q(0), Q(1)),
+    lambda: framework_feasible(_ONE_EDGE, PotentialAssignment.uniform(3),
+                               _NON_EDGE_COVER, trivial_list_distribution(3),
+                               Q(1, 5)),
+], ids=["epsilon_star", "fractional_packing", "box_distribution",
+        "box_distribution_short_lists", "framework_feasible"])
+def test_matching_on_non_edge_rejected_everywhere(query):
+    with pytest.raises(CoverError, match=r"\(1, 2\): pair is not an edge"):
+        query()

@@ -9,9 +9,8 @@ from flexdp.flexibility import box_distribution
 from flexdp.gadgets import (GadgetError, PARALLEL3_CASE_PROBES,
                             gadget_butterfly, gadget_one_positive,
                             gadget_parallel3, gadget_pendent,
-                            normalize_parallel3, sample_butterfly,
-                            sample_one_positive, sample_parallel3,
-                            sample_pendent, selftest)
+                            normalize_parallel3, sample_parallel3,
+                            sample_simplex, selftest)
 from flexdp.graphs import Multigraph
 
 FIFTH = Q(1, 5)
@@ -35,7 +34,7 @@ class TestPendent:
     def test_random_region(self):
         rng = random.Random(51)
         for _ in range(300):
-            m = gadget_pendent(sample_pendent(rng))
+            m = gadget_pendent(sample_simplex(rng, 3, FIFTH))
             m.validate()
             assert m.output() == PENDANT_OUTPUT
 
@@ -65,7 +64,7 @@ class TestButterfly:
     def test_random_region(self):
         rng = random.Random(52)
         for _ in range(300):
-            m = gadget_butterfly(sample_butterfly(rng))
+            m = gadget_butterfly(sample_simplex(rng, 3, FIFTH))
             m.validate()
             assert m.output() == (FIFTH,) * 5
 
@@ -86,7 +85,7 @@ class TestOnePositive:
     def test_nonzero_entries_at_least_third(self):
         rng = random.Random(53)
         for _ in range(300):
-            m = gadget_one_positive(sample_one_positive(rng))
+            m = gadget_one_positive(sample_simplex(rng, 3, Q(3, 10)))
             m.validate()
             assert m.output() == PENDANT_OUTPUT
             assert all(x == 0 or x >= Q(1, 3)
@@ -156,7 +155,7 @@ class TestComposition:
         g = Multigraph(2, [(0, 1, 1)])
         cover = straight_cover(g)
         for _ in range(10):
-            p = sample_pendent(rng)
+            p = sample_simplex(rng, 3, FIFTH)
             m = gadget_pendent(p)
             joint = [((j, i), m.entries[j][i] * p[i])
                      for i in range(3) for j in range(3)

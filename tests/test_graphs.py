@@ -1,6 +1,7 @@
 """Multigraph structure, potential arithmetic, mad, and family generators."""
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,8 @@ from flexdp.graphs import (GraphError, GraphFormatError, Multigraph,
                            PotentialAssignment, find_I_subgraph, gen_family,
                            mad, mad_subset_oracle, parse_graph, potential,
                            serialize_graph, sigma)
-from oracles import find_I_subgraph_oracle, random_connected_multigraph
+from oracles import (components_by_union_find, find_I_subgraph_oracle,
+                     random_connected_multigraph)
 
 
 class TestConstruction:
@@ -37,6 +39,37 @@ class TestConstruction:
     def test_duplicate_pairs_sum(self):
         g = Multigraph(3, [(0, 1, 1), (1, 0, 1), (0, 1, 1)])
         assert g.multiplicity(0, 1) == 3
+
+
+class TestBreadthFirstWalk:
+    def test_neighbours_in_increasing_order_and_restart(self):
+        g = Multigraph(5, [(0, 3, 1), (0, 1, 2), (2, 4, 1)])
+        assert g.bfs() == ((0, 1, 3, 2, 4), (-1, 0, -1, 0, 2))
+        assert g.components() == [[0, 1, 3], [2, 4]]
+        assert not g.is_connected()
+
+    def test_matches_union_find_on_random_multigraphs(self):
+        rng = random.Random(910)
+        disconnected = 0
+        for _ in range(300):
+            n = rng.randint(0, 8)
+            g = Multigraph(n, [(u, v, rng.randint(1, 3))
+                               for u, v in combinations(range(n), 2)
+                               if rng.random() < 0.3])
+            order, parent = g.bfs()
+            assert sorted(order) == list(range(n))
+            place = {v: k for k, v in enumerate(order)}
+            for v in range(n):
+                if parent[v] >= 0:
+                    assert place[parent[v]] < place[v]
+                    assert g.multiplicity(parent[v], v) >= 1
+            comps = components_by_union_find(g)
+            assert g.components() == comps
+            assert [v for v in order if parent[v] < 0] == [c[0] for c in comps]
+            assert g.is_connected() == (len(comps) <= 1)
+            assert g.bfs_order() == order
+            disconnected += len(comps) > 1
+        assert disconnected > 50
 
 
 class TestPotential:

@@ -1,8 +1,12 @@
 """Worst-cover search, graph enumeration, theorem check, criticality, gap."""
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -343,3 +347,18 @@ class TestGapAudit:
     def test_cap(self):
         with pytest.raises(ValueError):
             gap_audit(Multigraph(21, []), PotentialAssignment.uniform(21))
+
+
+def test_import_loads_only_the_modules_search_uses():
+    """The package root re-exports nothing, so importing one module does
+    not load (and compile) the gadgets, the discharging rules or the CLI."""
+    src = str(Path(search.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, flexdp.search; print(*sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "flexdp.search" in loaded
+    assert not loaded & {"flexdp.gadgets", "flexdp.discharging", "flexdp.cli"}
