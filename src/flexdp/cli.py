@@ -152,6 +152,7 @@ def cmd_worst(args) -> int:
              + ("" if report.complete else
                 f" (incomplete: evaluated {report.classes_evaluated})"),
              f"orbits = {report.orbits}",
+             f"queries = {report.queries}",
              f"witness_cover = {cover_hash(report.witness_cover)}"]
     if args.per_class and report.per_class_values:
         lines += [f"  class {i}: {rat_str(v)}"

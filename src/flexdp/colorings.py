@@ -60,10 +60,17 @@ def enumerate_colorings(g: Multigraph, cover: Cover,
 
     Backtracking runs along a BFS order from vertex 0 so dense neighborhoods
     prune early; the result list is sorted in vertex-index coordinates.
+    The cover is checked before the lists.
     """
     assert_valid(g, cover)
-    if lists is None:
-        lists = full_lists(g.n)
+    return _colorings_of_valid_cover(g, cover,
+                                     full_lists(g.n) if lists is None else lists)
+
+
+def _colorings_of_valid_cover(g: Multigraph, cover: Cover,
+                              lists: ListAssignment) -> list[Coloring]:
+    """`enumerate_colorings` for a cover the caller has already validated;
+    the lists are still checked."""
     _check_lists(g, lists)
     order = g.bfs_order()
     tables = _conflict_tables(g, cover, order)

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .colorings import Coloring, ColoringDistribution, enumerate_colorings
+from .colorings import (Coloring, ColoringDistribution, _colorings_of_valid_cover,
+                        enumerate_colorings)
 from .covers import (Cover, ListAssignment, ListDistribution, assert_valid,
                      full_lists)
 from .graphs import Multigraph, PotentialAssignment
@@ -126,6 +127,20 @@ def epsilon_star(g: Multigraph, cover: Cover,
     return FlexReport(outcome.value, True, dist, request)
 
 
+def uniform_floor(g: Multigraph, cover: Cover) -> Fraction:
+    """Smallest full-list marginal of the uniform distribution over the
+    cover's colorings, 0 when there is none.
+
+    Any distribution certifies a lower bound on epsilon*, so this is one;
+    and since the three marginals at a vertex sum to 1, epsilon* <= 1/3, so
+    a floor of 1/3 is epsilon* itself.
+    """
+    colorings, where = _marginal_columns(g, cover, full_lists(g.n))
+    if not colorings:
+        return Q(0)
+    return Q(min(len(cols) for cols in where.values()), len(colorings))
+
+
 def fractional_packing(g: Multigraph, cover: Cover) -> Optional[ColoringDistribution]:
     """Distribution with every full-list marginal exactly 1/3, if one exists."""
     colorings, where = _marginal_columns(g, cover, full_lists(g.n))
@@ -228,7 +243,7 @@ def framework_feasible(g: Multigraph, pa: PotentialAssignment, cover: Cover,
     owner: list[int] = []
     colorings: list[Coloring] = []
     for o, (lists, _) in enumerate(active):
-        found = enumerate_colorings(g, cover, lists)
+        found = _colorings_of_valid_cover(g, cover, lists)
         if not found:
             return None
         owner += [o] * len(found)

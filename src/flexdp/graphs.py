@@ -81,17 +81,21 @@ class Multigraph:
     def edge_items(self) -> tuple[tuple[int, int, int], ...]:
         return tuple((u, v, m) for (u, v), m in self._mult.items())
 
-    def edges_within(self, subset: Iterable[int]) -> int:
-        """Total multiplicity of edges with both ends in `subset`."""
+    def _vertex_set(self, subset: Iterable[int]) -> set[int]:
         s = set(subset)
         for v in s:
             if not (0 <= v < self.n):
                 raise GraphError(f"vertex {v} out of range")
+        return s
+
+    def edges_within(self, subset: Iterable[int]) -> int:
+        """Total multiplicity of edges with both ends in `subset`."""
+        s = self._vertex_set(subset)
         return sum(m for (u, v), m in self._mult.items() if u in s and v in s)
 
     def boundary(self, subset: Iterable[int]) -> int:
         """Total multiplicity of edges with exactly one end in `subset`."""
-        s = set(subset)
+        s = self._vertex_set(subset)
         return sum(m for (u, v), m in self._mult.items() if (u in s) != (v in s))
 
     def is_simple(self) -> bool:
@@ -118,7 +122,7 @@ class Multigraph:
         return Multigraph(self.n, [(a, b, m) for a, b, m in edges if m > 0])
 
     def induced(self, subset: Sequence[int]) -> "Multigraph":
-        keep = sorted(set(subset))
+        keep = sorted(self._vertex_set(subset))
         remap = {v: i for i, v in enumerate(keep)}
         edges = [(remap[u], remap[v], m) for (u, v), m in self._mult.items()
                  if u in remap and v in remap]

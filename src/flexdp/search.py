@@ -3,14 +3,19 @@ check, criticality, and the potential gap audit.
 
 Graphs are enumerated up to isomorphism by orderly generation (Read 1978):
 multiplicity vectors are scanned in lexicographic order, and only those that
-no vertex relabeling makes smaller are kept.  The worst-cover search solves
-one epsilon* LP per cover orbit under per-vertex list relabeling and graph
+no vertex relabeling makes smaller are kept.  The worst-cover search
+evaluates one cover per orbit under per-vertex list relabeling and graph
 automorphisms (`CoverEnumeration.representatives`), since epsilon* with full
 lists is invariant under both; each orbit is represented by its smallest
 index, so the first index attaining the minimum is always evaluated.
-Parallel runs split the representatives into chunks; chunks carry only
-immutable tuples and return their values in order, and one merge keeps the
-first index attaining the minimum, so output is identical for any job count.
+Before any LP, a representative's uniform floor (`uniform_floor`, an exact
+lower bound on epsilon*) settles it when the floor is 1/3, which is then
+epsilon*, or, when only the minimum is wanted, when the floor is at least
+the minimum already found in its chunk; every other representative gets an
+epsilon* LP.  Parallel runs split the representatives into chunks; chunks
+carry only immutable tuples and return their values in order, and one merge
+keeps the first index attaining the minimum.  Chunks depend only on the
+graph, so output and LP count are identical for any job count.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ from itertools import chain, combinations, islice, permutations, product
 from typing import Iterator, Optional, Sequence
 
 from .covers import Cover, CoverEnumeration, serialize_cover, trivial_list_distribution
-from .flexibility import epsilon_star, framework_feasible
+from .flexibility import epsilon_star, framework_feasible, uniform_floor
 from .graphs import Multigraph, PotentialAssignment, find_I_subgraph, mad, potential
 from .rationals import rat_str
 
@@ -32,6 +37,7 @@ DESK_CAP = 5
 GAP_AUDIT_CAP = 20  # the audit visits all 2^n - 1 subsets
 DEFAULT_BUDGET = 10 ** 6
 CHUNK = 32
+THIRD = Q(1, 3)     # the largest epsilon* there is
 
 I_SEMANTICS_NOTE = ("inflexible-family detection matches the alternating "
                     "doubled-edge cycle with >= required multiplicity on "
@@ -90,37 +96,63 @@ class WorstCoverReport:
     complete: bool
     classes_total: int
     classes_evaluated: int
-    orbits: int                     # orbits among them: epsilon* queries made
+    orbits: int                     # orbits among them
+    queries: int                    # epsilon* queries made for the orbits
     per_class_values: Optional[tuple[tuple[Cover, Fraction], ...]] = None
 
 
-def _eps_chunk(task: tuple) -> list[Fraction]:
-    """Worker: epsilon* of the given cover classes of one graph, in order."""
-    n, edges, indices = task
+def _eps_chunk(task: tuple) -> tuple[list[Optional[Fraction]], int]:
+    """Worker: epsilon* of the given cover classes of one graph, in order,
+    and the number of epsilon* queries made.
+
+    A class whose uniform floor is 1/3 takes that value without a query.
+    Without `keep`, a class whose floor is at least the minimum found so
+    far in this chunk gets None: an earlier index already attains a value
+    no larger, so neither the minimum nor its first index can change.
+    """
+    n, edges, indices, keep = task
     g = Multigraph(n, edges)
     enum = CoverEnumeration(g)
-    return [epsilon_star(g, enum.at(i)).epsilon_star for i in indices]
+    values: list[Optional[Fraction]] = []
+    best = THIRD                    # the smallest value found so far, if lower
+    queries = 0
+    for i in indices:
+        cover = enum.at(i)
+        floor = uniform_floor(g, cover)
+        if floor == THIRD:
+            values.append(floor)
+        elif floor >= best and not keep:
+            values.append(None)
+        else:
+            value = epsilon_star(g, cover).epsilon_star
+            queries += 1
+            best = min(best, value)
+            values.append(value)
+    return values, queries
 
 
 def _class_minima(enums: Sequence[tuple[CoverEnumeration, int]], jobs: int,
-                  keep: bool) -> list[tuple[Fraction, int, int, Optional[list[Fraction]]]]:
+                  keep: bool
+                  ) -> list[tuple[Fraction, int, int, int, Optional[list[Fraction]]]]:
     """Minimum epsilon* over the first `evaluated` cover classes of each graph.
 
     Only the representatives from `CoverEnumeration.representatives` are
-    evaluated.  Returns, per (enumeration, evaluated) pair, the minimum, the
-    first index that attains it, the number of representatives (the orbit
-    count), and with `keep` every index's value in index order.  The
-    representatives are cut into chunks that run in a process pool when
-    jobs > 1; chunk results are merged in task order, so the output does
-    not depend on the job count.  A budget or job count below 1 raises
-    ValueError.
+    evaluated, and only those that `_eps_chunk` cannot settle by their
+    uniform floor get an epsilon* query.  Returns, per (enumeration,
+    evaluated) pair, the minimum, the first index that attains it, the
+    number of representatives (the orbit count), the number of queries, and
+    with `keep` every index's value in index order.  The representatives
+    are cut into chunks of CHUNK that run in a process pool when jobs > 1;
+    chunk results are merged in task order, skipped classes (None) are
+    ignored, and the chunks do not depend on the job count, so neither does
+    the output.  A budget or job count below 1 raises ValueError.
     """
     if any(evaluated < 1 for _, evaluated in enums):
         raise ValueError("budget must be at least 1")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     scans = [enum.representatives(evaluated) for enum, evaluated in enums]
-    tasks = [(enum.g.n, enum.g.edge_items(), tuple(reps[lo:lo + CHUNK]))
+    tasks = [(enum.g.n, enum.g.edge_items(), tuple(reps[lo:lo + CHUNK]), keep)
              for (enum, _), (reps, _) in zip(enums, scans)
              for lo in range(0, len(reps), CHUNK)]
     if jobs > 1 and len(tasks) > 1:
@@ -128,13 +160,14 @@ def _class_minima(enums: Sequence[tuple[CoverEnumeration, int]], jobs: int,
             chunks = list(pool.map(_eps_chunk, tasks))
     else:
         chunks = map(_eps_chunk, tasks)
-    stream = chain.from_iterable(chunks)
+    results = iter(chunks)
     minima = []
     for reps, rep_of in scans:
-        value = dict(zip(reps, islice(stream, len(reps))))
-        best = min(value.values())
+        parts = list(islice(results, -(-len(reps) // CHUNK)))
+        value = dict(zip(reps, chain.from_iterable(values for values, _ in parts)))
+        best = min(v for v in value.values() if v is not None)
         first = next(i for i in reps if value[i] == best)
-        minima.append((best, first, len(reps),
+        minima.append((best, first, len(reps), sum(q for _, q in parts),
                        [value[r] for r in rep_of] if keep else None))
     return minima
 
@@ -152,12 +185,12 @@ def min_epsilon_over_covers(g: Multigraph, budget: int = DEFAULT_BUDGET,
     """
     enum = CoverEnumeration(g)
     evaluated = min(enum.count, budget)
-    [(best, best_index, orbits, values)] = _class_minima([(enum, evaluated)], jobs,
-                                                         per_class)
+    [(best, best_index, orbits, queries, values)] = _class_minima(
+        [(enum, evaluated)], jobs, per_class)
     per_class_values = None if values is None else \
         tuple((enum.at(i), eps) for i, eps in enumerate(values))
     return WorstCoverReport(best, enum.at(best_index), evaluated == enum.count,
-                            enum.count, evaluated, orbits, per_class_values)
+                            enum.count, evaluated, orbits, queries, per_class_values)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +208,7 @@ class GraphRow:
     classes: int
     status: str                     # ok | exception | counterexample | skipped
     orbits: int                     # orbits among the evaluated classes
+    queries: int                    # epsilon* queries made for the orbits
 
 
 @dataclass(frozen=True)
@@ -233,8 +267,8 @@ def theorem_check(max_vertices: int, max_multiplicity: int, jobs: int = 1,
     minima = _class_minima([(enum, min(enum.count, budget)) for enum in enums],
                            jobs, False)
     rows = []
-    for (code, g, density), enum, (best, best_index, orbits, _) in zip(kept, enums,
-                                                                       minima):
+    for (code, g, density), enum, (best, best_index, orbits, queries, _) in zip(
+            kept, enums, minima):
         found = find_I_subgraph(g)
         if budget < enum.count:
             status = "skipped"
@@ -247,7 +281,7 @@ def theorem_check(max_vertices: int, max_multiplicity: int, jobs: int = 1,
         rows.append(GraphRow(code, g.n, density,
                              found[0] if found is not None else None,
                              best, cover_hash(enum.at(best_index)),
-                             enum.count, status, orbits))
+                             enum.count, status, orbits, queries))
     return TheoremReport(max_vertices, max_multiplicity, tuple(rows))
 
 

@@ -5,10 +5,13 @@ and a dense `Fraction` simplex for LPs, exhaustive assignment counting for
 colorings, explicit relabeling orbits for cover classes (per-vertex color
 relabelings, then graph automorphisms) and for graph classes, a union-find
 for connected components, every vertex sequence for the inflexible family.
-None of it shares code with the implementations under test.
+None of it shares code with the implementations under test, except the
+per-index worst-cover scan: it calls the library's `epsilon_star` on every
+cover index, so it checks the search's orbit cut and LP skipping, not the LP.
 """
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -197,6 +200,33 @@ def colorings_by_brute_force(g: Multigraph, cover: Cover, lists) -> list:
         if ok:
             result.append(assignment)
     return result
+
+
+@functools.cache
+def epsilon_every_index(g: Multigraph, limit: int) -> tuple:
+    """epsilon* of every cover index below `limit`: one LP per index, with
+    no orbit cut and no lower bound skipping any.  Cached, as the scan is
+    the slow part of the tests that use it."""
+    from flexdp.covers import CoverEnumeration
+    from flexdp.flexibility import epsilon_star
+    enum = CoverEnumeration(g)
+    return tuple(epsilon_star(g, enum.at(i)).epsilon_star for i in range(limit))
+
+
+def min_epsilon_every_index(g: Multigraph, limit: int) -> tuple:
+    """The minimum epsilon* over the cover indices below `limit`, and the
+    first index attaining it."""
+    values = epsilon_every_index(g, limit)
+    best = min(values)
+    return best, values.index(best)
+
+
+def uniform_marginals(g: Multigraph, cover: Cover) -> list:
+    """Every full-list marginal of the uniform distribution over the
+    brute-force colorings; empty when there are none."""
+    found = colorings_by_brute_force(g, cover, [(0, 1, 2)] * g.n)
+    return [Q(sum(1 for phi in found if phi[v] == c), len(found))
+            for v in range(g.n) for c in range(3)] if found else []
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,21 @@ def test_worst_reports_orbits_in_text_only(tmp_path, capsys):
     assert "orbits" not in json.loads(out)
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_worst_reports_queries_in_text_only(tmp_path, capsys, jobs):
+    """The uniform floor settles every K4 orbit after the first; with
+    --per-class the four orbits whose floor is 1/3 are settled and the
+    other seven queried."""
+    graph = tmp_path / "k4.txt"
+    run(["gen", "k4", "--out", str(graph)])
+    _, out, _ = invoke(capsys, "worst", str(graph), "--jobs", jobs)
+    assert "orbits = 11\nqueries = 1\nwitness_cover" in out
+    _, out, _ = invoke(capsys, "worst", str(graph), "--jobs", jobs, "--per-class")
+    assert "orbits = 11\nqueries = 7\n" in out
+    _, out, _ = invoke(capsys, "worst", str(graph), "--jobs", jobs, "--json")
+    assert "queries" not in json.loads(out)
+
+
 def test_gen_unwritable_cover_path_writes_nothing(tmp_path, capsys):
     graph, cover = tmp_path / "j1.txt", tmp_path / "no-such-dir" / "j1cov.txt"
     code, out, err = invoke(capsys, "gen", "jm", "--m", "1", "--out", str(graph),

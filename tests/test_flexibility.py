@@ -10,10 +10,11 @@ from flexdp.covers import (Cover, CoverError, IDENTITY, ListDistribution,
                            trivial_list_distribution)
 from flexdp.flexibility import (FlexReport, InadmissibleDistribution,
                                 box_distribution, epsilon_star,
-                                fractional_packing, framework_feasible)
+                                fractional_packing, framework_feasible,
+                                uniform_floor)
 from flexdp.graphs import Multigraph, PotentialAssignment, gen_family
 from oracles import (drop_matching, random_connected_multigraph, random_cover,
-                     random_tree)
+                     random_tree, uniform_marginals)
 
 
 def check_worst_request(report: FlexReport, colorings):
@@ -216,6 +217,35 @@ class TestBoxDistribution:
             box_distribution(g, Cover({}), full_lists(1), Q(1, 2), Q(1, 3))
 
 
+class TestUniformFloor:
+    def test_lower_bound_exact_at_one_third(self):
+        """The floor is the smallest brute-force uniform marginal, never
+        above epsilon*, and equal to it whenever it is 1/3."""
+        rng = random.Random(47)
+        thirds = below = 0
+        for _ in range(120):
+            g = random_connected_multigraph(rng, max_n=5, max_mult=2)
+            cover = random_cover(rng, g)
+            floor = uniform_floor(g, cover)
+            eps = epsilon_star(g, cover).epsilon_star
+            assert floor == min(uniform_marginals(g, cover), default=0)
+            assert floor <= eps <= Q(1, 3)
+            if floor == Q(1, 3):
+                thirds += 1
+                assert eps == floor
+            elif 0 < floor < eps:
+                below += 1
+        assert thirds and below
+
+    def test_uncolorable_cover_has_floor_zero(self):
+        g, _ = gen_family("k4")
+        assert uniform_floor(g, straight_cover(g)) == 0
+
+    def test_cover_checked(self):
+        with pytest.raises(CoverError):
+            uniform_floor(_ONE_EDGE, _NON_EDGE_COVER)
+
+
 class TestFramework:
     def test_exceptional_c2_threshold(self):
         g, pa = gen_family("c2")
@@ -265,6 +295,28 @@ class TestFramework:
         dist = ListDistribution(((((0, 1), (0, 1, 2)), Q(1)),))  # only forbids 2
         with pytest.raises(InadmissibleDistribution):
             framework_feasible(g, pa, cover, dist, Q(1, 5))
+
+    def test_cover_validated_once_per_query(self, monkeypatch):
+        """One check of the cover serves every list outcome; the lists of
+        each outcome are still checked."""
+        from flexdp import covers
+        from flexdp.colorings import ColoringError
+        g, pa = gen_family("c2")
+        cover = tight_cover("c2x", g)
+        calls = []
+        original = covers.validate
+
+        def counting_validate(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(covers, "validate", counting_validate)
+        dist = ListDistribution(tuple((full_lists(2), Q(1, 3)) for _ in range(3)))
+        assert framework_feasible(g, pa, cover, dist, Q(1, 6)) is not None
+        assert len(calls) == 1
+        bad = ListDistribution(((((0, 1, 2), (0, 1, 5)), Q(1)),))
+        with pytest.raises(ColoringError, match="bad list"):
+            framework_feasible(g, pa, cover, bad, Q(1, 6))
 
     def test_wrong_list_sizes_rejected(self):
         g = Multigraph(1, [])

@@ -40,6 +40,17 @@ class TestConstruction:
         g = Multigraph(3, [(0, 1, 1), (1, 0, 1), (0, 1, 1)])
         assert g.multiplicity(0, 1) == 3
 
+    @pytest.mark.parametrize("query, subset", [
+        ("induced", [0, 1, 7]), ("induced", [-1, 0, 1]), ("boundary", [1, 9])])
+    def test_vertex_set_out_of_range_rejected(self, query, subset):
+        """A vertex outside 0..n-1 neither adds a phantom vertex, moves an
+        edge, nor is ignored: it raises as `edges_within` does."""
+        path = Multigraph(3, [(0, 1, 1), (1, 2, 1)])
+        with pytest.raises(GraphError, match="out of range"):
+            getattr(path, query)(subset)
+        assert path.induced([0, 1]) == Multigraph(2, [(0, 1, 1)])
+        assert path.boundary([1]) == 2
+
 
 class TestBreadthFirstWalk:
     def test_neighbours_in_increasing_order_and_restart(self):

@@ -18,6 +18,7 @@ from flexdp.search import (BudgetExceeded, canonical_code, criticality_check,
                            enumerate_connected_multigraphs, gap_audit,
                            is_flexible, min_epsilon_over_covers, theorem_check)
 from oracles import (colorings_by_brute_force, connected_multigraph_classes,
+                     epsilon_every_index, min_epsilon_every_index,
                      random_connected_multigraph)
 
 
@@ -214,6 +215,59 @@ class TestOrbitRepresentatives:
         monkeypatch.setattr(search, "ProcessPoolExecutor", Recorder)
         assert theorem_check(4, 2, jobs=1000).to_tsv() == serial
         assert calls == [(23, 23)]
+
+
+def _skip_cases() -> list:
+    """Every (4,2) and (5,1) graph with mad < 3 at its full class count,
+    and seeded random multigraphs, some cut by a budget."""
+    cases = [(g, CoverEnumeration(g).count)
+             for max_vertices, max_mult in ((4, 2), (5, 1))
+             for g in enumerate_connected_multigraphs(max_vertices, max_mult)
+             if mad(g) < 3]
+    rng = random.Random(74)
+    for _ in range(12):
+        g = random_connected_multigraph(rng, max_n=5, max_mult=2)
+        cases.append((g, min(CoverEnumeration(g).count, rng.randint(1, 120))))
+    return cases
+
+
+class TestLpSkip:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_matches_every_index_oracle(self, jobs):
+        """Skipping the LPs the uniform floor settles keeps the minimum, the
+        first witness and every --per-class value of a per-index scan."""
+        for g, limit in _skip_cases():
+            enum = CoverEnumeration(g)
+            best, first = min_epsilon_every_index(g, limit)
+            values = epsilon_every_index(g, limit)
+            report = min_epsilon_over_covers(g, budget=limit, jobs=jobs)
+            assert (report.epsilon_min, report.witness_cover) == \
+                (best, enum.at(first))
+            per_class = min_epsilon_over_covers(g, budget=limit, jobs=jobs,
+                                                per_class=True)
+            assert (per_class.epsilon_min, per_class.witness_cover) == \
+                (best, enum.at(first))
+            assert per_class.per_class_values == tuple(
+                (enum.at(i), v) for i, v in enumerate(values))
+            assert report.queries <= per_class.queries <= report.orbits
+
+    @pytest.mark.parametrize("max_vertices, max_mult, solves, queries",
+                             [(4, 2, 25, 28), (5, 1, 81, 81)])
+    def test_lp_count(self, monkeypatch, max_vertices, max_mult, solves, queries):
+        """73 and 157 LPs before the skip; the other queries end without an
+        LP on a color no coloring uses."""
+        from flexdp import flexibility
+        solved = []
+        original = flexibility.solve
+
+        def counting_solve(program):
+            solved.append(program)
+            return original(program)
+
+        monkeypatch.setattr(flexibility, "solve", counting_solve)
+        report = theorem_check(max_vertices, max_mult)
+        assert len(solved) == solves
+        assert sum(r.queries for r in report.rows) == queries
 
 
 class TestTheoremCheck:
