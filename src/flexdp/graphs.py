@@ -278,7 +278,9 @@ class _Dinic:
         self.graph[u].append([v, cap, len(self.graph[v])])
         self.graph[v].append([u, 0, len(self.graph[u]) - 1])
 
-    def max_flow(self, s: int, t: int) -> int:
+    def min_cut(self, s: int, t: int) -> tuple[int, list[int]]:
+        """Maximum flow value, and the source side of a minimum cut: the
+        vertices reachable from s in the final residual graph."""
         flow = 0
         while True:
             level = [-1] * self.size
@@ -291,7 +293,7 @@ class _Dinic:
                         level[e[0]] = level[x] + 1
                         queue.append(e[0])
             if level[t] < 0:
-                return flow
+                return flow, [v for v in range(self.size) if level[v] >= 0]
             it = [0] * self.size
 
             def dfs(x: int, pushed: int) -> int:
@@ -316,16 +318,17 @@ class _Dinic:
                 flow += pushed
 
 
-def _density_exceeds(g: Multigraph, guess: Fraction) -> bool:
-    """True iff some nonempty U has 2|E(U)|/|U| strictly above `guess`.
+def _denser_set(g: Multigraph, guess: Fraction) -> Optional[list[int]]:
+    """A nonempty U with 2|E(U)|/|U| strictly above `guess`, or None if
+    there is none.
 
-    Decided by a min-cut on the classical densest-subgraph network with
+    Min cut on the classical densest-subgraph network (Goldberg 1984), with
     capacities scaled by 2*denominator so everything stays integral.
     """
     p, q = guess.numerator, guess.denominator
     total = g.edge_total()
     if total == 0:
-        return False
+        return None
     net = _Dinic(g.n + 2)
     s, t = g.n, g.n + 1
     for v in range(g.n):
@@ -334,28 +337,30 @@ def _density_exceeds(g: Multigraph, guess: Fraction) -> bool:
     for (u, v), m in g._mult.items():
         net.add_edge(u, v, 2 * q * m)
         net.add_edge(v, u, 2 * q * m)
-    return net.max_flow(s, t) < 4 * q * total
+    flow, side = net.min_cut(s, t)
+    return [v for v in side if v != s] if flow < 4 * q * total else None
 
 
 def mad(g: Multigraph) -> Fraction:
     """Exact maximum average degree, max over nonempty U of 2|E(U)|/|U|.
 
-    Parametric search over the finite candidate set {2e/u} decided by integer
-    max-flow; agreement with `mad_subset_oracle` is a tested invariant.
+    Dinkelbach iteration (Dinkelbach 1967) on min cuts.  With guess p/q, the
+    network has s->v of capacity 2q*deg(v), v->t of 2p and u->v, v->u of
+    2q*mult(u,v); the cut with source side {s} + S has capacity
+    4q|E| - 4q|E(S)| + 2p|S|, which is 4q|E| at S empty.  So a minimum cut
+    below 4q|E| has a nonempty source side S strictly denser than p/q, and
+    when the minimum cut is 4q|E| no set is.  Starting from the density
+    2|E|/n of the whole vertex set, each step moves the guess to the density
+    of the denser set found; the guess is always the density of an actual
+    set and rises strictly, so the iteration ends, and it ends at the
+    maximum.  Agreement with `mad_subset_oracle` is a tested invariant.
     """
     if g.n == 0:
         raise GraphError("mad of the empty graph is undefined")
-    total = g.edge_total()
-    candidates = sorted({Q(2 * e, u) for u in range(1, g.n + 1)
-                         for e in range(total + 1)})
-    lo, hi = 0, len(candidates) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _density_exceeds(g, candidates[mid]):
-            lo = mid + 1
-        else:
-            hi = mid
-    return candidates[lo]
+    density = Q(2 * g.edge_total(), g.n)
+    while (denser := _denser_set(g, density)) is not None:
+        density = Q(2 * g.edges_within(denser), len(denser))
+    return density
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,23 @@ check, criticality, and the potential gap audit.
 
 Graphs are enumerated up to isomorphism by orderly generation (Read 1978):
 multiplicity vectors are scanned in lexicographic order, and only those that
-no vertex relabeling makes smaller are kept.  The worst-cover search
-evaluates one cover per orbit under per-vertex list relabeling and graph
-automorphisms (`CoverEnumeration.representatives`), since epsilon* with full
-lists is invariant under both; each orbit is represented by its smallest
-index, so the first index attaining the minimum is always evaluated.
-Before any LP, a representative's uniform floor (`uniform_floor`, an exact
-lower bound on epsilon*) settles it when the floor is 1/3, which is then
-epsilon*, or, when only the minimum is wanted, when the floor is at least
-the minimum already found in its chunk; every other representative gets an
-epsilon* LP.  Parallel runs split the representatives into chunks; chunks
-carry only immutable tuples and return their values in order, and one merge
-keeps the first index attaining the minimum.  Chunks depend only on the
-graph, so output and LP count are identical for any job count.
+no vertex relabeling makes smaller are kept.  The relabelings of each vertex
+count are built once, as itemgetters over the pair indices, and serve both
+that scan and `canonical_code`.
+
+The worst-cover search evaluates one cover per orbit under per-vertex list
+relabeling and graph automorphisms (`CoverEnumeration.representatives`),
+since epsilon* with full lists is invariant under both; each orbit is
+represented by its smallest index, so the first index attaining the minimum
+is always evaluated.  Before any LP, a representative's uniform floor
+(`uniform_floor`, an exact lower bound on epsilon*) settles it when the
+floor is 1/3 or 0, which is then epsilon*, or, when only the minimum is
+wanted, when the floor is at least the minimum already found in its chunk;
+every other representative gets an epsilon* LP.  Parallel runs split the
+representatives into chunks; chunks carry only immutable tuples and return
+their values in order, and one merge keeps the first index attaining the
+minimum.  Chunks depend only on the graph, so output and LP count are
+identical for any job count.
 """
 from __future__ import annotations
 
@@ -23,7 +27,9 @@ import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, islice, permutations, product
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .covers import Cover, CoverEnumeration, serialize_cover, trivial_list_distribution
@@ -33,7 +39,7 @@ from .rationals import rat_str
 
 Q = Fraction
 
-DESK_CAP = 5
+DESK_CAP = {0: 7, 1: 7, 2: 5}  # most vertices per max multiplicity
 GAP_AUDIT_CAP = 20  # the audit visits all 2^n - 1 subsets
 DEFAULT_BUDGET = 10 ** 6
 CHUNK = 32
@@ -56,20 +62,39 @@ def cover_hash(cover: Cover) -> str:
 # Canonical codes and graph enumeration
 # ---------------------------------------------------------------------------
 
-def _relabelings(n: int) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
-    """K_n's vertex pairs, and per permutation the index each pair is sent to."""
-    pairs = list(combinations(range(n), 2))
+@cache
+def _relabelings(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[itemgetter, ...]]:
+    """K_n's vertex pairs, and one itemgetter per way a vertex relabeling
+    can move them: applied to a multiplicity vector over the pairs, it
+    returns the relabeled graph's vector.
+
+    Below 3 vertices no relabeling moves a pair, so there are no getters;
+    that also keeps out `itemgetter` of one index, which returns a scalar.
+    """
+    pairs = tuple(combinations(range(n), 2))
     index = {pair: i for i, (u, v) in enumerate(pairs) for pair in ((u, v), (v, u))}
-    return pairs, [tuple(index[p[u], p[v]] for u, v in pairs)
-                   for p in permutations(range(n))]
+    identity = tuple(range(len(pairs)))
+    images = dict.fromkeys(tuple(index[p[u], p[v]] for u, v in pairs)
+                           for p in permutations(range(n)))
+    return pairs, tuple(itemgetter(*image) for image in images
+                        if image != identity)
+
+
+def _code(n: int, vec: Sequence[int]) -> str:
+    return f"{n}:{','.join(map(str, vec))}"
+
+
+def _own_vector(g: Multigraph) -> tuple[int, ...]:
+    return tuple(g.multiplicity(u, v) for u, v in _relabelings(g.n)[0])
 
 
 def canonical_code(g: Multigraph) -> str:
-    """Minimum multiplicity vector over all vertex relabelings."""
-    pairs, maps = _relabelings(g.n)
-    vec = [g.multiplicity(u, v) for u, v in pairs]
-    best = min(tuple(vec[j] for j in m) for m in maps)
-    return f"{g.n}:{','.join(map(str, best))}"
+    """Minimum multiplicity vector over all vertex relabelings.
+
+    The relabelings of each vertex count are built on first use and kept
+    for the life of the process: n! of them, meant for desk-scale n."""
+    vec = _own_vector(g)
+    return _code(g.n, min([vec] + [m(vec) for m in _relabelings(g.n)[1]]))
 
 
 def enumerate_connected_multigraphs(max_vertices: int,
@@ -79,7 +104,7 @@ def enumerate_connected_multigraphs(max_vertices: int,
     for n in range(1, max_vertices + 1):
         pairs, maps = _relabelings(n)
         for vec in product(range(max_multiplicity + 1), repeat=len(pairs)):
-            if all(tuple(vec[j] for j in m) >= vec for m in maps):
+            if all(m(vec) >= vec for m in maps):
                 g = Multigraph(n, [(u, v, k) for (u, v), k in zip(pairs, vec) if k])
                 if g.is_connected():
                     yield g
@@ -105,10 +130,12 @@ def _eps_chunk(task: tuple) -> tuple[list[Optional[Fraction]], int]:
     """Worker: epsilon* of the given cover classes of one graph, in order,
     and the number of epsilon* queries made.
 
-    A class whose uniform floor is 1/3 takes that value without a query.
-    Without `keep`, a class whose floor is at least the minimum found so
-    far in this chunk gets None: an earlier index already attains a value
-    no larger, so neither the minimum nor its first index can change.
+    A class whose uniform floor is 1/3 or 0 takes that value without a
+    query: epsilon* lies between the floor and 1/3, and a floor of 0 is a
+    listed color no coloring uses.  Without `keep`, a class whose floor is
+    at least the minimum found so far in this chunk gets None: an earlier
+    index already attains a value no larger, so neither the minimum nor its
+    first index can change.
     """
     n, edges, indices, keep = task
     g = Multigraph(n, edges)
@@ -118,16 +145,15 @@ def _eps_chunk(task: tuple) -> tuple[list[Optional[Fraction]], int]:
     queries = 0
     for i in indices:
         cover = enum.at(i)
-        floor = uniform_floor(g, cover)
-        if floor == THIRD:
-            values.append(floor)
-        elif floor >= best and not keep:
-            values.append(None)
-        else:
+        value = uniform_floor(g, cover)
+        if 0 < value < THIRD:
+            if value >= best and not keep:
+                values.append(None)
+                continue
             value = epsilon_star(g, cover).epsilon_star
             queries += 1
-            best = min(best, value)
-            values.append(value)
+        best = min(best, value)
+        values.append(value)
     return values, queries
 
 
@@ -251,17 +277,22 @@ def theorem_check(max_vertices: int, max_multiplicity: int, jobs: int = 1,
     mad < 3, and asserts min-over-covers epsilon* >= 1/5 except for graphs
     containing a member of the inflexible family, which are only flagged.
     Graphs whose cover count exceeds the budget are reported as skipped,
-    never silently passed.  Rows come in (vertex count, code) order.
+    never silently passed.  Rows come in (vertex count, code) order; each
+    graph comes from `enumerate_connected_multigraphs`, so its own
+    multiplicity vector is its code.  The vertex cap is DESK_CAP at the
+    given multiplicity.
     """
-    if not 1 <= max_vertices <= DESK_CAP:
-        raise ValueError(f"max_vertices {max_vertices} outside 1..{DESK_CAP}")
-    if not 0 <= max_multiplicity <= 2:
+    if max_multiplicity not in DESK_CAP:
         raise ValueError(f"max_multiplicity {max_multiplicity} outside 0..2")
+    cap = DESK_CAP[max_multiplicity]
+    if not 1 <= max_vertices <= cap:
+        raise ValueError(f"max_vertices {max_vertices} outside 1..{cap} at "
+                         f"max_multiplicity {max_multiplicity}")
     kept: list[tuple[str, Multigraph, Fraction]] = []
     for g in enumerate_connected_multigraphs(max_vertices, max_multiplicity):
         density = mad(g)
         if density < 3:
-            kept.append((canonical_code(g), g, density))
+            kept.append((_code(g.n, _own_vector(g)), g, density))
 
     enums = [CoverEnumeration(g) for _, g, _ in kept]
     minima = _class_minima([(enum, min(enum.count, budget)) for enum in enums],

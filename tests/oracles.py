@@ -3,11 +3,12 @@
 Everything here is deliberately brute force or textbook: vertex enumeration
 and a dense `Fraction` simplex for LPs, exhaustive assignment counting for
 colorings, explicit relabeling orbits for cover classes (per-vertex color
-relabelings, then graph automorphisms) and for graph classes, a union-find
-for connected components, every vertex sequence for the inflexible family.
-None of it shares code with the implementations under test, except the
-per-index worst-cover scan: it calls the library's `epsilon_star` on every
-cover index, so it checks the search's orbit cut and LP skipping, not the LP.
+relabelings, then graph automorphisms) and for graph classes and codes, a
+union-find for connected components, every vertex sequence for the
+inflexible family.  None of it shares code with the implementations under
+test, except the per-index worst-cover scan: it calls the library's
+`epsilon_star` on every cover index, so it checks the search's orbit cut and
+LP skipping, not the LP.
 """
 from __future__ import annotations
 
@@ -350,6 +351,15 @@ def _relabeled_edge_list(edges, perm) -> tuple:
                         for u, v, k in edges))
 
 
+def canonical_code_by_permutations(g: Multigraph) -> str:
+    """The smallest multiplicity vector, over pairs in lexicographic order,
+    among all n! vertex relabelings, written as `n:m1,m2,...`."""
+    pairs = list(combinations(range(g.n), 2))
+    best = min(tuple(g.multiplicity(p[u], p[v]) for u, v in pairs)
+               for p in permutations(range(g.n)))
+    return f"{g.n}:{','.join(map(str, best))}"
+
+
 def connected_multigraph_classes(max_vertices: int, max_mult: int) -> set:
     """Isomorphism classes of connected multigraphs on 1..max_vertices
     vertices with multiplicities <= max_mult.  Each class is the frozenset
@@ -369,15 +379,22 @@ def connected_multigraph_classes(max_vertices: int, max_mult: int) -> set:
 # Random instance generators (seeded by the caller)
 # ---------------------------------------------------------------------------
 
+def random_multigraph(rng: random.Random, max_n: int = 5,
+                      max_mult: int = 2) -> Multigraph:
+    """1..max_n vertices, each pair an edge of multiplicity 1..max_mult with
+    probability 0.55; possibly disconnected or edgeless."""
+    n = rng.randint(1, max_n)
+    edges = []
+    for u, v in combinations(range(n), 2):
+        if rng.random() < 0.55:
+            edges.append((u, v, rng.randint(1, max_mult)))
+    return Multigraph(n, edges)
+
+
 def random_connected_multigraph(rng: random.Random, max_n: int = 5,
                                 max_mult: int = 2) -> Multigraph:
     while True:
-        n = rng.randint(1, max_n)
-        edges = []
-        for u, v in combinations(range(n), 2):
-            if rng.random() < 0.55:
-                edges.append((u, v, rng.randint(1, max_mult)))
-        g = Multigraph(n, edges)
+        g = random_multigraph(rng, max_n, max_mult)
         if g.is_connected():
             return g
 

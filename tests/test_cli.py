@@ -259,6 +259,15 @@ def test_theorem_check_zero_budget_is_usage_error(capsys, argv):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("max_vertices, max_mult, cap", [("8", "1", 7),
+                                                         ("6", "2", 5)])
+def test_theorem_check_desk_cap_is_usage_error(capsys, max_vertices, max_mult, cap):
+    code, out, err = invoke(capsys, "theorem-check", "--max-vertices",
+                            max_vertices, "--max-mult", max_mult)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: max_vertices {max_vertices} outside 1..{cap} ")
+
+
 def test_theorem_check_skipped_graphs_exit_3(capsys):
     code, out, _ = invoke(capsys, "theorem-check", "--max-vertices", "3",
                           "--max-mult", "2", "--budget", "2")
@@ -300,15 +309,16 @@ def test_worst_reports_orbits_in_text_only(tmp_path, capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_worst_reports_queries_in_text_only(tmp_path, capsys, jobs):
-    """The uniform floor settles every K4 orbit after the first; with
-    --per-class the four orbits whose floor is 1/3 are settled and the
-    other seven queried."""
+    """The first K4 orbit's uniform floor is 0, which is its epsilon* and
+    settles every later orbit; with --per-class the two orbits whose floor
+    is 0 and the four whose floor is 1/3 are settled and the other five
+    queried."""
     graph = tmp_path / "k4.txt"
     run(["gen", "k4", "--out", str(graph)])
     _, out, _ = invoke(capsys, "worst", str(graph), "--jobs", jobs)
-    assert "orbits = 11\nqueries = 1\nwitness_cover" in out
+    assert "orbits = 11\nqueries = 0\nwitness_cover" in out
     _, out, _ = invoke(capsys, "worst", str(graph), "--jobs", jobs, "--per-class")
-    assert "orbits = 11\nqueries = 7\n" in out
+    assert "orbits = 11\nqueries = 5\n" in out
     _, out, _ = invoke(capsys, "worst", str(graph), "--jobs", jobs, "--json")
     assert "queries" not in json.loads(out)
 

@@ -10,8 +10,9 @@ from flexdp.graphs import (GraphError, GraphFormatError, Multigraph,
                            PotentialAssignment, find_I_subgraph, gen_family,
                            mad, mad_subset_oracle, parse_graph, potential,
                            serialize_graph, sigma)
+from flexdp.search import enumerate_connected_multigraphs
 from oracles import (components_by_union_find, find_I_subgraph_oracle,
-                     random_connected_multigraph)
+                     random_connected_multigraph, random_multigraph)
 
 
 class TestConstruction:
@@ -145,6 +146,29 @@ class TestMad:
         rng = random.Random(99)
         for _ in range(80):
             g = random_connected_multigraph(rng, max_n=8, max_mult=2)
+            assert mad(g) == mad_subset_oracle(g)
+
+    def test_flow_matches_subsets_on_disconnected_graphs(self):
+        rng = random.Random(76)
+        for _ in range(150):
+            g = random_multigraph(rng, max_n=8, max_mult=3)
+            assert mad(g) == mad_subset_oracle(g)
+        for n in (1, 2, 5):
+            assert mad(Multigraph(n)) == 0 == mad_subset_oracle(Multigraph(n))
+
+    def test_densest_set_avoids_vertex_zero(self):
+        k4 = [(u, v, 1) for u, v in combinations(range(1, 5), 2)]
+        cases = {Multigraph(5, k4 + [(0, 1, 1)]): Q(3),      # pendant on K4
+                 Multigraph(5, k4): Q(3),                    # isolated 0
+                 Multigraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 5)]): Q(5),
+                 Multigraph(6, [(0, 1, 1), (1, 2, 1), (2, 3, 2), (3, 4, 2),
+                                (4, 2, 2), (4, 5, 1)]): Q(4)}
+        for g, expected in cases.items():
+            assert mad(g) == expected == mad_subset_oracle(g)
+
+    @pytest.mark.parametrize("max_vertices, max_mult", [(5, 2), (6, 1)])
+    def test_flow_matches_subsets_on_enumerated_graphs(self, max_vertices, max_mult):
+        for g in enumerate_connected_multigraphs(max_vertices, max_mult):
             assert mad(g) == mad_subset_oracle(g)
 
     def test_single_vertex(self):

@@ -17,9 +17,10 @@ from flexdp.graphs import Multigraph, PotentialAssignment, gen_family, mad
 from flexdp.search import (BudgetExceeded, canonical_code, criticality_check,
                            enumerate_connected_multigraphs, gap_audit,
                            is_flexible, min_epsilon_over_covers, theorem_check)
-from oracles import (colorings_by_brute_force, connected_multigraph_classes,
-                     epsilon_every_index, min_epsilon_every_index,
-                     random_connected_multigraph)
+from oracles import (canonical_code_by_permutations, colorings_by_brute_force,
+                     connected_multigraph_classes, epsilon_every_index,
+                     min_epsilon_every_index, random_connected_multigraph,
+                     random_multigraph)
 
 
 class TestCanonicalCode:
@@ -32,6 +33,29 @@ class TestCanonicalCode:
             relabeled = Multigraph(g.n, [(perm[u], perm[v], m)
                                          for u, v, m in g.edge_items()])
             assert canonical_code(g) == canonical_code(relabeled)
+
+    def test_matches_permutation_oracle(self):
+        """Connected or not, edgeless, one and two vertices included."""
+        rng = random.Random(75)
+        for _ in range(120):
+            g = random_multigraph(rng, max_n=6, max_mult=2)
+            assert canonical_code(g) == canonical_code_by_permutations(g)
+        for g in (Multigraph(1), Multigraph(2), Multigraph(2, [(0, 1, 3)]),
+                  Multigraph(3, [(1, 2, 1)])):
+            assert canonical_code(g) == canonical_code_by_permutations(g)
+
+    # sha256 of the newline-joined codes, as the n!-permutation scan wrote them
+    @pytest.mark.parametrize("max_vertices, max_mult, digest", [
+        (6, 1, "bb97bf953ff758b431d2626c0d1b8b6b319e23e9adfce0d71f8d262c5fdd5006"),
+        (5, 2, "4ef64eee25ebf495bb56c450c37978cfc2b099574ff95037eca4cf0e5e37bd26"),
+    ])
+    def test_code_sequence_pinned(self, max_vertices, max_mult, digest):
+        graphs = list(enumerate_connected_multigraphs(max_vertices, max_mult))
+        codes = [canonical_code(g) for g in graphs]
+        assert codes == [f"{g.n}:" + ",".join(
+            str(g.multiplicity(u, v)) for u, v in combinations(range(g.n), 2))
+            for g in graphs]
+        assert hashlib.sha256("\n".join(codes).encode()).hexdigest() == digest
 
     def test_counts_of_simple_connected_graphs(self):
         per_n = {}
@@ -252,10 +276,10 @@ class TestLpSkip:
             assert report.queries <= per_class.queries <= report.orbits
 
     @pytest.mark.parametrize("max_vertices, max_mult, solves, queries",
-                             [(4, 2, 25, 28), (5, 1, 81, 81)])
+                             [(4, 2, 25, 25), (5, 1, 81, 81)])
     def test_lp_count(self, monkeypatch, max_vertices, max_mult, solves, queries):
-        """73 and 157 LPs before the skip; the other queries end without an
-        LP on a color no coloring uses."""
+        """73 and 157 LPs before the skip; every query solves an LP, since a
+        floor of 0 (a color no coloring uses) is settled without a query."""
         from flexdp import flexibility
         solved = []
         original = flexibility.solve
@@ -300,8 +324,11 @@ class TestTheoremCheck:
                    if r.classes > 3)
 
     def test_desk_cap_enforced(self):
-        with pytest.raises(ValueError):
-            theorem_check(6, 1)
+        """7 vertices at multiplicity at most 1, 5 at multiplicity 2."""
+        for max_vertices, max_mult in ((8, 1), (8, 0), (6, 2)):
+            with pytest.raises(ValueError,
+                               match=rf"outside 1\.\.{max_vertices - 1} "):
+                theorem_check(max_vertices, max_mult)
         with pytest.raises(ValueError):
             theorem_check(3, 3)
 
