@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .colorings import (Coloring, ColoringDistribution, _colorings_of_valid_cover,
                         enumerate_colorings)
@@ -99,7 +99,13 @@ def epsilon_star(g: Multigraph, cover: Cover,
     """
     if lists is None:
         lists = full_lists(g.n)
-    colorings, where = _marginal_columns(g, cover, lists)
+    return _epsilon_report(*_marginal_columns(g, cover, lists), shortcut)
+
+
+def _epsilon_report(colorings: list[Coloring],
+                    where: dict[tuple[int, int], list[int]],
+                    shortcut: bool) -> FlexReport:
+    """`epsilon_star` over the colorings and `_support` it enumerated."""
     pairs = list(where)
     if not colorings:
         request = {pair: Q(0) for pair in pairs}
@@ -135,10 +141,18 @@ def uniform_floor(g: Multigraph, cover: Cover) -> Fraction:
     and since the three marginals at a vertex sum to 1, epsilon* <= 1/3, so
     a floor of 1/3 is epsilon* itself.
     """
+    return _floor_and_query(g, cover)[0]
+
+
+def _floor_and_query(g: Multigraph, cover: Cover
+                     ) -> tuple[Fraction, Callable[[], FlexReport]]:
+    """`uniform_floor(g, cover)`, and a call that returns
+    `epsilon_star(g, cover)` from the same enumeration of the colorings:
+    worst-cover search reads the floor of every cover and solves the LP
+    only for the covers the floor does not settle."""
     colorings, where = _marginal_columns(g, cover, full_lists(g.n))
-    if not colorings:
-        return Q(0)
-    return Q(min(len(cols) for cols in where.values()), len(colorings))
+    floor = Q(min(map(len, where.values())), len(colorings)) if colorings else Q(0)
+    return floor, lambda: _epsilon_report(colorings, where, True)
 
 
 def fractional_packing(g: Multigraph, cover: Cover) -> Optional[ColoringDistribution]:

@@ -3,7 +3,10 @@
 Maximization over `int` or `Fraction` data, `x >= 0` only (any other bound
 is written as a row), kept as sparse integer columns (each row scaled by its
 own denominator).  The kernel `_Revised` prices columns on demand and pivots
-only d*B^-1 over one common denominator d.
+only d*B^-1 over one common denominator d, with exact divisions and no gcd.
+A pivot equal to d (most of them) moves only the entries at the pivot
+row's nonzeros, in place: Bareiss's exact division leaves a - f*b/d there,
+so d divides f*b.
 Every optimal solve is verified against the exact optimality certificate
 (feasibility, complementary slackness, strong duality).
 """
@@ -76,6 +79,15 @@ class _Revised:
     tableau's artificial block and right-hand side, and `pivot` is its
     exact update (Edmonds 1967; Bareiss 1968) on that block: every reduced
     cost and ratio Bland's rule reads, and so every basis, is the same.
+
+    The update of row i by a pivot `piv` in row p is
+    (a*piv - f*b) / d for each entry a of row i, b of row p and f of the
+    entering column in row i; Bareiss's theorem makes every such quotient
+    an integer.  When piv == d (most pivots: d = 1 and piv = 1 dominate)
+    the quotient is a - f*b/d, so d divides f*b exactly, d stays, row p
+    and every row with f == 0 stay, and an entry with b == 0 stays: only
+    the pivot row's nonzeros move, in place.  Rows are distinct lists, so
+    updating one in place changes no other.
     """
 
     def __init__(self, cols: list, rows: list[list[int]], cost: list[int]):
@@ -85,20 +97,30 @@ class _Revised:
 
     def column(self, j: int) -> list[int]:
         """Tableau column j over d: d*B^-1 A_j, then its z entry."""
-        out = [_dot(r, self.cols[j]) for r in self.rows]
+        ks, vs = self.cols[j]
+        if vs is None:
+            out = [sum(map(r.__getitem__, ks)) for r in self.rows]
+        else:
+            out = [sum(map(mul, map(r.__getitem__, ks), vs)) for r in self.rows]
         out[-1] -= self.d * self.cost[j]
         return out
 
     def pivot(self, p: int, j: int, column: list[int]) -> None:
-        rp = self.rows[p]
+        rows, rp = self.rows, self.rows[p]
         piv, d = column[p], self.d
-        for i, (ri, f) in enumerate(zip(self.rows, column)):
-            if i == p or (f == 0 and piv == d):
-                continue
-            self.rows[i] = [(a * piv - f * b) // d for a, b in zip(ri, rp)]
-        if piv < 0:
-            self.rows = [[-a for a in row] for row in self.rows]
-        self.d = abs(piv)
+        if piv == d:
+            moved = [(k, b) for k, b in enumerate(rp) if b]
+            for ri, f in zip(rows, column):
+                if f and ri is not rp:
+                    for k, b in moved:
+                        ri[k] -= f * b // d
+        else:
+            for i, (ri, f) in enumerate(zip(rows, column)):
+                if i != p:
+                    rows[i] = [(a * piv - f * b) // d for a, b in zip(ri, rp)]
+            if piv < 0:
+                self.rows = [[-a for a in row] for row in rows]
+            self.d = abs(piv)
         self.basis[p] = j
 
     def run(self, ncols: int) -> str:
@@ -106,9 +128,12 @@ class _Revised:
         cols, cost = self.cols, self.cost
         while True:
             u, d = self.rows[-1], self.d
-            entering = next((j for j in range(ncols)
-                             if _dot(u, cols[j]) < d * cost[j]), -1)
-            if entering < 0:
+            get = u.__getitem__
+            for entering, (ks, vs), c in zip(range(ncols), cols, cost):
+                if (sum(map(get, ks)) if vs is None
+                        else sum(map(mul, map(get, ks), vs))) < d * c:
+                    break
+            else:
                 return "optimal"
             column = self.column(entering)
             leave = -1

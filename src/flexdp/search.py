@@ -15,8 +15,9 @@ is always evaluated.  Before any LP, a representative's uniform floor
 (`uniform_floor`, an exact lower bound on epsilon*) settles it when the
 floor is 1/3 or 0, which is then epsilon*, or, when only the minimum is
 wanted, when the floor is at least the minimum already found in its chunk;
-every other representative gets an epsilon* LP.  Parallel runs split the
-representatives into chunks; chunks carry only immutable tuples and return
+every other representative gets an epsilon* LP, built from the colorings
+its floor enumerated (`flexibility._floor_and_query`).  Parallel runs split
+the representatives into chunks; chunks carry only immutable tuples and return
 their values in order, and one merge keeps the first index attaining the
 minimum.  Chunks depend only on the graph, so output and LP count are
 identical for any job count.
@@ -33,7 +34,9 @@ from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .covers import Cover, CoverEnumeration, serialize_cover, trivial_list_distribution
-from .flexibility import epsilon_star, framework_feasible, uniform_floor
+# `epsilon_star` is not called here; it stays a name of this module because
+# perfbench's tracer wraps `search.epsilon_star`.
+from .flexibility import _floor_and_query, epsilon_star, framework_feasible
 from .graphs import Multigraph, PotentialAssignment, find_I_subgraph, mad, potential
 from .rationals import rat_str
 
@@ -135,7 +138,8 @@ def _eps_chunk(task: tuple) -> tuple[list[Optional[Fraction]], int]:
     listed color no coloring uses.  Without `keep`, a class whose floor is
     at least the minimum found so far in this chunk gets None: an earlier
     index already attains a value no larger, so neither the minimum nor its
-    first index can change.
+    first index can change.  The colorings are enumerated once per class;
+    a query solves its LP over the floor's enumeration.
     """
     n, edges, indices, keep = task
     g = Multigraph(n, edges)
@@ -145,12 +149,12 @@ def _eps_chunk(task: tuple) -> tuple[list[Optional[Fraction]], int]:
     queries = 0
     for i in indices:
         cover = enum.at(i)
-        value = uniform_floor(g, cover)
+        value, query = _floor_and_query(g, cover)
         if 0 < value < THIRD:
             if value >= best and not keep:
                 values.append(None)
                 continue
-            value = epsilon_star(g, cover).epsilon_star
+            value = query().epsilon_star
             queries += 1
         best = min(best, value)
         values.append(value)

@@ -1,4 +1,5 @@
 """epsilon*, certificates, packings, box distributions, framework LP."""
+import hashlib
 import random
 from fractions import Fraction as Q
 
@@ -54,6 +55,18 @@ class TestEpsilonStar:
         g, _ = gen_family("jm", 1)
         check_worst_request(epsilon_star(g, tight_cover("jm", g)),
                             enumerate_colorings(g, tight_cover("jm", g)))
+
+    def test_tight_j5_report_pinned(self):
+        """The benchmark's J_5 instance: the sha256 of its full report (eps*,
+        distribution, sorted worst request) pins the LP's primal and dual
+        witnesses.  The digest was generated before the simplex's in-place
+        update for pivots equal to the denominator."""
+        g, _ = gen_family("jm", 5)
+        report = epsilon_star(g, tight_cover("jm", g))
+        text = repr((report.epsilon_star, report.colorable, report.distribution,
+                     sorted(report.worst_request.items())))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "fd96c06ce6439fc658ff9c014f58ee32106b89e964d55368a5b07b3a8172dbf8")
 
     def test_uncolorable_flagged(self):
         g, _ = gen_family("k4")

@@ -10,8 +10,8 @@ from dataclasses import replace
 from flexdp import flexibility
 from flexdp.covers import CoverEnumeration, tight_cover
 from flexdp.graphs import gen_family, mad
-from flexdp.lp import (LinearProgram, LpError, LpInternalError, solve,
-                       verify_certificate)
+from flexdp.lp import (LinearProgram, LpError, LpInternalError, _Revised,
+                       solve, verify_certificate)
 from flexdp.search import enumerate_connected_multigraphs
 from oracles import bland_simplex, oracle_solve
 
@@ -250,15 +250,11 @@ def test_duals_certify_value_on_random_optimal_lps():
         assert dual_value == out.value
 
 
-def test_witnesses_pinned_on_degenerate_lps():
-    """6,000 small LPs with mixed row denominators, many degenerate: the
-    sha256 of every outcome's repr pins primal and dual witnesses, not only
-    values, so any change to the pivot sequence shows.  The digest was
-    generated with the per-row-denominator tableau that preceded the
-    fraction-free one."""
+def _degenerate_lps(count):
+    """The first `count` LPs of a seeded stream of small LPs with mixed row
+    denominators, many of them degenerate."""
     rng = random.Random(1)
-    digest = hashlib.sha256()
-    for _ in range(6000):
+    for _ in range(count):
         n, m = rng.randint(1, 6), rng.randint(1, 7)
         rows = []
         for _ in range(m):
@@ -266,8 +262,18 @@ def test_witnesses_pinned_on_degenerate_lps():
             rows.append((tuple(Q(rng.randint(-2, 2), den) for _ in range(n)),
                          rng.choice(("<=", "=", ">=")),
                          Q(rng.randint(-1, 2), den)))
-        digest.update(repr(solve(lp([rng.choice((-1, 0, 1)) for _ in range(n)],
-                                    rows))).encode())
+        yield lp([rng.choice((-1, 0, 1)) for _ in range(n)], rows)
+
+
+def test_witnesses_pinned_on_degenerate_lps():
+    """6,000 small LPs with mixed row denominators, many degenerate: the
+    sha256 of every outcome's repr pins primal and dual witnesses, not only
+    values, so any change to the pivot sequence shows.  The digest was
+    generated with the per-row-denominator tableau that preceded the
+    fraction-free one."""
+    digest = hashlib.sha256()
+    for program in _degenerate_lps(6000):
+        digest.update(repr(solve(program)).encode())
     assert digest.hexdigest() == (
         "88bfbef133a3e29865670d7fe12aee495d6fbd8a892d46fa8188bf9285a6b6ff")
 
@@ -280,40 +286,66 @@ def _outcome(program):
 def test_witnesses_match_dense_bland_oracle():
     """The first 2,000 LPs of the pinned-digest generator above: `solve`
     returns the textbook dense simplex's status, primal, value and dual."""
-    rng = random.Random(1)
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    for _ in range(2000):
-        n, m = rng.randint(1, 6), rng.randint(1, 7)
-        rows = []
-        for _ in range(m):
-            den = rng.choice((1, 2, 3, 5))
-            rows.append((tuple(Q(rng.randint(-2, 2), den) for _ in range(n)),
-                         rng.choice(("<=", "=", ">=")),
-                         Q(rng.randint(-1, 2), den)))
-        program = lp([rng.choice((-1, 0, 1)) for _ in range(n)], rows)
+    for program in _degenerate_lps(2000):
         expected = bland_simplex(program)
         assert _outcome(program) == expected
         statuses[expected[0]] += 1
     assert all(statuses.values()), statuses
 
 
-def test_epsilon_star_lps_match_dense_bland_oracle(monkeypatch):
+def _epsilon_star_lps():
     """The epsilon* LPs of the tight J_1..J_3 covers and of every (4,2)
     graph with mad < 3 under its first cover class, as `epsilon_star`
-    builds them, solve to the dense oracle's witnesses."""
+    builds them."""
     programs = []
 
     def recording(program):
         programs.append(program)
         return solve(program)
 
-    monkeypatch.setattr(flexibility, "solve", recording)
-    for m in (1, 2, 3):
-        g = gen_family("jm", m)[0]
-        flexibility.epsilon_star(g, tight_cover("jm", g))
     graphs = [g for g in enumerate_connected_multigraphs(4, 2) if mad(g) < 3]
-    for g in graphs:
-        flexibility.epsilon_star(g, CoverEnumeration(g).at(0), shortcut=False)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flexibility, "solve", recording)
+        for m in (1, 2, 3):
+            g = gen_family("jm", m)[0]
+            flexibility.epsilon_star(g, tight_cover("jm", g))
+        for g in graphs:
+            flexibility.epsilon_star(g, CoverEnumeration(g).at(0), shortcut=False)
     assert len(programs) == 3 + len(graphs)
-    for program in programs:
+    return programs
+
+
+def test_epsilon_star_lps_match_dense_bland_oracle():
+    """The epsilon* LPs above solve to the dense oracle's witnesses."""
+    for program in _epsilon_star_lps():
         assert _outcome(program) == bland_simplex(program)
+
+
+def test_unit_and_full_pivots_match_dense_bland_oracle(monkeypatch):
+    """Both branches of `_Revised.pivot` run and keep the oracle's witnesses.
+
+    A pivot equal to the denominator updates the rows in place, at the
+    pivot row's nonzeros only; any other pivot rewrites every row, and a
+    negative one (driving an artificial out) negates them all.  Over the
+    epsilon* LPs and the first 200 LPs of the pinned-digest generator each
+    branch must run, every outcome must equal the dense oracle's, and a
+    second solve of the same program must return the same outcome, which
+    an in-place update that leaked into shared data would break.
+    """
+    programs = _epsilon_star_lps() + list(_degenerate_lps(200))
+    counts = {"unit": 0, "full": 0, "negative": 0}
+    pivot = _Revised.pivot
+
+    def counting(tab, p, j, column):
+        piv = column[p]
+        counts["unit" if piv == tab.d else "full"] += 1
+        counts["negative"] += piv < 0
+        pivot(tab, p, j, column)
+
+    monkeypatch.setattr(_Revised, "pivot", counting)
+    for program in programs:
+        first = _outcome(program)
+        assert first == bland_simplex(program)
+        assert _outcome(program) == first
+    assert all(counts.values()), counts

@@ -293,6 +293,25 @@ class TestLpSkip:
         assert len(solved) == solves
         assert sum(r.queries for r in report.rows) == queries
 
+    @pytest.mark.parametrize("max_vertices, max_mult, orbits",
+                             [(4, 2, 76), (5, 1, 157)])
+    def test_one_enumeration_per_orbit(self, monkeypatch, max_vertices,
+                                       max_mult, orbits):
+        """A query builds its LP from the colorings its uniform floor
+        enumerated: one enumeration per orbit, not one more per query."""
+        from flexdp import flexibility
+        calls = []
+        original = flexibility.enumerate_colorings
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(flexibility, "enumerate_colorings", counting)
+        report = theorem_check(max_vertices, max_mult)
+        assert sum(r.orbits for r in report.rows) == orbits
+        assert len(calls) == orbits
+
 
 class TestTheoremCheck:
     def test_two_vertices(self):
