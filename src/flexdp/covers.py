@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import GraphFormatError, Multigraph
 
@@ -256,6 +257,10 @@ class CoverEnumeration:
     graph automorphisms act too.  `representatives` picks one index per
     S3^n x Aut(G) orbit, and every question whose answer is invariant under
     that group (epsilon* with full lists) need only be asked there.
+    `class_index` sends any full cover to an index of its S3^n class, so a
+    question already answered per orbit can be looked up for any cover.
+    Both search through `_relabeled_indices`, whose tables are built on
+    first use, not by the constructor.
     """
 
     def __init__(self, g: Multigraph):
@@ -317,32 +322,7 @@ class CoverEnumeration:
         representatives in increasing order and, per index, its
         representative.
         """
-        steps = self._pinning_steps()
-        masks = [[sum(1 << _PERM_ID[p] for p in combo) for combo in opts]
-                 for opts in self.choices]
-        digit_of = [{mask: d for d, mask in enumerate(row)} for row in masks]
-        weights = []
-        weight = 1
-        for opts in reversed(self.choices):
-            weights.append(weight)
-            weight *= len(opts)
-        weights.reverse()
-        tables: dict[tuple[int, int], tuple[int, ...]] = {}
-
-        def table(t: int, mask: int) -> tuple[int, ...]:
-            # index contribution of pair t, for its ends' relabelings (a, b)
-            # at a * 6 + b; a pairing the enumeration lacks pushes past limit
-            if (t, mask) not in tables:
-                twists = [_TWIST[q] for q in range(6) if mask >> q & 1]
-                row = []
-                for ab in range(36):
-                    d = digit_of[t].get(sum(1 << twist[ab] for twist in twists))
-                    row.append(limit if d is None else d * weights[t])
-                tables[t, mask] = tuple(row)
-            return tables[t, mask]
-
-        def members(cover: list[int], first: bool = False) -> set[int]:
-            return self._relabeled_indices(steps, cover, limit, table, first)
+        masks = self._gauge[1]
 
         def cover_masks(index: int) -> list[int]:
             return [masks[t][d] for t, d in enumerate(self._digits(index))]
@@ -352,7 +332,7 @@ class CoverEnumeration:
         for index in range(limit):
             if rep_of[index] < 0:
                 classes.append(index)
-                for j in members(cover_masks(index)):
+                for j in self._relabeled_indices(cover_masks(index), limit):
                     rep_of[j] = index
 
         root = {c: c for c in classes}
@@ -372,11 +352,59 @@ class CoverEnumeration:
                 image = [0] * len(cover)
                 for mask, (target, flip) in zip(cover, move):
                     image[target] = _INVERSE_MASK[mask] if flip else mask
-                found = members(image, first=True)
+                found = self._relabeled_indices(image, limit, first=True)
                 if found:
                     a, b = find(c), find(rep_of[found.pop()])
                     root[max(a, b)] = min(a, b)
         return [c for c in classes if find(c) == c], [find(r) for r in rep_of]
+
+    def class_index(self, cover: Cover) -> int:
+        """An index of the cover's S3^n class: one found by
+        `_relabeled_indices` below `count`, not always the class's smallest.
+
+        The cover must have exactly the enumeration's slot count on every
+        pair, so full covers of this graph qualify; any other raises
+        CoverError.
+        """
+        mask = {pair: sum(1 << _PERM_ID[p] for p in perms)
+                for pair, perms in cover.matchings.items()}
+        if mask.keys() != set(self.pairs):
+            raise CoverError("cover pairs differ from the graph's")
+        found = self._relabeled_indices([mask[pair] for pair in self.pairs],
+                                        self.count, first=True)
+        if not found:
+            raise CoverError("cover is in no class of this enumeration")
+        return found.pop()
+
+    @cached_property
+    def _gauge(self) -> tuple[list[tuple], list[list[int]], Callable]:
+        """Built on first use and kept: the `_pinning_steps`, each pair's
+        choices as bit masks of perm ids, and `table(t, mask)`, the index
+        contribution of pair t for its ends' relabelings (a, b) at a * 6 + b.
+        A pairing the enumeration lacks contributes `count`, which pushes the
+        index past every limit."""
+        masks = [[sum(1 << _PERM_ID[p] for p in combo) for combo in opts]
+                 for opts in self.choices]
+        digit_of = [{mask: d for d, mask in enumerate(row)} for row in masks]
+        weights = []
+        weight = 1
+        for opts in reversed(self.choices):
+            weights.append(weight)
+            weight *= len(opts)
+        weights.reverse()
+        tables: dict[tuple[int, int], tuple[int, ...]] = {}
+
+        def table(t: int, mask: int) -> tuple[int, ...]:
+            if (t, mask) not in tables:
+                twists = [_TWIST[q] for q in range(6) if mask >> q & 1]
+                row = []
+                for ab in range(36):
+                    d = digit_of[t].get(sum(1 << twist[ab] for twist in twists))
+                    row.append(self.count if d is None else d * weights[t])
+                tables[t, mask] = tuple(row)
+            return tables[t, mask]
+
+        return self._pinning_steps(), masks, table
 
     def _pinning_steps(self) -> list[tuple]:
         """The plan `_relabeled_indices` follows: one step per BFS tree edge.
@@ -411,8 +439,8 @@ class CoverEnumeration:
                           tuple(place[v] for v in frontier)))
         return steps
 
-    def _relabeled_indices(self, steps: list[tuple], cover: list[int], limit: int,
-                           table, first: bool = False) -> set[int]:
+    def _relabeled_indices(self, cover: list[int], limit: int,
+                           first: bool = False) -> set[int]:
         """Indices below `limit` of the tree-pinned relabelings of a cover:
         all of them, or with `first` any one.
 
@@ -425,6 +453,7 @@ class CoverEnumeration:
         so its cost is bounded by the distinct states, not by the
         6 * product(tree slot counts) relabelings they stand for.
         """
+        steps, _, table = self._gauge
         work = [(x_at, [_INVERSE[q] if down else q
                         for q in range(6) if cover[tree_pair] >> q & 1],
                  [(table(t, cover[t]), u_at, v_at) for t, u_at, v_at in reads], keep)

@@ -482,6 +482,10 @@ def gen_family(kind: str, m: Optional[int] = None,
 # Text format
 # ---------------------------------------------------------------------------
 
+_LINE_FORMS = {"vertices": "vertices N", "edge": "edge U V MULT",
+               "rho": "rho V {3|4|6}", "basepoint": "basepoint V {0|1|2}"}
+
+
 def parse_graph(text: str) -> tuple[Multigraph, PotentialAssignment]:
     """Parse the line-oriented graph format.
 
@@ -500,6 +504,8 @@ def parse_graph(text: str) -> tuple[Multigraph, PotentialAssignment]:
         fields = line.split()
         word = fields[0].lower()
         try:
+            if word in _LINE_FORMS and len(fields) != len(_LINE_FORMS[word].split()):
+                raise GraphFormatError(f"expected {_LINE_FORMS[word]!r}")
             if word == "vertices":
                 if n is not None:
                     raise GraphFormatError("duplicate vertices line")
@@ -512,7 +518,7 @@ def parse_graph(text: str) -> tuple[Multigraph, PotentialAssignment]:
                 bp_over[int(fields[1])] = int(fields[2])
             else:
                 raise GraphFormatError(f"unknown directive {word!r}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise GraphFormatError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
     if n is None:
         raise GraphFormatError("missing vertices line")

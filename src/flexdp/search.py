@@ -21,6 +21,17 @@ the representatives into chunks; chunks carry only immutable tuples and return
 their values in order, and one merge keeps the first index attaining the
 minimum.  Chunks depend only on the graph, so output and LP count are
 identical for any job count.
+
+The theorem check reuses these answers for every graph with a leaf.  A
+pendant vertex changes no cover's epsilon*, so such a graph's values are
+those of its 2-core (`two_core`), which is an earlier row: connected, with
+fewer vertices, the same multiplicity cap and mad no larger.  The graphs
+without a leaf are searched first, as above, in one wave; then each graph
+with a leaf scans its own indices in order and reads each cover's value off
+its core's row, through a vertex map onto the row's graph and
+`CoverEnumeration.class_index`.  It builds no representatives, and only a
+class its core's row left unknown (skipped, or past the budget) is
+evaluated.
 """
 from __future__ import annotations
 
@@ -129,17 +140,33 @@ class WorstCoverReport:
     per_class_values: Optional[tuple[tuple[Cover, Fraction], ...]] = None
 
 
+def _class_value(g: Multigraph, cover: Cover, best: Fraction
+                 ) -> tuple[Optional[Fraction], int]:
+    """epsilon* of one cover, or None when it cannot fall below `best`, and
+    the number of epsilon* queries made (0 or 1).
+
+    A cover whose uniform floor is 1/3 or 0 takes that value without a
+    query: epsilon* lies between the floor and 1/3, and a floor of 0 is a
+    listed color no coloring uses.  A floor of at least `best` gives None.
+    Otherwise the query solves its LP over the floor's enumeration of the
+    colorings, so each call enumerates them once.
+    """
+    value, query = _floor_and_query(g, cover)
+    if not 0 < value < THIRD:
+        return value, 0
+    if value >= best:
+        return None, 0
+    return query().epsilon_star, 1
+
+
 def _eps_chunk(task: tuple) -> tuple[list[Optional[Fraction]], int]:
     """Worker: epsilon* of the given cover classes of one graph, in order,
     and the number of epsilon* queries made.
 
-    A class whose uniform floor is 1/3 or 0 takes that value without a
-    query: epsilon* lies between the floor and 1/3, and a floor of 0 is a
-    listed color no coloring uses.  Without `keep`, a class whose floor is
-    at least the minimum found so far in this chunk gets None: an earlier
-    index already attains a value no larger, so neither the minimum nor its
-    first index can change.  The colorings are enumerated once per class;
-    a query solves its LP over the floor's enumeration.
+    Each class goes through `_class_value`.  Without `keep`, its `best` is
+    the minimum found so far in this chunk, so a skipped class (None) has
+    an earlier index attaining a value no larger: neither the minimum nor
+    its first index can change.
     """
     n, edges, indices, keep = task
     g = Multigraph(n, edges)
@@ -148,30 +175,30 @@ def _eps_chunk(task: tuple) -> tuple[list[Optional[Fraction]], int]:
     best = THIRD                    # the smallest value found so far, if lower
     queries = 0
     for i in indices:
-        cover = enum.at(i)
-        value, query = _floor_and_query(g, cover)
-        if 0 < value < THIRD:
-            if value >= best and not keep:
-                values.append(None)
-                continue
-            value = query().epsilon_star
-            queries += 1
-        best = min(best, value)
+        value, query = _class_value(g, enum.at(i), THIRD if keep else best)
+        queries += query
+        if value is not None:
+            best = min(best, value)
         values.append(value)
     return values, queries
 
 
+# per graph: minimum, first index attaining it, orbits, queries, each
+# index's representative, and each representative's value (None: skipped)
+Minimum = tuple[Fraction, int, int, int, list[int], dict[int, Optional[Fraction]]]
+
+
 def _class_minima(enums: Sequence[tuple[CoverEnumeration, int]], jobs: int,
-                  keep: bool
-                  ) -> list[tuple[Fraction, int, int, int, Optional[list[Fraction]]]]:
+                  keep: bool) -> list[Minimum]:
     """Minimum epsilon* over the first `evaluated` cover classes of each graph.
 
     Only the representatives from `CoverEnumeration.representatives` are
     evaluated, and only those that `_eps_chunk` cannot settle by their
     uniform floor get an epsilon* query.  Returns, per (enumeration,
     evaluated) pair, the minimum, the first index that attains it, the
-    number of representatives (the orbit count), the number of queries, and
-    with `keep` every index's value in index order.  The representatives
+    number of representatives (the orbit count), the number of queries,
+    `rep_of` from `representatives`, and each representative's value, None
+    where it was skipped; with `keep` none is.  The representatives
     are cut into chunks of CHUNK that run in a process pool when jobs > 1;
     chunk results are merged in task order, skipped classes (None) are
     ignored, and the chunks do not depend on the job count, so neither does
@@ -198,7 +225,7 @@ def _class_minima(enums: Sequence[tuple[CoverEnumeration, int]], jobs: int,
         best = min(v for v in value.values() if v is not None)
         first = next(i for i in reps if value[i] == best)
         minima.append((best, first, len(reps), sum(q for _, q in parts),
-                       [value[r] for r in rep_of] if keep else None))
+                       rep_of, value))
     return minima
 
 
@@ -215,12 +242,93 @@ def min_epsilon_over_covers(g: Multigraph, budget: int = DEFAULT_BUDGET,
     """
     enum = CoverEnumeration(g)
     evaluated = min(enum.count, budget)
-    [(best, best_index, orbits, queries, values)] = _class_minima(
+    [(best, best_index, orbits, queries, rep_of, value)] = _class_minima(
         [(enum, evaluated)], jobs, per_class)
-    per_class_values = None if values is None else \
-        tuple((enum.at(i), eps) for i, eps in enumerate(values))
+    per_class_values = tuple((enum.at(i), value[r]) for i, r in enumerate(rep_of)) \
+        if per_class else None
     return WorstCoverReport(best, enum.at(best_index), evaluated == enum.count,
                             enum.count, evaluated, orbits, queries, per_class_values)
+
+
+# ---------------------------------------------------------------------------
+# Pendant vertices: a graph's minimum is its 2-core's
+# ---------------------------------------------------------------------------
+
+def two_core(g: Multigraph) -> list[int]:
+    """The vertices of a connected g's 2-core, in increasing order.
+
+    Vertices of multigraph degree 1 are peeled until none is left
+    (Batagelj and Zaversnik 2003), or until one vertex is, which happens
+    exactly when g is a tree.  Each peeled vertex has one simple edge to
+    the rest, so epsilon*(G, H) = epsilon*(G - v, H - v) for every cover H:
+    restriction gives <=, and giving v one of the two colors its
+    neighbour's color leaves, uniformly, gives >= (`gadgets.gadget_pendent`).
+    """
+    degree = [g.degree(v) for v in range(g.n)]
+    alive = set(range(g.n))
+    leaves = [v for v in range(g.n) if degree[v] == 1]
+    while leaves and len(alive) > 1:
+        v = leaves.pop()
+        alive.remove(v)
+        for u in g.neighbors(v):
+            if u in alive:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    leaves.append(u)
+    return sorted(alive)
+
+
+def _core_row(g: Multigraph, core: Sequence[int]) -> tuple[str, dict[int, int]]:
+    """The canonical code of g's subgraph on `core`, and a map from `core`
+    onto the vertices of the graph whose own multiplicity vector is that
+    code (the relabeling that attains the code)."""
+    pairs = _relabelings(len(core))[0]
+    vec, order = min((tuple(g.multiplicity(t[a], t[b]) for a, b in pairs), t)
+                     for t in permutations(core))
+    return _code(len(core), vec), {v: a for a, v in enumerate(order)}
+
+
+def _moved(cover: Cover, phi: dict[int, int]) -> Cover:
+    """The cover's matchings between the vertices `phi` maps, carried along
+    it; a pair whose ends swap order takes the inverse permutations."""
+    matchings = {}
+    for (u, v), perms in cover.matchings.items():
+        if u in phi and v in phi:
+            a, b = phi[u], phi[v]
+            matchings[min(a, b), max(a, b)] = perms if a < b else \
+                tuple(tuple(p.index(c) for c in range(3)) for p in perms)
+    return Cover(matchings)
+
+
+def _from_core(enum: CoverEnumeration, evaluated: int, phi: dict[int, int],
+               core_enum: CoverEnumeration, core_evaluated: int,
+               core: Minimum) -> tuple[Fraction, int, int, int]:
+    """The minimum over a graph's first `evaluated` classes, read off its
+    2-core's row: the minimum, its first index, the classes evaluated and
+    the queries made.
+
+    Index i takes the value of the core's class of `enum.at(i)` moved by
+    `phi`.  A class the core's row left unknown (skipped, or past its
+    budget) goes through `_class_value` on the moved cover, with the
+    minimum found so far as `best`.  The scan stops once the minimum
+    reaches a lower bound: the core's minimum when the core's row is
+    complete, else 0.
+    """
+    core_best, _, _, _, rep_of, known = core
+    lower = core_best if core_evaluated == core_enum.count else 0
+    best, first, orbits, queries = Fraction(1), 0, 0, 0
+    for i in range(evaluated):
+        cover = _moved(enum.at(i), phi)
+        j = core_enum.class_index(cover)
+        value = known[rep_of[j]] if j < core_evaluated else None
+        if value is None:
+            value, query = _class_value(core_enum.g, cover, best)
+            orbits, queries = orbits + 1, queries + query
+        if value is not None and value < best:
+            best, first = value, i
+            if best == lower:
+                break
+    return best, first, orbits, queries
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +337,15 @@ def min_epsilon_over_covers(g: Multigraph, budget: int = DEFAULT_BUDGET,
 
 @dataclass(frozen=True)
 class GraphRow:
+    """One graph of `theorem_check`.
+
+    `orbits` counts the cover classes the row evaluated (one enumeration of
+    the colorings each) and `queries` the epsilon* LPs it solved.  A row
+    without a leaf evaluates one representative per orbit; a row with a
+    leaf reads its values off its 2-core's row, so both are 0 unless that
+    row left a class unknown.
+    """
+
     code: str
     vertex_count: int
     mad: Fraction
@@ -237,8 +354,8 @@ class GraphRow:
     witness_hash: str
     classes: int
     status: str                     # ok | exception | counterexample | skipped
-    orbits: int                     # orbits among the evaluated classes
-    queries: int                    # epsilon* queries made for the orbits
+    orbits: int                     # classes the row evaluated
+    queries: int                    # epsilon* LPs the row solved
 
 
 @dataclass(frozen=True)
@@ -285,6 +402,11 @@ def theorem_check(max_vertices: int, max_multiplicity: int, jobs: int = 1,
     graph comes from `enumerate_connected_multigraphs`, so its own
     multiplicity vector is its code.  The vertex cap is DESK_CAP at the
     given multiplicity.
+
+    Graphs without a leaf are searched first, in the pool when jobs > 1.
+    Each graph with a leaf is then answered in this process from its
+    2-core's row (`_from_core`), so the output is the same for any job
+    count; a core with no row is a bug and raises RuntimeError.
     """
     if max_multiplicity not in DESK_CAP:
         raise ValueError(f"max_multiplicity {max_multiplicity} outside 0..2")
@@ -299,11 +421,23 @@ def theorem_check(max_vertices: int, max_multiplicity: int, jobs: int = 1,
             kept.append((_code(g.n, _own_vector(g)), g, density))
 
     enums = [CoverEnumeration(g) for _, g, _ in kept]
-    minima = _class_minima([(enum, min(enum.count, budget)) for enum in enums],
-                           jobs, False)
+    limits = [min(enum.count, budget) for enum in enums]
+    cores = [two_core(g) for _, g, _ in kept]
+    wave = [k for k, (_, g, _) in enumerate(kept) if len(cores[k]) == g.n]
+    minima = dict(zip(wave, _class_minima([(enums[k], limits[k]) for k in wave],
+                                          jobs, False)))
+    row_of = {kept[k][0]: k for k in wave}
     rows = []
-    for (code, g, density), enum, (best, best_index, orbits, queries, _) in zip(
-            kept, enums, minima):
+    for k, ((code, g, density), enum) in enumerate(zip(kept, enums)):
+        if k in minima:
+            best, best_index, orbits, queries, _, _ = minima[k]
+        else:
+            core_code, phi = _core_row(g, cores[k])
+            if core_code not in row_of:
+                raise RuntimeError(f"the 2-core {core_code} of {code} is not a row")
+            c = row_of[core_code]
+            best, best_index, orbits, queries = _from_core(
+                enum, limits[k], phi, enums[c], limits[c], minima[c])
         found = find_I_subgraph(g)
         if budget < enum.count:
             status = "skipped"

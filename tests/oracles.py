@@ -379,6 +379,31 @@ def connected_multigraph_classes(max_vertices: int, max_mult: int) -> set:
 # Random instance generators (seeded by the caller)
 # ---------------------------------------------------------------------------
 
+def two_core_by_brute_force(g: Multigraph) -> list[int]:
+    """The largest vertex set whose induced subgraph has minimum multigraph
+    degree at least 2, found by scanning every subset; [0] when there is
+    none (a tree), as any single vertex is then what peeling leaves."""
+    best: list[int] = []
+    for mask in range(1, 1 << g.n):
+        subset = [v for v in range(g.n) if mask >> v & 1]
+        if len(subset) > len(best) and all(
+                sum(g.multiplicity(v, w) for w in subset) >= 2 for v in subset):
+            best = subset
+    return best or [0]
+
+
+def with_pendant_trees(rng: random.Random, g: Multigraph,
+                       extra: int) -> Multigraph:
+    """g with `extra` new vertices, each joined by one simple edge to a
+    random earlier vertex, the new ones placed at random labels."""
+    n = g.n + extra
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[u], label[v], m) for u, v, m in g.edge_items()]
+    edges += [(label[rng.randrange(v)], label[v], 1) for v in range(g.n, n)]
+    return Multigraph(n, edges)
+
+
 def random_multigraph(rng: random.Random, max_n: int = 5,
                       max_mult: int = 2) -> Multigraph:
     """1..max_n vertices, each pair an edge of multiplicity 1..max_mult with

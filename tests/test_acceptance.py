@@ -3,6 +3,7 @@
 Every numeric assertion is exact rational equality or an exact inequality;
 the only tolerances are the stated wall-clock budgets.
 """
+import hashlib
 import random
 import time
 from fractions import Fraction as Q
@@ -109,11 +110,20 @@ def test_criterion_06_desk_scale_theorem_check():
             else:
                 assert row.epsilon_min >= Q(1, 5)
     assert flagged >= 1  # the doubled triangle and its extensions
+    graphs = len(multi.rows) + len(simple5.rows)
+    # the next scale: the TSVs of the runs that first checked it
+    for (max_vertices, max_mult), digest in [
+            ((5, 2), "5bcd9205426ecd9af20e4ad3aed03f25609b373c6ff63700c52d7d2acbd73b71"),
+            ((6, 1), "b4428832cb0e11dbe294feb9cf5ff0afdebb34958a922ce51c7fc8b3d7143d92")]:
+        larger = theorem_check(max_vertices, max_mult, jobs=JOBS)
+        assert not larger.counterexamples and not larger.skipped
+        assert hashlib.sha256(larger.to_tsv().encode()).hexdigest() == digest
+        graphs += len(larger.rows)
     elapsed = time.monotonic() - start
     assert elapsed < 1800
-    graphs = len(multi.rows) + len(simple5.rows)
     report(6, f"{graphs} sparse graphs checked (<=4 vertices mult<=2, "
-              f"5-vertex simple): no counterexamples, {flagged} flagged "
+              f"5-vertex simple, then <=5 mult<=2 and <=6 simple): "
+              f"no counterexamples, {flagged} flagged "
               f"inflexible-family graphs all at epsilon_min = 0, none "
               f"skipped ({elapsed:.0f}s, jobs={JOBS})")
 

@@ -131,6 +131,22 @@ def test_malformed_input_is_usage_error(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("line, form", [
+    ("edge 0 1", "edge U V MULT"),
+    ("rho 0", "rho V {3|4|6}"),
+    ("basepoint 1 2 0", "basepoint V {0|1|2}"),
+])
+def test_short_or_long_line_names_its_form(tmp_path, capsys, line, form):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"vertices 2\n{line}\n")
+    code, _, err = invoke(capsys, "mad", str(bad))
+    assert code == 2
+    assert err.strip().endswith(f": line 2: {line!r}: expected {form!r}")
+    bad.write_text("vertices\n")
+    code, _, err = invoke(capsys, "mad", str(bad))
+    assert code == 2 and err.strip().endswith("expected 'vertices N'")
+
+
 def test_empty_graph_worst_is_usage_error(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("vertices 0\n")

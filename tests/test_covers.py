@@ -11,7 +11,7 @@ from flexdp.covers import (IDENTITY, SWAP01, Cover, CoverEnumeration,
 from flexdp.graphs import Multigraph, gen_family, mad
 from flexdp.search import enumerate_connected_multigraphs
 from oracles import all_full_covers, automorphisms, cover_form, \
-    orbit_canonical_form, random_connected_multigraph, \
+    orbit_canonical_form, random_connected_multigraph, random_cover, \
     relabeling_canonical_form, relabeling_orbit
 
 from fractions import Fraction as Q
@@ -154,6 +154,38 @@ class TestEnumeration:
                     brute_classes += 1
                     seen |= relabeling_orbit(g, c)
             assert len(ours) == brute_classes
+
+
+class TestClassIndex:
+    def test_lands_in_the_cover_class(self):
+        """A random per-vertex relabeling of a random cover is sent to an
+        index of the cover's own S3^n class."""
+        rng = random.Random(82)
+        for _ in range(60):
+            g = random_connected_multigraph(rng, max_n=4, max_mult=3)
+            enum = CoverEnumeration(g)
+            cover = random_cover(rng, g)
+            form = relabeling_canonical_form(g, cover)
+            relabeled = Cover(dict(rng.choice(sorted(relabeling_orbit(g, cover)))))
+            index = enum.class_index(relabeled)
+            assert 0 <= index < enum.count
+            assert relabeling_canonical_form(g, enum.at(index)) == form
+
+    def test_agrees_with_rep_of_on_every_42_index(self):
+        for g in enumerate_connected_multigraphs(4, 2):
+            if mad(g) >= 3:
+                continue
+            enum = CoverEnumeration(g)
+            _, rep_of = enum.representatives(enum.count)
+            assert all(rep_of[enum.class_index(enum.at(i))] == rep_of[i]
+                       for i in range(enum.count))
+
+    def test_rejects_a_cover_of_another_shape(self):
+        enum = CoverEnumeration(Multigraph(3, [(0, 1, 2), (1, 2, 1)]))
+        for cover in (Cover({(0, 1): (IDENTITY,), (1, 2): (IDENTITY,)}),
+                      Cover({(0, 1): (IDENTITY, SWAP01)})):
+            with pytest.raises(CoverError):
+                enum.class_index(cover)
 
 
 class TestRepresentatives:

@@ -11,16 +11,18 @@ from pathlib import Path
 import pytest
 
 from flexdp import search
-from flexdp.covers import CoverEnumeration, full_lists, straight_cover
-from flexdp.flexibility import epsilon_star
+from flexdp.covers import Cover, CoverEnumeration, full_lists, straight_cover
+from flexdp.flexibility import epsilon_star, uniform_floor
 from flexdp.graphs import Multigraph, PotentialAssignment, gen_family, mad
-from flexdp.search import (BudgetExceeded, canonical_code, criticality_check,
-                           enumerate_connected_multigraphs, gap_audit,
-                           is_flexible, min_epsilon_over_covers, theorem_check)
+from flexdp.search import (BudgetExceeded, canonical_code, cover_hash,
+                           criticality_check, enumerate_connected_multigraphs,
+                           gap_audit, is_flexible, min_epsilon_over_covers,
+                           theorem_check, two_core)
 from oracles import (canonical_code_by_permutations, colorings_by_brute_force,
                      connected_multigraph_classes, epsilon_every_index,
                      min_epsilon_every_index, random_connected_multigraph,
-                     random_multigraph)
+                     random_cover, random_multigraph, two_core_by_brute_force,
+                     with_pendant_trees)
 
 
 class TestCanonicalCode:
@@ -201,9 +203,9 @@ class TestOrbitRepresentatives:
     # sha256 of the TSVs written by the full per-index scan this replaced
     @pytest.mark.parametrize("max_vertices, max_mult, digest, classes, orbits", [
         (4, 2, "b24cd72fb9ef2bafa55b475c1997e9e055513c1ffcace3171bd7b42fed246edb",
-         289, 76),
+         289, 42),
         (5, 1, "4dede60e0964be7ae7dc7c9660ff7876a51366bcc1f0d83a651e2ef5967546fe",
-         920, 157),
+         920, 116),
     ])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_tsv_unchanged_by_the_orbit_cut(self, max_vertices, max_mult,
@@ -238,7 +240,7 @@ class TestOrbitRepresentatives:
         serial = theorem_check(4, 2, jobs=1).to_tsv()
         monkeypatch.setattr(search, "ProcessPoolExecutor", Recorder)
         assert theorem_check(4, 2, jobs=1000).to_tsv() == serial
-        assert calls == [(23, 23)]
+        assert calls == [(10, 10)]
 
 
 def _skip_cases() -> list:
@@ -276,9 +278,10 @@ class TestLpSkip:
             assert report.queries <= per_class.queries <= report.orbits
 
     @pytest.mark.parametrize("max_vertices, max_mult, solves, queries",
-                             [(4, 2, 25, 25), (5, 1, 81, 81)])
+                             [(4, 2, 16, 16), (5, 1, 66, 66)])
     def test_lp_count(self, monkeypatch, max_vertices, max_mult, solves, queries):
-        """73 and 157 LPs before the skip; every query solves an LP, since a
+        """73 and 157 LPs before the skip, 25 and 81 before the rows with a
+        leaf were read off their cores; every query solves an LP, since a
         floor of 0 (a color no coloring uses) is settled without a query."""
         from flexdp import flexibility
         solved = []
@@ -294,11 +297,12 @@ class TestLpSkip:
         assert sum(r.queries for r in report.rows) == queries
 
     @pytest.mark.parametrize("max_vertices, max_mult, orbits",
-                             [(4, 2, 76), (5, 1, 157)])
+                             [(4, 2, 42), (5, 1, 116)])
     def test_one_enumeration_per_orbit(self, monkeypatch, max_vertices,
                                        max_mult, orbits):
         """A query builds its LP from the colorings its uniform floor
-        enumerated: one enumeration per orbit, not one more per query."""
+        enumerated: one enumeration per evaluated class, not one more per
+        query.  Rows with a leaf evaluate none here."""
         from flexdp import flexibility
         calls = []
         original = flexibility.enumerate_colorings
@@ -311,6 +315,128 @@ class TestLpSkip:
         report = theorem_check(max_vertices, max_mult)
         assert sum(r.orbits for r in report.rows) == orbits
         assert len(calls) == orbits
+
+
+class TestTwoCore:
+    def test_peel_and_the_pendant_fact(self):
+        """On random multigraphs with pendant trees hung on: the peel finds
+        the brute-force 2-core, every cover has the epsilon* of its
+        restriction to the core, and the core's uniform floor is no lower."""
+        rng = random.Random(81)
+        covers = trees = 0
+        while covers < 200:
+            g = with_pendant_trees(
+                rng, random_connected_multigraph(rng, max_n=4, max_mult=2),
+                rng.randint(0, 3))
+            core, oracle = two_core(g), two_core_by_brute_force(g)
+            if len(oracle) == 1:
+                trees += 1
+                assert len(core) == 1
+            else:
+                assert core == oracle
+            k = g.induced(core)
+            place = {v: i for i, v in enumerate(core)}
+            for _ in range(4):
+                h = random_cover(rng, g)
+                hk = Cover({(place[u], place[v]): perms
+                            for (u, v), perms in h.matchings.items()
+                            if u in place and v in place})
+                assert epsilon_star(g, h).epsilon_star == \
+                    epsilon_star(k, hk).epsilon_star
+                assert uniform_floor(k, hk) >= uniform_floor(g, h)
+                covers += 1
+        assert trees
+
+    def test_core_row_is_the_canonical_code(self):
+        """The map onto the code's graph keeps every multiplicity."""
+        rng = random.Random(83)
+        for _ in range(60):
+            g = with_pendant_trees(
+                rng, random_connected_multigraph(rng, max_n=5, max_mult=2),
+                rng.randint(0, 2))
+            core = two_core(g)
+            code, phi = search._core_row(g, core)
+            assert code == canonical_code(g.induced(core))
+            row = _graph_of(code)
+            assert sorted(phi) == core and sorted(phi.values()) == list(range(len(core)))
+            assert all(g.multiplicity(u, v) == row.multiplicity(phi[u], phi[v])
+                       for u, v in combinations(core, 2))
+
+
+def _graph_of(code: str) -> Multigraph:
+    """The graph whose own multiplicity vector is the code."""
+    n, vec = code.split(":")
+    return Multigraph(int(n), [(u, v, int(m)) for (u, v), m in zip(
+        combinations(range(int(n)), 2), vec.split(",") if vec else ()) if int(m)])
+
+
+def _leaf_graphs(max_vertices: int, max_mult: int) -> list[Multigraph]:
+    return [g for g in enumerate_connected_multigraphs(max_vertices, max_mult)
+            if mad(g) < 3 and len(two_core(g)) < g.n]
+
+
+class TestLeafRows:
+    @pytest.mark.parametrize("max_vertices, max_mult, leaves",
+                             [(4, 2, 13), (5, 1, 14), (5, 2, 47)])
+    def test_match_every_index_oracle(self, max_vertices, max_mult, leaves):
+        """A row with a leaf, read off its 2-core's row, has the minimum and
+        first witness of a per-index scan of its own covers, and evaluates
+        no class of its own."""
+        rows = {r.code: r for r in theorem_check(max_vertices, max_mult).rows}
+        graphs = _leaf_graphs(max_vertices, max_mult)
+        assert len(graphs) == leaves
+        for g in graphs:
+            enum = CoverEnumeration(g)
+            best, first = min_epsilon_every_index(g, enum.count)
+            row = rows[canonical_code(g)]
+            assert (row.epsilon_min, row.witness_hash) == \
+                (best, cover_hash(enum.at(first)))
+            assert row.orbits == row.queries == 0
+
+    def test_missing_core_row_raises(self, monkeypatch):
+        monkeypatch.setattr(search, "_core_row", lambda g, core: ("0:", {}))
+        with pytest.raises(RuntimeError, match="is not a row"):
+            theorem_check(3, 1)
+
+    # sha256 of the TSVs of the budget-cut runs before leaf rows were read
+    # off their cores
+    BUDGET_CUTS = [
+        (4, 2, 2, "fc494268b1ad46f77d2862d68781fc688dc88c556f17ff592abd5f1dbaa8141a"),
+        (4, 2, 7, "36d0a34a170649af7fc2c1e160ab8c5dc48dc1aa6d76f51b2db5846b634d6511"),
+        (5, 1, 10, "ef1df3056695f51b6409e4cdfeff2974888a0bfbcce8e96573d353c2407ad5b2"),
+        (5, 2, 20, "be169c4695382aaf9c61252a488e1b19604327ea7f3522ab56310887b0fb3944"),
+    ]
+
+    def test_any_cut_matches_every_index_oracle(self):
+        """Every (4,2) leaf graph, its first 1, 3 or all classes read off
+        its core's row cut at every budget or complete: the minimum and
+        first index of a per-index scan of those classes."""
+        for g in _leaf_graphs(4, 2):
+            enum = CoverEnumeration(g)
+            code, phi = search._core_row(g, two_core(g))
+            core_enum = CoverEnumeration(_graph_of(code))
+            for core_limit in range(1, core_enum.count + 1):
+                [core] = search._class_minima([(core_enum, core_limit)], 1, False)
+                for limit in sorted({1, min(3, enum.count), enum.count}):
+                    best, first, _, _ = search._from_core(
+                        enum, limit, phi, core_enum, core_limit, core)
+                    assert (best, first) == min_epsilon_every_index(g, limit)
+
+    def test_budget_cut_tsv_pinned(self):
+        """The runs reach leaf rows cut by the budget whose core's row is
+        complete, and leaf rows cut with their core's row.  No leaf row
+        here has fewer classes than its core's, so none is complete with
+        its core's row cut: the test above covers that case."""
+        cases = set()
+        for max_vertices, max_mult, budget, digest in self.BUDGET_CUTS:
+            report = theorem_check(max_vertices, max_mult, budget=budget)
+            assert hashlib.sha256(report.to_tsv().encode()).hexdigest() == digest
+            classes = {r.code: r.classes for r in report.rows}
+            for g in _leaf_graphs(max_vertices, max_mult):
+                core = canonical_code(g.induced(two_core(g)))
+                cases.add((classes[canonical_code(g)] > budget,
+                           classes[core] > budget))
+        assert {(True, False), (True, True)} <= cases
 
 
 class TestTheoremCheck:
