@@ -406,6 +406,10 @@ class CoverEnumeration:
 
         return self._pinning_steps(), masks, table
 
+    def __getstate__(self) -> dict:
+        """Without `_gauge`, which holds a closure; a copy builds its own."""
+        return {k: v for k, v in self.__dict__.items() if k != "_gauge"}
+
     def _pinning_steps(self) -> list[tuple]:
         """The plan `_relabeled_indices` follows: one step per BFS tree edge.
 

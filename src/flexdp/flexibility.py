@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .colorings import (Coloring, ColoringDistribution, _colorings_of_valid_cover,
                         enumerate_colorings)
@@ -19,6 +19,7 @@ from .lp import LinearProgram, LpInternalError, solve
 from .rationals import json_rat
 
 Q = Fraction
+THIRD = Q(1, 3)     # the largest epsilon* there is
 
 
 class InadmissibleDistribution(ValueError):
@@ -87,19 +88,15 @@ def _feasible_support(columns: Sequence, rows) -> Optional[list]:
     return [(col, x) for col, x in zip(columns, outcome.primal) if x != 0]
 
 
-def epsilon_star(g: Multigraph, cover: Cover,
-                 lists: Optional[ListAssignment] = None,
-                 shortcut: bool = True) -> FlexReport:
-    """max eps s.t. some distribution gives every listed color marginal >= eps.
+def epsilon_star(g: Multigraph, cover: Cover, shortcut: bool = True) -> FlexReport:
+    """max eps s.t. some distribution gives every color marginal >= eps.
 
     Returns eps* = 0 with a flagged report when the cover admits no coloring
     at all, which composes with minimisation over covers.  With `shortcut`
-    a listed color missing from every coloring yields eps* = 0 without an
-    LP solve; the certificate is the unit request on that color.
+    a color missing from every coloring yields eps* = 0 without an LP
+    solve; the certificate is the unit request on that color.
     """
-    if lists is None:
-        lists = full_lists(g.n)
-    return _epsilon_report(*_marginal_columns(g, cover, lists), shortcut)
+    return _epsilon_report(*_marginal_columns(g, cover, full_lists(g.n)), shortcut)
 
 
 def _epsilon_report(colorings: list[Coloring],
@@ -133,6 +130,14 @@ def _epsilon_report(colorings: list[Coloring],
     return FlexReport(outcome.value, True, dist, request)
 
 
+def _floor(g: Multigraph, cover: Cover
+           ) -> tuple[Fraction, list[Coloring], dict[tuple[int, int], list[int]]]:
+    """`uniform_floor(g, cover)`, with the colorings and `_support` it read."""
+    colorings, where = _marginal_columns(g, cover, full_lists(g.n))
+    floor = Q(min(map(len, where.values())), len(colorings)) if colorings else Q(0)
+    return floor, colorings, where
+
+
 def uniform_floor(g: Multigraph, cover: Cover) -> Fraction:
     """Smallest full-list marginal of the uniform distribution over the
     cover's colorings, 0 when there is none.
@@ -141,18 +146,26 @@ def uniform_floor(g: Multigraph, cover: Cover) -> Fraction:
     and since the three marginals at a vertex sum to 1, epsilon* <= 1/3, so
     a floor of 1/3 is epsilon* itself.
     """
-    return _floor_and_query(g, cover)[0]
+    return _floor(g, cover)[0]
 
 
-def _floor_and_query(g: Multigraph, cover: Cover
-                     ) -> tuple[Fraction, Callable[[], FlexReport]]:
-    """`uniform_floor(g, cover)`, and a call that returns
-    `epsilon_star(g, cover)` from the same enumeration of the colorings:
-    worst-cover search reads the floor of every cover and solves the LP
-    only for the covers the floor does not settle."""
-    colorings, where = _marginal_columns(g, cover, full_lists(g.n))
-    floor = Q(min(map(len, where.values())), len(colorings)) if colorings else Q(0)
-    return floor, lambda: _epsilon_report(colorings, where, True)
+def epsilon_below(g: Multigraph, cover: Cover, best: Fraction
+                  ) -> tuple[Optional[Fraction], int]:
+    """`epsilon_star(g, cover).epsilon_star`, or None when it cannot fall
+    below `best`, and the number of LPs solved (0 or 1).
+
+    A uniform floor of 1/3 or 0 is epsilon* without an LP: epsilon* lies
+    between the floor and 1/3, and a floor of 0 is a listed color no
+    coloring uses.  A floor of at least `best` gives None.  Otherwise one
+    LP is solved over the floor's enumeration of the colorings, so each
+    call enumerates them once.
+    """
+    floor, colorings, where = _floor(g, cover)
+    if not 0 < floor < THIRD:
+        return floor, 0
+    if floor >= best:
+        return None, 0
+    return _epsilon_report(colorings, where, True).epsilon_star, 1
 
 
 def fractional_packing(g: Multigraph, cover: Cover) -> Optional[ColoringDistribution]:

@@ -26,14 +26,18 @@ class GadgetError(ValueError):
 class GadgetMatrix:
     """Columns are conditional distributions over the row events.
 
-    A column whose input event has probability zero is never selected; such
-    columns are all-zero and are skipped by the stochasticity check.
+    Construction validates the matrix.  A column whose input event has
+    probability zero is never selected; such columns are all-zero and are
+    skipped by the stochasticity check.
     """
 
     entries: tuple[tuple[Fraction, ...], ...]
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     col_weights: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def output(self) -> tuple[Fraction, ...]:
         """The marginal row distribution A . p."""
@@ -55,15 +59,17 @@ class GadgetMatrix:
                     f"zero-probability column {self.col_labels[j]} not zeroed")
 
 
-def _fractions(values: Sequence) -> tuple[Fraction, ...]:
-    return tuple(Q(v) for v in values)
-
-
-def _check_simplex(p: tuple[Fraction, ...]) -> None:
+def _simplex_point(values: Sequence, size: int) -> tuple[Fraction, ...]:
+    """The values as Fractions, checked to be a point of the simplex in
+    `size` dimensions."""
+    p = tuple(Q(v) for v in values)
+    if len(p) != size:
+        raise GadgetError(f"expected {size} probabilities")
     if sum(p, Q(0)) != 1:
         raise GadgetError(f"input must sum to 1, got {sum(p, Q(0))}")
     if any(x < 0 for x in p):
         raise GadgetError("input has a negative entry")
+    return p
 
 
 def gadget_pendent(p: Sequence) -> GadgetMatrix:
@@ -73,10 +79,7 @@ def gadget_pendent(p: Sequence) -> GadgetMatrix:
     where q_i = (5 p_i - 1)/2 lies in [0,1]).  The zero diagonal keeps the
     pendant color off its neighbor's color.
     """
-    p = _fractions(p)
-    if len(p) != 3:
-        raise GadgetError("expected 3 probabilities")
-    _check_simplex(p)
+    p = _simplex_point(p, 3)
     q = [(5 * x - 1) / 2 for x in p]
     if any(not 0 <= qi <= 1 for qi in q):
         raise GadgetError(f"q = {q} leaves [0,1]; p must lie in [1/5, 3/5]^3")
@@ -88,10 +91,8 @@ def gadget_pendent(p: Sequence) -> GadgetMatrix:
         (tenth * (1 + 2 * q1 + q2) / p1, Q(0), tenth * (q2 + 2 * q3) / p3),
         (tenth * (3 * q1 + q3) / p1, tenth * (3 * q2 + 2 * q3) / p2, Q(0)),
     )
-    m = GadgetMatrix(entries, ("color0", "color1", "color2"),
-                     ("nbr0", "nbr1", "nbr2"), p)
-    m.validate()
-    return m
+    return GadgetMatrix(entries, ("color0", "color1", "color2"),
+                        ("nbr0", "nbr1", "nbr2"), p)
 
 
 def gadget_butterfly(p: Sequence) -> GadgetMatrix:
@@ -100,10 +101,7 @@ def gadget_butterfly(p: Sequence) -> GadgetMatrix:
     Rows are the five colorings of the three gadget vertices; the column
     zero pattern keeps the middle vertex off the attachment color.
     """
-    p = _fractions(p)
-    if len(p) != 3:
-        raise GadgetError("expected 3 probabilities")
-    _check_simplex(p)
+    p = _simplex_point(p, 3)
     q = [Q(5, 2) * x - Q(1, 2) for x in p]
     if any(qi < 0 for qi in q):
         raise GadgetError(f"q = {q} has a negative entry; p needs entries >= 1/5")
@@ -119,11 +117,8 @@ def gadget_butterfly(p: Sequence) -> GadgetMatrix:
         bottom,
         bottom,
     )
-    m = GadgetMatrix(entries,
-                     ("mid0", "mid0'", "mid1", "mid2", "mid2'"),
-                     ("nbr0", "nbr1", "nbr2"), p)
-    m.validate()
-    return m
+    return GadgetMatrix(entries, ("mid0", "mid0'", "mid1", "mid2", "mid2'"),
+                        ("nbr0", "nbr1", "nbr2"), p)
 
 
 def gadget_one_positive(p: Sequence) -> GadgetMatrix:
@@ -133,10 +128,7 @@ def gadget_one_positive(p: Sequence) -> GadgetMatrix:
     [0,1]; the entry bound is what lets the rule compose with a tree
     packing step downstream.
     """
-    p = _fractions(p)
-    if len(p) != 3:
-        raise GadgetError("expected 3 probabilities")
-    _check_simplex(p)
+    p = _simplex_point(p, 3)
     q = [10 * x - 3 for x in p]
     if any(not 0 <= qi <= 1 for qi in q):
         raise GadgetError(f"q = {q} leaves [0,1]; p must lie in [3/10, 2/5]^3")
@@ -148,10 +140,8 @@ def gadget_one_positive(p: Sequence) -> GadgetMatrix:
         (tenth * (1 + q1 + q2) / p1, Q(0), tenth * (1 + q3) / p3),
         (tenth * (1 + q1 + q3) / p1, tenth * (1 + q2) / p2, Q(0)),
     )
-    m = GadgetMatrix(entries, ("color0", "color1", "color2"),
-                     ("nbr0", "nbr1", "nbr2"), p)
-    m.validate()
-    return m
+    return GadgetMatrix(entries, ("color0", "color1", "color2"),
+                        ("nbr0", "nbr1", "nbr2"), p)
 
 
 PARALLEL3_COLUMNS = ("(1,2)", "(2,1)", "(1,3)", "(2,3)", "(3,1)", "(3,2)")
@@ -182,7 +172,7 @@ def _parallel3_check(p: tuple[Fraction, ...]) -> None:
 
 def normalize_parallel3(p: Sequence) -> tuple[Fraction, ...]:
     """Apply the two label swaps that establish the symmetry normalizations."""
-    p12, p21, p13, p23, p31, p32 = _fractions(p)
+    p12, p21, p13, p23, p31, p32 = map(Q, p)
     if p31 + p32 < p13 + p23:
         p12, p21 = p21, p12
         p13, p23, p31, p32 = p31, p32, p13, p23
@@ -202,10 +192,7 @@ def gadget_parallel3(p: Sequence) -> tuple[str, GadgetMatrix]:
     Denominators are positive throughout the feasible region, so no
     zero-probability event is ever conditioned on.
     """
-    p = _fractions(p)
-    if len(p) != 6:
-        raise GadgetError("expected 6 probabilities")
-    _check_simplex(p)
+    p = _simplex_point(p, 6)
     _parallel3_check(p)
     p12, p21, p13, p23, p31, p32 = p
     two_fifths = Q(2, 5)
@@ -247,9 +234,7 @@ def gadget_parallel3(p: Sequence) -> tuple[str, GadgetMatrix]:
             (zero, zero, spill, spill, zero, zero),
             (zero, share, zero, zero, zero, zero),
         )
-    m = GadgetMatrix(entries, PARALLEL3_ROWS, PARALLEL3_COLUMNS, p)
-    m.validate()
-    return case, m
+    return case, GadgetMatrix(entries, PARALLEL3_ROWS, PARALLEL3_COLUMNS, p)
 
 
 # ---------------------------------------------------------------------------
@@ -297,31 +282,18 @@ def selftest(samples: int, seed: int) -> dict[str, dict]:
     rng = random.Random(seed)
     report: dict[str, dict] = {}
 
-    fifth = Q(1, 5)
-    passed = 0
-    for _ in range(samples):
-        m = gadget_pendent(sample_simplex(rng, 3, fifth))
-        if m.output() == (Q(2, 5), Q(3, 10), Q(3, 10)) and all(
-                m.entries[i][i] == 0 for i in range(3)):
-            passed += 1
-    report["pendent"] = {"passed": passed, "samples": samples}
-
-    passed = 0
-    for _ in range(samples):
-        m = gadget_butterfly(sample_simplex(rng, 3, fifth))
-        if m.output() == (fifth,) * 5:
-            passed += 1
-    report["butterfly"] = {"passed": passed, "samples": samples}
-
-    passed = 0
-    third = Q(1, 3)
-    for _ in range(samples):
-        m = gadget_one_positive(sample_simplex(rng, 3, Q(3, 10)))
-        ok = m.output() == (Q(2, 5), Q(3, 10), Q(3, 10))
-        ok = ok and all(x == 0 or x >= third for row in m.entries for x in row)
-        if ok:
-            passed += 1
-    report["one_positive"] = {"passed": passed, "samples": samples}
+    fifth, third = Q(1, 5), Q(1, 3)
+    rule = (Q(2, 5), Q(3, 10), Q(3, 10))
+    for name, gadget, floor, check in (
+            ("pendent", gadget_pendent, fifth, lambda m: m.output() == rule
+             and all(m.entries[i][i] == 0 for i in range(3))),
+            ("butterfly", gadget_butterfly, fifth,
+             lambda m: m.output() == (fifth,) * 5),
+            ("one_positive", gadget_one_positive, Q(3, 10), lambda m: m.output() == rule
+             and all(x == 0 or x >= third for row in m.entries for x in row))):
+        passed = sum(1 for _ in range(samples)
+                     if check(gadget(sample_simplex(rng, 3, floor))))
+        report[name] = {"passed": passed, "samples": samples}
 
     probes = [PARALLEL3_CASE_PROBES[c] for c in ("a", "b", "c", "c'")]
     passed = 0

@@ -232,10 +232,7 @@ def _check_assignment(g: Multigraph, pa: PotentialAssignment) -> None:
 def potential(g: Multigraph, pa: PotentialAssignment, subset: Iterable[int]) -> int:
     """Sum of rho over the subset minus 4 times the edges inside it."""
     _check_assignment(g, pa)
-    s = set(subset)
-    for v in s:
-        if not (0 <= v < g.n):
-            raise GraphError(f"vertex {v} out of range")
+    s = g._vertex_set(subset)
     return sum(pa.rho[v] for v in s) - 4 * g.edges_within(s)
 
 

@@ -16,11 +16,11 @@ is always evaluated.  Before any LP, a representative's uniform floor
 floor is 1/3 or 0, which is then epsilon*, or, when only the minimum is
 wanted, when the floor is at least the minimum already found in its chunk;
 every other representative gets an epsilon* LP, built from the colorings
-its floor enumerated (`flexibility._floor_and_query`).  Parallel runs split
-the representatives into chunks; chunks carry only immutable tuples and return
-their values in order, and one merge keeps the first index attaining the
-minimum.  Chunks depend only on the graph, so output and LP count are
-identical for any job count.
+its floor enumerated (`flexibility.epsilon_below`).  Parallel runs split
+the representatives into chunks; a chunk carries the graph's enumeration
+and returns its values in order, and one merge keeps the first index
+attaining the minimum.  Chunks depend only on the graph, so output and LP
+count are identical for any job count.
 
 The theorem check reuses these answers for every graph with a leaf.  A
 pendant vertex changes no cover's epsilon*, so such a graph's values are
@@ -47,7 +47,7 @@ from typing import Iterator, Optional, Sequence
 from .covers import Cover, CoverEnumeration, serialize_cover, trivial_list_distribution
 # `epsilon_star` is not called here; it stays a name of this module because
 # perfbench's tracer wraps `search.epsilon_star`.
-from .flexibility import _floor_and_query, epsilon_star, framework_feasible
+from .flexibility import THIRD, epsilon_below, epsilon_star, framework_feasible
 from .graphs import Multigraph, PotentialAssignment, find_I_subgraph, mad, potential
 from .rationals import rat_str
 
@@ -57,7 +57,6 @@ DESK_CAP = {0: 7, 1: 7, 2: 5}  # most vertices per max multiplicity
 GAP_AUDIT_CAP = 20  # the audit visits all 2^n - 1 subsets
 DEFAULT_BUDGET = 10 ** 6
 CHUNK = 32
-THIRD = Q(1, 3)     # the largest epsilon* there is
 
 I_SEMANTICS_NOTE = ("inflexible-family detection matches the alternating "
                     "doubled-edge cycle with >= required multiplicity on "
@@ -77,21 +76,23 @@ def cover_hash(cover: Cover) -> str:
 # ---------------------------------------------------------------------------
 
 @cache
-def _relabelings(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[itemgetter, ...]]:
-    """K_n's vertex pairs, and one itemgetter per way a vertex relabeling
-    can move them: applied to a multiplicity vector over the pairs, it
-    returns the relabeled graph's vector.
+def _relabelings(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[itemgetter, ...],
+                                  tuple[tuple[int, ...], ...]]:
+    """K_n's vertex pairs, one itemgetter per way a vertex relabeling can
+    move them, and the first relabeling p (in `permutations` order) behind
+    each: applied to a multiplicity vector, its getter returns the vector
+    that holds at each pair (u, v) the entry of (p[u], p[v]).
 
     Below 3 vertices no relabeling moves a pair, so there are no getters;
     that also keeps out `itemgetter` of one index, which returns a scalar.
     """
     pairs = tuple(combinations(range(n), 2))
     index = {pair: i for i, (u, v) in enumerate(pairs) for pair in ((u, v), (v, u))}
-    identity = tuple(range(len(pairs)))
-    images = dict.fromkeys(tuple(index[p[u], p[v]] for u, v in pairs)
-                           for p in permutations(range(n)))
-    return pairs, tuple(itemgetter(*image) for image in images
-                        if image != identity)
+    moved: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for p in permutations(range(n)):
+        moved.setdefault(tuple(index[p[u], p[v]] for u, v in pairs), p)
+    del moved[tuple(range(len(pairs)))]
+    return pairs, tuple(itemgetter(*image) for image in moved), tuple(moved.values())
 
 
 def _code(n: int, vec: Sequence[int]) -> str:
@@ -116,7 +117,7 @@ def enumerate_connected_multigraphs(max_vertices: int,
     """Connected multigraphs up to isomorphism, in (vertex count, code) order:
     each class once, as the graph whose own multiplicity vector is its code."""
     for n in range(1, max_vertices + 1):
-        pairs, maps = _relabelings(n)
+        pairs, maps, _ = _relabelings(n)
         for vec in product(range(max_multiplicity + 1), repeat=len(pairs)):
             if all(m(vec) >= vec for m in maps):
                 g = Multigraph(n, [(u, v, k) for (u, v), k in zip(pairs, vec) if k])
@@ -140,42 +141,22 @@ class WorstCoverReport:
     per_class_values: Optional[tuple[tuple[Cover, Fraction], ...]] = None
 
 
-def _class_value(g: Multigraph, cover: Cover, best: Fraction
-                 ) -> tuple[Optional[Fraction], int]:
-    """epsilon* of one cover, or None when it cannot fall below `best`, and
-    the number of epsilon* queries made (0 or 1).
-
-    A cover whose uniform floor is 1/3 or 0 takes that value without a
-    query: epsilon* lies between the floor and 1/3, and a floor of 0 is a
-    listed color no coloring uses.  A floor of at least `best` gives None.
-    Otherwise the query solves its LP over the floor's enumeration of the
-    colorings, so each call enumerates them once.
-    """
-    value, query = _floor_and_query(g, cover)
-    if not 0 < value < THIRD:
-        return value, 0
-    if value >= best:
-        return None, 0
-    return query().epsilon_star, 1
-
-
 def _eps_chunk(task: tuple) -> tuple[list[Optional[Fraction]], int]:
     """Worker: epsilon* of the given cover classes of one graph, in order,
     and the number of epsilon* queries made.
 
-    Each class goes through `_class_value`.  Without `keep`, its `best` is
+    Each class goes through `epsilon_below`.  Without `keep`, its `best` is
     the minimum found so far in this chunk, so a skipped class (None) has
     an earlier index attaining a value no larger: neither the minimum nor
-    its first index can change.
+    its first index can change.  The task carries the graph's enumeration
+    itself; a pool pickles it without its cached gauge tables.
     """
-    n, edges, indices, keep = task
-    g = Multigraph(n, edges)
-    enum = CoverEnumeration(g)
+    enum, indices, keep = task
     values: list[Optional[Fraction]] = []
     best = THIRD                    # the smallest value found so far, if lower
     queries = 0
     for i in indices:
-        value, query = _class_value(g, enum.at(i), THIRD if keep else best)
+        value, query = epsilon_below(enum.g, enum.at(i), THIRD if keep else best)
         queries += query
         if value is not None:
             best = min(best, value)
@@ -209,7 +190,7 @@ def _class_minima(enums: Sequence[tuple[CoverEnumeration, int]], jobs: int,
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     scans = [enum.representatives(evaluated) for enum, evaluated in enums]
-    tasks = [(enum.g.n, enum.g.edge_items(), tuple(reps[lo:lo + CHUNK]), keep)
+    tasks = [(enum, tuple(reps[lo:lo + CHUNK]), keep)
              for (enum, _), (reps, _) in zip(enums, scans)
              for lo in range(0, len(reps), CHUNK)]
     if jobs > 1 and len(tasks) > 1:
@@ -281,11 +262,12 @@ def two_core(g: Multigraph) -> list[int]:
 def _core_row(g: Multigraph, core: Sequence[int]) -> tuple[str, dict[int, int]]:
     """The canonical code of g's subgraph on `core`, and a map from `core`
     onto the vertices of the graph whose own multiplicity vector is that
-    code (the relabeling that attains the code)."""
-    pairs = _relabelings(len(core))[0]
-    vec, order = min((tuple(g.multiplicity(t[a], t[b]) for a, b in pairs), t)
-                     for t in permutations(core))
-    return _code(len(core), vec), {v: a for a, v in enumerate(order)}
+    code (the first relabeling in `_relabelings` order that attains it)."""
+    pairs, maps, perms = _relabelings(len(core))
+    vec = tuple(g.multiplicity(core[a], core[b]) for a, b in pairs)
+    code, p = min([(vec, range(len(core)))]
+                  + [(m(vec), p) for m, p in zip(maps, perms)], key=itemgetter(0))
+    return _code(len(core), code), {core[x]: a for a, x in enumerate(p)}
 
 
 def _moved(cover: Cover, phi: dict[int, int]) -> Cover:
@@ -309,7 +291,7 @@ def _from_core(enum: CoverEnumeration, evaluated: int, phi: dict[int, int],
 
     Index i takes the value of the core's class of `enum.at(i)` moved by
     `phi`.  A class the core's row left unknown (skipped, or past its
-    budget) goes through `_class_value` on the moved cover, with the
+    budget) goes through `epsilon_below` on the moved cover, with the
     minimum found so far as `best`.  The scan stops once the minimum
     reaches a lower bound: the core's minimum when the core's row is
     complete, else 0.
@@ -322,7 +304,7 @@ def _from_core(enum: CoverEnumeration, evaluated: int, phi: dict[int, int],
         j = core_enum.class_index(cover)
         value = known[rep_of[j]] if j < core_evaluated else None
         if value is None:
-            value, query = _class_value(core_enum.g, cover, best)
+            value, query = epsilon_below(core_enum.g, cover, best)
             orbits, queries = orbits + 1, queries + query
         if value is not None and value < best:
             best, first = value, i
@@ -464,8 +446,10 @@ def is_flexible(g: Multigraph, pa: PotentialAssignment, eps: Fraction,
 
     Only defined when no vertex has rho = 3: the empty list distribution is
     not an h-list distribution otherwise.  Disconnected graphs are handled
-    component by component.
+    component by component.  A budget below 1 raises ValueError.
     """
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     if pa.pi(3):
         raise ValueError("flexibility with the empty list distribution "
                          "requires rho values in {4,6}")

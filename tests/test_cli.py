@@ -301,6 +301,25 @@ def test_critical_budget_exhausted_exit_3(tmp_path, capsys):
     assert "verdict" not in out and err.startswith("budget exhausted:")
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_critical_budget_below_one_is_usage_error(tmp_path, capsys, budget):
+    graph = tmp_path / "c2.txt"
+    run(["gen", "c2", "--out", str(graph)])
+    code, out, err = invoke(capsys, "critical", str(graph), "--epsilon", "1/5",
+                            "--budget", budget)
+    assert code == 2 and out == ""
+    assert err == "error: budget must be at least 1\n"
+
+
+def test_perfbench_smoke_check_passes():
+    """The benchmark harness still finds every name its tracer wraps."""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "smoke check passed" in done.stdout
+
+
 def test_worst_budget_cut_exits_3(tmp_path, capsys):
     graph = tmp_path / "k4.txt"
     run(["gen", "k4", "--out", str(graph)])

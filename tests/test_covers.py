@@ -1,4 +1,5 @@
 """Cover validation, the adversarial covers, and class enumeration."""
+import pickle
 import random
 from itertools import combinations
 
@@ -186,6 +187,18 @@ class TestClassIndex:
                       Cover({(0, 1): (IDENTITY, SWAP01)})):
             with pytest.raises(CoverError):
                 enum.class_index(cover)
+
+    def test_pickles_with_its_gauge_built(self):
+        """Pool tasks carry enumerations whose lookup tables are built."""
+        g = Multigraph(4, [(0, 1, 2), (1, 2, 1), (2, 3, 1), (0, 3, 1), (0, 2, 1)])
+        enum = CoverEnumeration(g)
+        enum.representatives(enum.count)
+        assert "_gauge" in vars(enum)
+        copy = pickle.loads(pickle.dumps(enum))
+        assert "_gauge" not in vars(copy)
+        assert all(copy.at(i) == enum.at(i) for i in range(enum.count))
+        for count in (1, 17, enum.count):
+            assert copy.representatives(count) == enum.representatives(count)
 
 
 class TestRepresentatives:

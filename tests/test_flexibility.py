@@ -184,6 +184,27 @@ class TestFractionalPacking:
             for cover in CoverEnumeration(g):
                 assert fractional_packing(g, cover) is not None
 
+    def test_witnesses_pinned_on_every_42_index(self):
+        """Every cover index of every (4,2) graph with mad < 3: 289 covers,
+        115 of which pack; the witnesses themselves are pinned."""
+        from flexdp.covers import CoverEnumeration
+        from flexdp.graphs import mad
+        from flexdp.search import enumerate_connected_multigraphs
+        digest = hashlib.sha256()
+        covers = packed = 0
+        for g in enumerate_connected_multigraphs(4, 2):
+            if mad(g) >= 3:
+                continue
+            enum = CoverEnumeration(g)
+            for i in range(enum.count):
+                witness = fractional_packing(g, enum.at(i))
+                digest.update(repr(witness).encode())
+                covers += 1
+                packed += witness is not None
+        assert (covers, packed) == (289, 115)
+        assert digest.hexdigest() == \
+            "d333e63015ab726c23b78f72475df38b63ec8fb1c605ef80655312df712101f8"
+
 
 class TestBoxDistribution:
     def test_path_with_pinned_middle(self):

@@ -316,6 +316,23 @@ class TestLpSkip:
         assert sum(r.orbits for r in report.rows) == orbits
         assert len(calls) == orbits
 
+    @pytest.mark.parametrize("max_vertices, max_mult, kept",
+                             [(4, 2, 23), (5, 1, 25)])
+    def test_one_cover_enumeration_per_graph(self, monkeypatch, max_vertices,
+                                             max_mult, kept):
+        """Serial chunks use the caller's enumeration instead of building
+        their own."""
+        built = []
+        original = CoverEnumeration.__init__
+
+        def counting(self, g):
+            built.append(g)
+            original(self, g)
+
+        monkeypatch.setattr(CoverEnumeration, "__init__", counting)
+        report = theorem_check(max_vertices, max_mult)
+        assert len(report.rows) == len(built) == kept
+
 
 class TestTwoCore:
     def test_peel_and_the_pendant_fact(self):
