@@ -103,12 +103,11 @@ def tree_pack_2cover(tree: Multigraph, cover: Cover,
                      lists: ListAssignment) -> tuple[Coloring, Coloring]:
     """Two disjoint colorings of a tree jointly covering all listed colors.
 
-    Each tree edge carries one matching; restricted to the 2-lists it pins
-    zero, one, or two color pairs.  The pinned pairs are extended to a
-    bijection between the endpoint lists (unmatched colors are compatible
-    with everything, so any extension is safe), after which the two
-    colorings propagate from the root by always taking the color the
-    bijection does not force out.
+    The root takes its list in order.  Down the BFS tree, the parent's two
+    colors block two different colors at the child, since its one matching
+    is a bijection, and they cannot both miss the child's 2-list, which
+    leaves one color outside it.  So exactly one order of the child's list
+    avoids both blocked colors, and the child takes that order.
     """
     if not tree.is_connected() or tree.edge_total() != tree.n - 1:
         raise ColoringError("input is not a tree")
@@ -116,42 +115,21 @@ def tree_pack_2cover(tree: Multigraph, cover: Cover,
     if any(len(colors) != 2 for colors in lists):
         raise ColoringError("tree packing needs 2-lists everywhere")
     assert_valid(tree, cover)
-    bijection: dict[tuple[int, int], dict[int, int]] = {}
     for u, v in tree.pairs():
-        slots = cover.slots(u, v)
-        if len(slots) != 1:
+        if len(cover.slots(u, v)) != 1:
             raise ColoringError(f"tree pair ({u},{v}) must carry exactly one matching")
-        perm = slots[0]
-        beta: dict[int, int] = {}
-        for a in lists[u]:
-            if perm[a] in lists[v]:
-                beta[a] = perm[a]
-        free_u = [a for a in lists[u] if a not in beta]
-        free_v = [b for b in lists[v] if b not in beta.values()]
-        for a, b in zip(free_u, free_v):
-            beta[a] = b
-        bijection[(u, v)] = beta
-
-    phi1 = [-1] * tree.n
-    phi2 = [-1] * tree.n
-    root = 0
-    phi1[root], phi2[root] = lists[root]
-    stack = [root]
-    seen = {root}
-    while stack:
-        u = stack.pop()
-        for v in tree.neighbors(u):
-            if v in seen:
-                continue
-            seen.add(v)
-            if u < v:
-                forward = bijection[(u, v)]
-            else:
-                forward = {b: a for a, b in bijection[(v, u)].items()}
-            for phi in (phi1, phi2):
-                blocked = forward[phi[u]]
-                phi[v] = next(c for c in lists[v] if c != blocked)
-            stack.append(v)
+    order, parent = tree.bfs()
+    phi1, phi2 = [-1] * tree.n, [-1] * tree.n
+    phi1[0], phi2[0] = lists[0]
+    for v in order[1:]:
+        u = parent[v]
+        (perm,) = cover.slots(u, v)
+        # color c at u blocks block(c) at v; perm runs from the smaller end
+        block = perm.__getitem__ if u < v else perm.index
+        first, second = lists[v]
+        if first == block(phi1[u]) or second == block(phi2[u]):
+            first, second = second, first
+        phi1[v], phi2[v] = first, second
     return tuple(phi1), tuple(phi2)
 
 

@@ -119,14 +119,10 @@ def straight_cover(g: Multigraph) -> Cover:
 # The adversarial covers of the tight families
 # ---------------------------------------------------------------------------
 
-def _require_same_graph(g: Multigraph, expected: Multigraph, kind: str) -> None:
-    if g != expected:
-        raise CoverError(f"graph does not match the {kind} generator layout")
-
-
 def tight_cover(kind: str, g: Multigraph, m: Optional[int] = None,
                 chains: Optional[Sequence[int]] = None) -> Cover:
-    """The cover that witnesses the family's tightness.
+    """The cover that witnesses the family's tightness: the straight cover
+    of the family's graph, with the s kind's chain exits swapped.
 
     im  -- identities on the cycle, swap(0,1) added on every doubled pair;
            under it the last cycle vertex can never receive color 2.
@@ -137,38 +133,27 @@ def tight_cover(kind: str, g: Multigraph, m: Optional[int] = None,
     c2x -- identity plus swap(0,1) on the doubled pair, giving the doubled
            edge plus 4-cycle shape on colors.
     h5  -- identities plus swap(0,1) on the doubled base of the house.
+
+    `g` must be the graph `gen_family` builds for the kind (c2 for c2x).
     """
     from .graphs import gen_family
 
     kind = kind.lower()
-    if kind in ("im", "jm"):
-        if m is None:
-            m = (g.n - 1) // 2 if kind == "im" else (g.n - 3) // 2
-        _require_same_graph(g, gen_family(kind, m)[0], kind)
-        return Cover({(u, v): (IDENTITY, SWAP01) if g.multiplicity(u, v) == 2
-                      else (IDENTITY,) for u, v in g.pairs()})
+    if kind not in ("im", "jm", "s", "c2x", "h5"):
+        raise CoverError(f"unknown cover kind {kind!r}")
+    if kind == "s" and chains is None:
+        raise CoverError("the s kind needs the chain lengths used to generate the graph")
+    if m is None and kind in ("im", "jm"):
+        m = (g.n - 1) // 2 if kind == "im" else (g.n - 3) // 2
+    if g != gen_family("c2" if kind == "c2x" else kind, m, chains)[0]:
+        raise CoverError(f"graph does not match the {kind} generator layout")
+    matchings = dict(straight_cover(g).matchings)
     if kind == "s":
-        if chains is None:
-            raise CoverError("the s kind needs the chain lengths used to generate the graph")
-        _require_same_graph(g, gen_family("s", chains=chains)[0], "s")
-        matchings = {pair: (IDENTITY,) for pair in g.pairs()}
-        next_vertex = 2 * len(chains) + 1
+        exit_vertex = 2 * len(chains)  # last cycle vertex; a diamond adds 3
         for j, t in enumerate(chains):
-            exit_vertex = next_vertex + 3 * t - 1
-            next_vertex += 3 * t
-            pair = tuple(sorted((exit_vertex, 2 * j + 1)))
-            matchings[pair] = (SWAP01,)
-        return Cover(matchings)
-    if kind == "c2x":
-        if g != Multigraph(2, [(0, 1, 2)]):
-            raise CoverError("c2x expects the doubled edge on two vertices")
-        return Cover({(0, 1): (IDENTITY, SWAP01)})
-    if kind == "h5":
-        _require_same_graph(g, gen_family("h5")[0], "h5")
-        matchings = {pair: (IDENTITY,) for pair in g.pairs()}
-        matchings[(0, 1)] = (IDENTITY, SWAP01)
-        return Cover(matchings)
-    raise CoverError(f"unknown cover kind {kind!r}")
+            exit_vertex += 3 * t
+            matchings[(2 * j + 1, exit_vertex)] = (SWAP01,)
+    return Cover(matchings)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ charges are nonpositive" fail for the input, it reports which ones.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graphs import Multigraph, PotentialAssignment, potential, sigma
@@ -56,28 +55,22 @@ def conductively_connected(g: Multigraph, pa: PotentialAssignment,
     """
     if u == v:
         raise ValueError("conductive connectivity needs two distinct vertices")
-    return _connected_through(g, _conductive(classify(g, pa)), u, v)
+    return v in _reach(g, classify(g, pa).classes, u)
 
 
-def _conductive(classification: VertexClassification) -> frozenset[int]:
-    return frozenset(w for w, cls in enumerate(classification.classes)
-                     if cls == "conductive")
-
-
-def _connected_through(g: Multigraph, conductive: frozenset[int],
-                       u: int, v: int) -> bool:
-    """BFS from u to v whose internal vertices all lie in `conductive`."""
-    queue = deque([u])
-    seen = {u}
-    while queue:
-        x = queue.popleft()
-        for y in g.neighbors(x):
-            if y == v:
-                return True
-            if y in conductive and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return False
+def _reach(g: Multigraph, classes: tuple[str, ...], u: int) -> set[int]:
+    """The vertices joined to u by a path whose internal vertices are all
+    conductive: the neighbours of u and of every conductive vertex so
+    reached.  The relation is symmetric, as a path reads both ways."""
+    reach: set[int] = set()
+    stack, expanded = [u], {u}
+    while stack:
+        for y in g.neighbors(stack.pop()):
+            reach.add(y)
+            if classes[y] == "conductive" and y not in expanded:
+                expanded.add(y)
+                stack.append(y)
+    return reach
 
 
 @dataclass(frozen=True)
@@ -101,42 +94,39 @@ def run_discharging(g: Multigraph, pa: PotentialAssignment) -> DischargeReport:
     Every vertex with sigma >= 1 gives charge 1 to each negative vertex it
     is conductively connected with.  The sum of final charges always equals
     the potential of the whole vertex set; "all final charges <= 0" only
-    follows when the reported assumptions hold.
+    follows when the reported assumptions hold.  Each positive vertex's
+    `_reach` set is found once; the transfer and the three audits read it.
     """
     classification = classify(g, pa)
-    conductive = _conductive(classification)
     charges = classification.sigma
     positives = [v for v, s in enumerate(charges) if s >= 1]
     negatives = [v for v, s in enumerate(charges) if s < 0]
     insulated = [v for v, cls in enumerate(classification.classes)
                  if cls == "insulated"]
 
+    reach = {p: _reach(g, classification.classes, p) for p in positives}
     sent = [0] * g.n
     received = [0] * g.n
-    reach: dict[int, list[int]] = {}
     for p in positives:
-        targets = [w for w in negatives
-                   if _connected_through(g, conductive, p, w)]
-        reach[p] = targets
-        sent[p] = len(targets)
-        for w in targets:
-            received[w] += 1
+        for w in negatives:
+            if w in reach[p]:
+                sent[p] += 1
+                received[w] += 1
     final = tuple(charges[v] - sent[v] + received[v] for v in range(g.n))
 
     violations: list[str] = []
     for i, p in enumerate(positives):
         for p2 in positives[i + 1:]:
-            if _connected_through(g, conductive, p, p2):
+            if p2 in reach[p]:
                 violations.append(
                     f"positive vertices {p} and {p2} are conductively connected")
     for p in positives:
-        if len(reach[p]) < charges[p]:
+        if sent[p] < charges[p]:
             violations.append(
                 f"positive vertex {p} (charge {charges[p]}) reaches only "
-                f"{len(reach[p])} negative vertices")
+                f"{sent[p]} negative vertices")
     for w in insulated:
-        connected_positives = sum(
-            1 for p in positives if _connected_through(g, conductive, w, p))
+        connected_positives = sum(1 for p in positives if w in reach[p])
         if connected_positives > -charges[w]:
             violations.append(
                 f"insulated vertex {w} is reached by {connected_positives} "

@@ -107,10 +107,7 @@ class Multigraph:
         """Remove v and reindex the remaining vertices densely."""
         if not (0 <= v < self.n):
             raise GraphError(f"vertex {v} out of range")
-        remap = {w: (w if w < v else w - 1) for w in range(self.n) if w != v}
-        edges = [(remap[a], remap[b], m) for (a, b), m in self._mult.items()
-                 if a != v and b != v]
-        return Multigraph(self.n - 1, edges)
+        return self.induced([w for w in range(self.n) if w != v])
 
     def delete_one_edge(self, u: int, v: int) -> "Multigraph":
         """Decrement the multiplicity of pair {u,v} by one."""

@@ -36,7 +36,6 @@ evaluated.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -180,10 +179,11 @@ def _class_minima(enums: Sequence[tuple[CoverEnumeration, int]], jobs: int,
     number of representatives (the orbit count), the number of queries,
     `rep_of` from `representatives`, and each representative's value, None
     where it was skipped; with `keep` none is.  The representatives
-    are cut into chunks of CHUNK that run in a process pool when jobs > 1;
-    chunk results are merged in task order, skipped classes (None) are
-    ignored, and the chunks do not depend on the job count, so neither does
-    the output.  A budget or job count below 1 raises ValueError.
+    are cut into chunks of CHUNK that run in a process pool when jobs > 1
+    (the pool's module is imported only then); chunk results are merged in
+    task order, skipped classes (None) are ignored, and the chunks do not
+    depend on the job count, so neither does the output.  A budget or job
+    count below 1 raises ValueError.
     """
     if any(evaluated < 1 for _, evaluated in enums):
         raise ValueError("budget must be at least 1")
@@ -194,6 +194,7 @@ def _class_minima(enums: Sequence[tuple[CoverEnumeration, int]], jobs: int,
              for (enum, _), (reps, _) in zip(enums, scans)
              for lo in range(0, len(reps), CHUNK)]
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunks = list(pool.map(_eps_chunk, tasks))
     else:

@@ -415,3 +415,22 @@ def test_stdout_pipe_closed_early_exits_2_silently(tmp_path):
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("argv", [["flex"], ["critical", "--epsilon", "1/5"]])
+def test_input_too_deep_to_recurse_is_usage_error(tmp_path, argv):
+    """A 1,100-vertex path sends the coloring backtrack past Python's
+    recursion limit: one error line and exit 2, not a traceback."""
+    n = 1100
+    graph = tmp_path / "path.txt"
+    graph.write_text(f"vertices {n}\n"
+                     + "".join(f"edge {v} {v + 1} 1\n" for v in range(n - 1)))
+    src = str(Path(flexdp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flexdp.cli", argv[0], str(graph), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

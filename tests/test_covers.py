@@ -72,6 +72,15 @@ class TestPaperCovers:
             last = 2 * m  # the vertex with two single cycle edges
             assert all(phi[last] != 2 for phi in enumerate_colorings(g, cover))
 
+    def test_doubled_pair_kinds_are_the_straight_cover(self):
+        """The im, jm, c2x and h5 tight covers put identity on every pair
+        and add swap(0,1) on the doubled ones, as the straight cover does."""
+        cases = [(kind, gen_family(kind, m)[0]) for kind in ("im", "jm")
+                 for m in range(1, 7)]
+        cases += [("c2x", gen_family("c2")[0]), ("h5", gen_family("h5")[0])]
+        for kind, g in cases:
+            assert tight_cover(kind, g) == straight_cover(g), (kind, g.n)
+
     def test_c2x_shape(self):
         g = Multigraph(2, [(0, 1, 2)])
         assert tight_cover("c2x", g).slots(0, 1) == (IDENTITY, SWAP01)

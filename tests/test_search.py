@@ -1,4 +1,5 @@
 """Worst-cover search, graph enumeration, theorem check, criticality, gap."""
+import concurrent.futures
 import hashlib
 import os
 import random
@@ -238,7 +239,7 @@ class TestOrbitRepresentatives:
                 return map(fn, tasks)
 
         serial = theorem_check(4, 2, jobs=1).to_tsv()
-        monkeypatch.setattr(search, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         assert theorem_check(4, 2, jobs=1000).to_tsv() == serial
         assert calls == [(10, 10)]
 
@@ -594,7 +595,8 @@ class TestGapAudit:
 
 def test_import_loads_only_the_modules_search_uses():
     """The package root re-exports nothing, so importing one module does
-    not load (and compile) the gadgets, the discharging rules or the CLI."""
+    not load (and compile) the gadgets, the discharging rules or the CLI;
+    nor does search load the process pool, which only jobs > 1 uses."""
     src = str(Path(search.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -605,3 +607,4 @@ def test_import_loads_only_the_modules_search_uses():
     loaded = set(proc.stdout.split())
     assert "flexdp.search" in loaded
     assert not loaded & {"flexdp.gadgets", "flexdp.discharging", "flexdp.cli"}
+    assert not loaded & {"concurrent.futures.process", "multiprocessing"}
