@@ -6,6 +6,7 @@ whose chosen colors avoid every matching slot of the cover.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from .covers import Cover, ListAssignment, assert_valid, full_lists
@@ -16,6 +17,8 @@ Q = Fraction
 
 Coloring = tuple[int, ...]
 ColoringDistribution = list[tuple[Coloring, Fraction]]
+
+ENUMERATION_CAP = 10 ** 7   # most colorings x vertices one enumeration holds
 
 
 class ColoringError(ValueError):
@@ -59,12 +62,22 @@ def enumerate_colorings(g: Multigraph, cover: Cover,
     """All colorings, duplicate-free, sorted lexicographically.
 
     Backtracking runs along a BFS order from vertex 0 so dense neighborhoods
-    prune early; the result list is sorted in vertex-index coordinates.
-    The cover is checked before the lists.
+    prune early, on an explicit stack, so depth is not bounded by Python's
+    recursion limit; the result list is sorted in vertex-index coordinates.
+    The cover is checked before the lists.  More than ENUMERATION_CAP
+    entries (colorings times vertices) raise ColoringError: a 1,100-vertex
+    path with full lists has 3 * 2^1099 colorings.
     """
     assert_valid(g, cover)
     return _colorings_of_valid_cover(g, cover,
                                      full_lists(g.n) if lists is None else lists)
+
+
+@cache
+def _choices(k: int, colors: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each mask f of forbidden colors, a (k, c) for each color c of
+    `colors` outside f: the entries to push for the k-th vertex placed."""
+    return tuple(tuple((k, c) for c in colors if not f >> c & 1) for f in range(8))
 
 
 def _colorings_of_valid_cover(g: Multigraph, cover: Cover,
@@ -72,25 +85,32 @@ def _colorings_of_valid_cover(g: Multigraph, cover: Cover,
     """`enumerate_colorings` for a cover the caller has already validated;
     the lists are still checked."""
     _check_lists(g, lists)
+    if g.n == 0:
+        return [()]
     order = g.bfs_order()
     tables = _conflict_tables(g, cover, order)
+    choices = [_choices(k, tuple(lists[v])) for k, v in enumerate(order)]
     result: list[Coloring] = []
     chosen = [0] * g.n
-
-    def place(k: int) -> None:
-        if k == g.n:
+    last = g.n - 1
+    most = ENUMERATION_CAP // g.n
+    # Popping (k, c) gives order[k] the color c and pushes the choices left
+    # for order[k + 1]; they are all popped before anything below them.
+    stack = list(choices[0][0])
+    while stack:
+        k, c = stack.pop()
+        chosen[order[k]] = c
+        if k == last:
             result.append(tuple(chosen))
-            return
-        v = order[k]
+            if len(result) > most:
+                raise ColoringError(f"more than {most} colorings of {g.n} "
+                                    f"vertices: input too large to enumerate")
+            continue
+        k += 1
         forbidden = 0
         for u, banned in tables[k]:
             forbidden |= banned[chosen[u]]
-        for c in lists[v]:
-            if not forbidden >> c & 1:
-                chosen[v] = c
-                place(k + 1)
-
-    place(0)
+        stack += choices[k][forbidden]
     result.sort()
     return result
 

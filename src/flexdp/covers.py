@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 from typing import Callable, Iterator, Optional, Sequence
 
-from .graphs import GraphFormatError, Multigraph
+from .graphs import GraphError, GraphFormatError, Multigraph, gen_family
 
 Q = Fraction
 
@@ -134,10 +134,10 @@ def tight_cover(kind: str, g: Multigraph, m: Optional[int] = None,
            edge plus 4-cycle shape on colors.
     h5  -- identities plus swap(0,1) on the doubled base of the house.
 
-    `g` must be the graph `gen_family` builds for the kind (c2 for c2x).
+    `g` must be the graph `gen_family` builds for the kind (c2 for c2x);
+    when `gen_family` builds none for these arguments, as for a graph too
+    small to infer m >= 1 from, the mismatch is a CoverError too.
     """
-    from .graphs import gen_family
-
     kind = kind.lower()
     if kind not in ("im", "jm", "s", "c2x", "h5"):
         raise CoverError(f"unknown cover kind {kind!r}")
@@ -145,7 +145,12 @@ def tight_cover(kind: str, g: Multigraph, m: Optional[int] = None,
         raise CoverError("the s kind needs the chain lengths used to generate the graph")
     if m is None and kind in ("im", "jm"):
         m = (g.n - 1) // 2 if kind == "im" else (g.n - 3) // 2
-    if g != gen_family("c2" if kind == "c2x" else kind, m, chains)[0]:
+    try:
+        family = gen_family("c2" if kind == "c2x" else kind, m, chains)[0]
+    except GraphError as exc:
+        raise CoverError(f"graph does not match the {kind} generator layout: "
+                         f"{exc}") from exc
+    if g != family:
         raise CoverError(f"graph does not match the {kind} generator layout")
     matchings = dict(straight_cover(g).matchings)
     if kind == "s":

@@ -2,7 +2,9 @@
 
 Everything is phrased as an exact LP over the enumerated colorings of a
 cover.  The dual multipliers of the marginal constraints are reported as
-the worst weighted request certifying the optimum.
+the worst weighted request certifying the optimum.  Only `epsilon_below`,
+the worst-cover search's query, settles most covers without an LP, by
+exact bounds and certificates of its own.
 """
 from __future__ import annotations
 
@@ -149,22 +151,65 @@ def uniform_floor(g: Multigraph, cover: Cover) -> Fraction:
     return _floor(g, cover)[0]
 
 
+def _six_colorings(n: int, colorings: Sequence[Coloring]) -> Optional[list[Coloring]]:
+    """Six of the colorings that, with weight 1/6 each, give every
+    (vertex, color) marginal exactly 1/3; None when the search finds none.
+
+    For a root r and each color c it looks for two colorings that give r
+    the color c and differ at every other vertex v, so miss one color
+    m_c(v) there.  When m_0(v), m_1(v) and m_2(v) differ at every v != r,
+    every color at v is used by exactly two of the six.  A coloring is a
+    bit mask over the 3n (vertex, color) pairs, so "differ off r" is one
+    AND and m_2 is looked up as the complement of m_0 | m_1.
+    """
+    masks = [sum(1 << 3 * v + c for v, c in enumerate(phi)) for phi in colorings]
+    full = (1 << 3 * n) - 1
+    for r in range(n):
+        off_r = full & ~(7 << 3 * r)
+        missed: list[dict[int, tuple[int, int]]] = []   # m_c -> one pair
+        for c in range(3):
+            group = [i for i, phi in enumerate(colorings) if phi[r] == c]
+            pairs: dict[int, tuple[int, int]] = {}
+            for x, i in enumerate(group):
+                a = masks[i]
+                for j in group[x + 1:]:
+                    if not a & masks[j] & off_r:
+                        pairs.setdefault(off_r & ~(a | masks[j]), (i, j))
+            if not pairs:
+                break
+            missed.append(pairs)
+        else:
+            for m0, first in missed[0].items():
+                for m1, second in missed[1].items():
+                    third = None if m0 & m1 else missed[2].get(off_r & ~(m0 | m1))
+                    if third is not None:
+                        return [colorings[i] for i in first + second + third]
+    return None
+
+
 def epsilon_below(g: Multigraph, cover: Cover, best: Fraction
                   ) -> tuple[Optional[Fraction], int]:
     """`epsilon_star(g, cover).epsilon_star`, or None when it cannot fall
     below `best`, and the number of LPs solved (0 or 1).
 
-    A uniform floor of 1/3 or 0 is epsilon* without an LP: epsilon* lies
-    between the floor and 1/3, and a floor of 0 is a listed color no
-    coloring uses.  A floor of at least `best` gives None.  Otherwise one
-    LP is solved over the floor's enumeration of the colorings, so each
-    call enumerates them once.
+    Each call enumerates the colorings once, for the uniform floor, and
+    settles the cover without an LP in three ways.  A floor of 1/3 or 0 is
+    epsilon*: epsilon* lies between the floor and 1/3, and a floor of 0 is
+    a listed color no coloring uses.  A floor of at least `best` gives
+    None.  Six colorings from `_six_colorings` give epsilon* = 1/3, after
+    their marginals are checked exactly.  Otherwise one LP is solved over
+    the floor's colorings.
     """
     floor, colorings, where = _floor(g, cover)
     if not 0 < floor < THIRD:
         return floor, 0
     if floor >= best:
         return None, 0
+    six = _six_colorings(g.n, colorings)
+    if six is not None:     # at weight 1/6 each, a marginal of 1/3 is two of six
+        if any(sum(phi[v] == c for phi in six) != 2 for v, c in where):
+            raise LpInternalError("six colorings failed their marginal check")
+        return THIRD, 0
     return _epsilon_report(colorings, where, True).epsilon_star, 1
 
 

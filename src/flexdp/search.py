@@ -15,12 +15,13 @@ is always evaluated.  Before any LP, a representative's uniform floor
 (`uniform_floor`, an exact lower bound on epsilon*) settles it when the
 floor is 1/3 or 0, which is then epsilon*, or, when only the minimum is
 wanted, when the floor is at least the minimum already found in its chunk;
-every other representative gets an epsilon* LP, built from the colorings
-its floor enumerated (`flexibility.epsilon_below`).  Parallel runs split
-the representatives into chunks; a chunk carries the graph's enumeration
-and returns its values in order, and one merge keeps the first index
-attaining the minimum.  Chunks depend only on the graph, so output and LP
-count are identical for any job count.
+six of its colorings that give every marginal exactly 1/3 settle it at
+1/3; every other representative gets an epsilon* LP, built from the
+colorings its floor enumerated (`flexibility.epsilon_below`).  Parallel
+runs split the representatives into chunks; a chunk carries the graph's
+enumeration and returns its values in order, and one merge keeps the
+first index attaining the minimum.  Chunks depend only on the graph, so
+output and LP count are identical for any job count.
 
 The theorem check reuses these answers for every graph with a leaf.  A
 pendant vertex changes no cover's epsilon*, so such a graph's values are
@@ -136,13 +137,13 @@ class WorstCoverReport:
     classes_total: int
     classes_evaluated: int
     orbits: int                     # orbits among them
-    queries: int                    # epsilon* queries made for the orbits
+    queries: int                    # epsilon* LPs solved for the orbits
     per_class_values: Optional[tuple[tuple[Cover, Fraction], ...]] = None
 
 
 def _eps_chunk(task: tuple) -> tuple[list[Optional[Fraction]], int]:
     """Worker: epsilon* of the given cover classes of one graph, in order,
-    and the number of epsilon* queries made.
+    and the number of epsilon* LPs solved (queries).
 
     Each class goes through `epsilon_below`.  Without `keep`, its `best` is
     the minimum found so far in this chunk, so a skipped class (None) has
@@ -173,17 +174,17 @@ def _class_minima(enums: Sequence[tuple[CoverEnumeration, int]], jobs: int,
     """Minimum epsilon* over the first `evaluated` cover classes of each graph.
 
     Only the representatives from `CoverEnumeration.representatives` are
-    evaluated, and only those that `_eps_chunk` cannot settle by their
-    uniform floor get an epsilon* query.  Returns, per (enumeration,
-    evaluated) pair, the minimum, the first index that attains it, the
-    number of representatives (the orbit count), the number of queries,
-    `rep_of` from `representatives`, and each representative's value, None
-    where it was skipped; with `keep` none is.  The representatives
-    are cut into chunks of CHUNK that run in a process pool when jobs > 1
-    (the pool's module is imported only then); chunk results are merged in
-    task order, skipped classes (None) are ignored, and the chunks do not
-    depend on the job count, so neither does the output.  A budget or job
-    count below 1 raises ValueError.
+    evaluated, and only those that `epsilon_below` settles neither by
+    their uniform floor nor by six colorings get an epsilon* LP.  Returns,
+    per (enumeration, evaluated) pair, the minimum, the first index that
+    attains it, the number of representatives (the orbit count), the
+    number of LPs solved (queries), `rep_of` from `representatives`, and
+    each representative's value, None where it was skipped; with `keep`
+    none is.  The representatives are cut into chunks of CHUNK that run in
+    a process pool when jobs > 1 (the pool's module is imported only then);
+    chunk results are merged in task order, skipped classes (None) are
+    ignored, and the chunks do not depend on the job count, so neither does
+    the output.  A budget or job count below 1 raises ValueError.
     """
     if any(evaluated < 1 for _, evaluated in enums):
         raise ValueError("budget must be at least 1")
@@ -288,7 +289,7 @@ def _from_core(enum: CoverEnumeration, evaluated: int, phi: dict[int, int],
                core: Minimum) -> tuple[Fraction, int, int, int]:
     """The minimum over a graph's first `evaluated` classes, read off its
     2-core's row: the minimum, its first index, the classes evaluated and
-    the queries made.
+    the LPs solved.
 
     Index i takes the value of the core's class of `enum.at(i)` moved by
     `phi`.  A class the core's row left unknown (skipped, or past its

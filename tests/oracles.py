@@ -5,10 +5,11 @@ and a dense `Fraction` simplex for LPs, exhaustive assignment counting for
 colorings, explicit relabeling orbits for cover classes (per-vertex color
 relabelings, then graph automorphisms) and for graph classes and codes, a
 union-find for connected components, every vertex sequence for the
-inflexible family.  None of it shares code with the implementations under
-test, except the per-index worst-cover scan: it calls the library's
-`epsilon_star` on every cover index, so it checks the search's orbit cut and
-LP skipping, not the LP.
+inflexible family, every root and every triple of coloring pairs for the
+six-coloring certificate of epsilon* = 1/3.  None of it shares code with
+the implementations under test, except the per-index worst-cover scan: it
+calls the library's `epsilon_star` on every cover index, so it checks the
+search's orbit cut and LP skipping, not the LP.
 """
 from __future__ import annotations
 
@@ -228,6 +229,25 @@ def uniform_marginals(g: Multigraph, cover: Cover) -> list:
     found = colorings_by_brute_force(g, cover, [(0, 1, 2)] * g.n)
     return [Q(sum(1 for phi in found if phi[v] == c), len(found))
             for v in range(g.n) for c in range(3)] if found else []
+
+
+def six_colorings_by_brute_force(n: int, colorings) -> bool:
+    """Whether some root r and three pairs of the colorings, one pair per
+    color at r, each pair differing at every vertex but r, give all 3n
+    (vertex, color) pairs exactly two of the six colorings.  Every root,
+    every pair and every triple of pairs is tried, on the coloring tuples
+    themselves."""
+    for r in range(n):
+        pairs = [[(a, b) for a, b in combinations(colorings, 2)
+                  if a[r] == b[r] == c
+                  and all(a[v] != b[v] for v in range(n) if v != r)]
+                 for c in range(3)]
+        for triple in product(*pairs):
+            six = [phi for pair in triple for phi in pair]
+            if all(sum(1 for phi in six if phi[v] == c) == 2
+                   for v in range(n) for c in range(3)):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

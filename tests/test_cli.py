@@ -346,14 +346,14 @@ def test_worst_reports_orbits_in_text_only(tmp_path, capsys):
 def test_worst_reports_queries_in_text_only(tmp_path, capsys, jobs):
     """The first K4 orbit's uniform floor is 0, which is its epsilon* and
     settles every later orbit; with --per-class the two orbits whose floor
-    is 0 and the four whose floor is 1/3 are settled and the other five
-    queried."""
+    is 0 and the four whose floor is 1/3 are settled, one of the other
+    five by six colorings, and four take an LP: queries count LPs solved."""
     graph = tmp_path / "k4.txt"
     run(["gen", "k4", "--out", str(graph)])
     _, out, _ = invoke(capsys, "worst", str(graph), "--jobs", jobs)
     assert "orbits = 11\nqueries = 0\nwitness_cover" in out
     _, out, _ = invoke(capsys, "worst", str(graph), "--jobs", jobs, "--per-class")
-    assert "orbits = 11\nqueries = 5\n" in out
+    assert "orbits = 11\nqueries = 4\n" in out
     _, out, _ = invoke(capsys, "worst", str(graph), "--jobs", jobs, "--json")
     assert "queries" not in json.loads(out)
 
@@ -419,8 +419,8 @@ def test_stdout_pipe_closed_early_exits_2_silently(tmp_path):
 
 @pytest.mark.parametrize("argv", [["flex"], ["critical", "--epsilon", "1/5"]])
 def test_input_too_deep_to_recurse_is_usage_error(tmp_path, argv):
-    """A 1,100-vertex path sends the coloring backtrack past Python's
-    recursion limit: one error line and exit 2, not a traceback."""
+    """A 1,100-vertex path has 3 * 2^1099 colorings, far past the
+    enumeration cap: one error line and exit 2, not a traceback."""
     n = 1100
     graph = tmp_path / "path.txt"
     graph.write_text(f"vertices {n}\n"

@@ -30,6 +30,19 @@ class TestEnumerate:
         g = Multigraph(1, [])
         assert enumerate_colorings(g, Cover({})) == [(0,), (1,), (2,)]
 
+    def test_long_path_needs_no_recursion(self):
+        """Backtracking keeps its own stack: 1,100 vertices, well past
+        Python's recursion limit, and singleton lists that the straight
+        cover lets through exactly once."""
+        n = 1100
+        g = Multigraph(n, [(v, v + 1, 1) for v in range(n - 1)])
+        lists = tuple((v % 3,) for v in range(n))
+        assert enumerate_colorings(g, straight_cover(g), lists) == \
+            [tuple(v % 3 for v in range(n))]
+
+    def test_empty_graph_has_the_empty_coloring(self):
+        assert enumerate_colorings(Multigraph(0, []), Cover({})) == [()]
+
     def test_restricted_lists(self):
         g = Multigraph(2, [(0, 1, 1)])
         lists = ((0, 1), (0,))

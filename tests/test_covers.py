@@ -90,6 +90,17 @@ class TestPaperCovers:
         with pytest.raises(CoverError):
             tight_cover("im", g)
 
+    def test_no_family_graph_is_cover_error(self):
+        """A graph too small to infer m >= 1 from, and an explicit m < 1,
+        are mismatches like any other wrong graph."""
+        cases = [("jm", Multigraph(2, [(0, 1, 1)]), None),
+                 ("im", Multigraph(1, []), None),
+                 ("im", gen_family("im", 1)[0], 0),
+                 ("jm", gen_family("jm", 1)[0], -1)]
+        for kind, g, m in cases:
+            with pytest.raises(CoverError, match="generator layout"):
+                tight_cover(kind, g, m=m)
+
     def test_s_cover_swaps_exit_edges(self):
         g, _ = gen_family("s", chains=[1])
         cover = tight_cover("s", g, chains=[1])

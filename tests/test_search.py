@@ -22,8 +22,8 @@ from flexdp.search import (BudgetExceeded, canonical_code, cover_hash,
 from oracles import (canonical_code_by_permutations, colorings_by_brute_force,
                      connected_multigraph_classes, epsilon_every_index,
                      min_epsilon_every_index, random_connected_multigraph,
-                     random_cover, random_multigraph, two_core_by_brute_force,
-                     with_pendant_trees)
+                     random_cover, random_multigraph, six_colorings_by_brute_force,
+                     two_core_by_brute_force, with_pendant_trees)
 
 
 class TestCanonicalCode:
@@ -279,11 +279,13 @@ class TestLpSkip:
             assert report.queries <= per_class.queries <= report.orbits
 
     @pytest.mark.parametrize("max_vertices, max_mult, solves, queries",
-                             [(4, 2, 16, 16), (5, 1, 66, 66)])
+                             [(4, 2, 10, 10), (5, 1, 4, 4), (5, 2, 128, 128),
+                              (6, 1, 6, 6)])
     def test_lp_count(self, monkeypatch, max_vertices, max_mult, solves, queries):
-        """73 and 157 LPs before the skip, 25 and 81 before the rows with a
-        leaf were read off their cores; every query solves an LP, since a
-        floor of 0 (a color no coloring uses) is settled without a query."""
+        """(4,2) and (5,1) took 73 and 157 LPs before the skip, 25 and 81
+        before the rows with a leaf were read off their cores, and 16 and 66
+        (200 at (5,2), 321 at (6,1)) before the six-coloring certificate;
+        queries count the LPs solved."""
         from flexdp import flexibility
         solved = []
         original = flexibility.solve
@@ -333,6 +335,70 @@ class TestLpSkip:
         monkeypatch.setattr(CoverEnumeration, "__init__", counting)
         report = theorem_check(max_vertices, max_mult)
         assert len(report.rows) == len(built) == kept
+
+
+class TestSixColorings:
+    def test_certificate_matches_oracle(self, monkeypatch):
+        """Every orbit that reaches the six-coloring search at (4,2) and
+        (5,1): the search finds six colorings exactly when the brute-force
+        oracle does, every cover either certifies has epsilon* = 1/3 by the
+        LP, and so no cover below 1/3 is certified."""
+        from flexdp import flexibility
+        below, six = search.epsilon_below, flexibility._six_colorings
+        current, seen = [], []
+
+        def recording_below(g, cover, best):
+            current[:] = [g, cover]
+            return below(g, cover, best)
+
+        def recording_six(n, colorings):
+            found = six(n, colorings)
+            seen.append((*current, colorings, found))
+            return found
+
+        monkeypatch.setattr(search, "epsilon_below", recording_below)
+        monkeypatch.setattr(flexibility, "_six_colorings", recording_six)
+        theorem_check(4, 2)
+        theorem_check(5, 1)
+        assert len(seen) == 16 + 66
+        certified = 0
+        for g, cover, colorings, found in seen:
+            assert (found is not None) == six_colorings_by_brute_force(g.n, colorings)
+            if found is not None:
+                certified += 1
+                assert set(found) <= set(colorings)
+                assert epsilon_star(g, cover).epsilon_star == Q(1, 3)
+        assert certified == 6 + 62
+
+    def test_random_covers_match_oracle(self):
+        """On random small covers with colorings: the same answer as the
+        oracle, and a certificate only where the LP gives 1/3."""
+        from flexdp.flexibility import _six_colorings
+        from flexdp.colorings import enumerate_colorings
+        rng = random.Random(16)
+        found = 0
+        for _ in range(300):
+            g = random_connected_multigraph(rng, max_n=4, max_mult=2)
+            cover = random_cover(rng, g)
+            colorings = enumerate_colorings(g, cover)
+            six = _six_colorings(g.n, colorings)
+            assert (six is not None) == six_colorings_by_brute_force(g.n, colorings)
+            if six is not None:
+                found += 1
+                assert epsilon_star(g, cover).epsilon_star == Q(1, 3)
+        assert found > 0
+
+    def test_failed_marginal_check_raises(self, monkeypatch):
+        """Six colorings whose marginals are not all 1/3 are a bug, not a
+        reason to solve the LP."""
+        from flexdp import flexibility
+        from flexdp.lp import LpInternalError
+        g = Multigraph(2, [(0, 1, 2)])
+        cover = straight_cover(g)
+        monkeypatch.setattr(flexibility, "_six_colorings",
+                            lambda n, colorings: [colorings[0]] * 6)
+        with pytest.raises(LpInternalError):
+            flexibility.epsilon_below(g, cover, Q(1, 3))
 
 
 class TestTwoCore:
