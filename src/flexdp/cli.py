@@ -3,14 +3,16 @@
 Exit codes: 0 success or property verified, 1 a mathematically meaningful
 failure (counterexample, violation, infeasibility of a checked property),
 2 usage or input errors, including an input that cannot be read, an
-input too large for the recursive coloring search (one `error:` line,
-no traceback), an output path that cannot be written, and a standard
-output whose reader closed it early (`worst G --per-class | head -3`
-ends with exit 2, no message and no traceback), 3 budget exhausted with
-nothing claimed (a theorem check that skipped a graph without finding a
-counterexample, a criticality check that met a component with more cover
-classes than the budget, or a worst-cover search that stopped before
-every class was evaluated, so its printed minimum is only an upper bound).
+input with too many colorings for the iterative coloring enumeration
+(`flex`, `critical` or `worst` on a 1,100-vertex path passes
+`colorings.ENUMERATION_CAP`: one `error:` line, no traceback), an output
+path that cannot be written, and a standard output whose reader closed it
+early (`worst G --per-class | head -3` ends with exit 2, no message and
+no traceback), 3 budget exhausted with nothing claimed (a theorem check
+that skipped a graph without finding a counterexample, a criticality
+check that met a component with more cover classes than the budget, or a
+worst-cover search that stopped before every class was evaluated, so its
+printed minimum is only an upper bound).
 Rational values print exactly; with --json they appear as "p/q" strings
 and are never rendered as floats.
 """

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, permutations
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import GraphError, GraphFormatError, Multigraph, gen_family
 
@@ -175,47 +175,71 @@ _TWIST = tuple(tuple(_COMPOSE[_COMPOSE[b][q]][_INVERSE[a]] for a in range(6) for
 # a set of perm ids, as a bit mask, mapped to the set of their inverses
 _INVERSE_MASK = tuple(sum(1 << _INVERSE[q] for q in range(6) if mask >> q & 1)
                       for mask in range(64))
+# the perms of each mask, in PERMS order
+_PERMS_OF = tuple(tuple(p for q, p in enumerate(PERMS) if mask >> q & 1)
+                  for mask in range(64))
+
+
+@cache
+def _choices(k: int, pinned: bool) -> tuple[int, ...]:
+    """The masks a pair with k slots can hold, in the `combinations` order
+    of their perms; a pinned pair's all hold the identity, perm id 0."""
+    if pinned:
+        return tuple(1 + sum(1 << q for q in c) for c in combinations(range(1, 6), k - 1))
+    return tuple(sum(1 << q for q in c) for c in combinations(range(6), k))
 
 
 def _automorphism_generators(g: Multigraph) -> list[tuple[int, ...]]:
     """Generators of Aut(G), found without listing the group.
 
-    For k = n-1 down to 0, and for each v > k that the generators found so
+    For k = n-2 down to 0, and for each v > k that the generators found so
     far cannot send k to, a backtracking search looks for one automorphism
     that fixes 0..k-1 and sends k to v.  It extends a partial vertex map one
-    vertex at a time and prunes on degree and on the multiplicities to the
-    vertices already mapped.  The maps found fixing 0..k-1 then reach the
-    whole orbit of k, so by induction they generate each point stabiliser
-    and finally Aut(G) (Sims 1970).  Each map found lies outside the group
-    the earlier ones generate, so it at least doubles that group: there are
-    at most log2 |Aut(G)| of them.
+    vertex at a time, depth first on an explicit stack, smallest candidate
+    first.  A vertex with an already-mapped neighbour u can only go to a
+    neighbour of u's image, and a candidate must match its degree and its
+    multiplicities to the mapped vertices, which it does exactly when the
+    two neighbourhoods agree on them.  The maps found fixing 0..k-1 then
+    reach the whole orbit of k, so by induction they generate each point
+    stabiliser and finally Aut(G) (Sims 1970).  Each map found lies outside
+    the group the earlier ones generate, so it at least doubles that group:
+    there are at most log2 |Aut(G)| of them.
     """
     n = g.n
-    mult = [[g.multiplicity(u, v) for v in range(n)] for u in range(n)]
-    degree = [sum(row) for row in mult]
+    # each neighbourhood in increasing order, with its multiplicities
+    adj = [{w: g.multiplicity(v, w) for w in g.neighbors(v)} for v in range(n)]
+    degree = [g.degree(v) for v in range(n)]
+    lower = [[(u, m) for u, m in adj[k].items() if u < k] for k in range(n)]
+    image: list[int] = []           # the partial map, of 0..len(image)-1
 
-    def fits(image: list[int], v: int) -> bool:
-        k = len(image)
-        return (v not in image and degree[v] == degree[k]
-                and all(mult[v][w] == mult[k][u] for u, w in enumerate(image)))
+    def candidates() -> list[int]:
+        """The vertices that can be the image of the next vertex, k."""
+        k, taken = len(image), set(image)
+        mapped = lower[k]
+        pool = adj[image[mapped[0][0]]] if mapped else range(n)
+        return [v for v in pool if v not in taken and degree[v] == degree[k]
+                and all(adj[v].get(image[u]) == m for u, m in mapped)
+                and sum(w in taken for w in adj[v]) == len(mapped)]
 
-    def extend(image: list[int]) -> Optional[tuple[int, ...]]:
-        if len(image) == n:
-            return tuple(image)
-        for v in range(n):
-            if fits(image, v):
-                found = extend(image + [v])
-                if found is not None:
-                    return found
+    def extend() -> Optional[tuple[int, ...]]:
+        stack = [(len(image), v) for v in reversed(candidates())]
+        while stack:
+            k, v = stack.pop()
+            image[k:] = [v]
+            if k + 1 == n:
+                return tuple(image)
+            stack.extend((k + 1, w) for w in reversed(candidates()))
         return None
 
     generators: list[tuple[int, ...]] = []
-    for k in reversed(range(n)):
+    for k in reversed(range(n - 1)):
+        image[:] = range(k)
         orbit = {k}
-        for v in range(k + 1, n):
-            if v in orbit or not fits(list(range(k)), v):
+        for v in candidates():
+            if v <= k or v in orbit:
                 continue
-            found = extend(list(range(k)) + [v])
+            image[k:] = [v]
+            found = extend()
             if found is not None:
                 generators.append(found)
                 frontier = list(orbit)
@@ -237,7 +261,8 @@ class CoverEnumeration:
     order; witness hashes depend on that order.  All other slots range over
     the remaining distinct permutations.  Every pair uses its full matching
     budget min(multiplicity, 6): dropping matchings never shrinks the set of
-    colorings, so full covers dominate every worst-case question.
+    colorings, so full covers dominate every worst-case question.  `choices`
+    holds each pair's options as bit masks of perm ids (`_choices`).
 
     A class can be hit more than once: one permutation applied to every
     list keeps the tree pinned and conjugates the other matchings, and a
@@ -247,10 +272,11 @@ class CoverEnumeration:
     graph automorphisms act too.  `representatives` picks one index per
     S3^n x Aut(G) orbit, and every question whose answer is invariant under
     that group (epsilon* with full lists) need only be asked there.
-    `class_index` sends any full cover to an index of its S3^n class, so a
-    question already answered per orbit can be looked up for any cover.
-    Both search through `_relabeled_indices`, whose tables are built on
-    first use, not by the constructor.
+    `class_index` sends any full cover, carried along a vertex map onto
+    this graph, to an index of its S3^n class, so a question already
+    answered per orbit can be looked up for any cover.  Both move covers by
+    one rule (`_carried`) and search through `_relabeled_indices`, whose
+    tables are built on first use, not by the constructor.
     """
 
     def __init__(self, g: Multigraph):
@@ -263,34 +289,23 @@ class CoverEnumeration:
         self.tree = [(parent[y], y) for y in order[1:]]
         tree = {(min(x, y), max(x, y)) for x, y in self.tree}
         self.pairs: list[tuple[int, int]] = list(g.pairs())
-        self.choices: list[tuple[tuple[Perm, ...], ...]] = []
-        non_identity = tuple(p for p in PERMS if p != IDENTITY)
-        for u, v in self.pairs:
-            k = min(g.multiplicity(u, v), 6)
-            if (u, v) in tree:
-                opts = tuple((IDENTITY,) + combo
-                             for combo in combinations(non_identity, k - 1))
-            else:
-                opts = tuple(combinations(PERMS, k))
-            self.choices.append(opts)
-        self.count = 1
-        for opts in self.choices:
-            self.count *= len(opts)
-
-    def _digits(self, index: int) -> list[int]:
-        digits = []
+        self.choices: list[tuple[int, ...]] = [
+            _choices(min(g.multiplicity(u, v), 6), (u, v) in tree) for u, v in self.pairs]
+        self.count, self._weights = 1, []   # an index is sum(digit * weight)
         for opts in reversed(self.choices):
-            index, d = divmod(index, len(opts))
-            digits.append(d)
-        digits.reverse()
-        return digits
+            self._weights.append(self.count)
+            self.count *= len(opts)
+        self._weights.reverse()
+
+    def _masks(self, index: int) -> list[int]:
+        """The cover at `index`, as each pair's mask."""
+        return [opts[index // w % len(opts)] for w, opts in zip(self._weights, self.choices)]
 
     def at(self, index: int) -> Cover:
         if not (0 <= index < self.count):
             raise IndexError(index)
-        digits = self._digits(index)
-        return Cover({pair: self.choices[i][d]
-                      for i, (pair, d) in enumerate(zip(self.pairs, digits))})
+        return Cover({pair: _PERMS_OF[mask]
+                      for pair, mask in zip(self.pairs, self._masks(index))})
 
     def representatives(self, limit: int) -> tuple[list[int], list[int]]:
         """One index per S3^n x Aut(G) orbit among the indices 0..limit-1.
@@ -312,17 +327,12 @@ class CoverEnumeration:
         representatives in increasing order and, per index, its
         representative.
         """
-        masks = self._gauge[1]
-
-        def cover_masks(index: int) -> list[int]:
-            return [masks[t][d] for t, d in enumerate(self._digits(index))]
-
         rep_of = [-1] * limit
         classes = []
         for index in range(limit):
             if rep_of[index] < 0:
                 classes.append(index)
-                for j in self._relabeled_indices(cover_masks(index), limit):
+                for j in self._relabeled_indices(self._masks(index), limit):
                     rep_of[j] = index
 
         root = {c: c for c in classes}
@@ -332,56 +342,57 @@ class CoverEnumeration:
                 root[c] = c = root[root[c]]
             return c
 
-        position = {pair: t for t, pair in enumerate(self.pairs)}
-        # per generator: where each pair goes, and whether its ends swap order
-        moves = [[(position[min(p[u], p[v]), max(p[u], p[v])], p[u] > p[v])
-                  for u, v in self.pairs] for p in _automorphism_generators(self.g)]
+        generators = [dict(enumerate(p)) for p in _automorphism_generators(self.g)]
         for c in classes:
-            cover = cover_masks(c)
-            for move in moves:
-                image = [0] * len(cover)
-                for mask, (target, flip) in zip(cover, move):
-                    image[target] = _INVERSE_MASK[mask] if flip else mask
-                found = self._relabeled_indices(image, limit, first=True)
+            cover = list(zip(self.pairs, self._masks(c)))
+            for phi in generators:
+                found = self._relabeled_indices(self._carried(cover, phi), limit,
+                                                first=True)
                 if found:
                     a, b = find(c), find(rep_of[found.pop()])
                     root[max(a, b)] = min(a, b)
         return [c for c in classes if find(c) == c], [find(r) for r in rep_of]
 
-    def class_index(self, cover: Cover) -> int:
-        """An index of the cover's S3^n class: one found by
+    def class_index(self, cover: Cover, phi: Optional[dict[int, int]] = None) -> int:
+        """An index of the S3^n class of the cover, carried along the vertex
+        map phi onto this graph when given (`_carried`): one found by
         `_relabeled_indices` below `count`, not always the class's smallest.
-
-        The cover must have exactly the enumeration's slot count on every
-        pair, so full covers of this graph qualify; any other raises
-        CoverError.
-        """
-        mask = {pair: sum(1 << _PERM_ID[p] for p in perms)
-                for pair, perms in cover.matchings.items()}
-        if mask.keys() != set(self.pairs):
-            raise CoverError("cover pairs differ from the graph's")
-        found = self._relabeled_indices([mask[pair] for pair in self.pairs],
-                                        self.count, first=True)
+        The carried cover must have exactly the enumeration's slot count on
+        every pair, as full covers of this graph, or of a graph whose 2-core
+        phi maps onto it, have; any other raises CoverError."""
+        masks = [(pair, sum(1 << _PERM_ID[p] for p in perms))
+                 for pair, perms in cover.matchings.items()]
+        found = self._relabeled_indices(
+            self._carried(masks, phi or {v: v for v in range(self.g.n)}),
+            self.count, first=True)
         if not found:
             raise CoverError("cover is in no class of this enumeration")
         return found.pop()
 
+    def _carried(self, masks: Iterable[tuple[tuple[int, int], int]], phi: dict) -> list[int]:
+        """(pair, mask) items of some graph, carried along phi onto this
+        graph's pairs, in their order: a pair with an end outside phi is
+        dropped, and one whose ends swap order takes the inverse perms.
+        Raises CoverError unless the pairs land on exactly this graph's."""
+        image = {}
+        for (u, v), mask in masks:
+            if u in phi and v in phi:
+                a, b = phi[u], phi[v]
+                if a > b:
+                    a, b, mask = b, a, _INVERSE_MASK[mask]
+                image[a, b] = mask
+        carried = [image.get(pair) for pair in self.pairs]
+        if len(image) != len(carried) or None in carried:
+            raise CoverError("cover pairs differ from the graph's")
+        return carried
+
     @cached_property
-    def _gauge(self) -> tuple[list[tuple], list[list[int]], Callable]:
-        """Built on first use and kept: the `_pinning_steps`, each pair's
-        choices as bit masks of perm ids, and `table(t, mask)`, the index
-        contribution of pair t for its ends' relabelings (a, b) at a * 6 + b.
-        A pairing the enumeration lacks contributes `count`, which pushes the
-        index past every limit."""
-        masks = [[sum(1 << _PERM_ID[p] for p in combo) for combo in opts]
-                 for opts in self.choices]
-        digit_of = [{mask: d for d, mask in enumerate(row)} for row in masks]
-        weights = []
-        weight = 1
-        for opts in reversed(self.choices):
-            weights.append(weight)
-            weight *= len(opts)
-        weights.reverse()
+    def _gauge(self) -> tuple[list[tuple], Callable]:
+        """Built on first use and kept: the `_pinning_steps`, and
+        `table(t, mask)`, the index contribution of pair t for its ends'
+        relabelings (a, b) at a * 6 + b.  A pairing the enumeration lacks
+        contributes `count`, which pushes the index past every limit."""
+        digit_of = [{mask: d for d, mask in enumerate(opts)} for opts in self.choices]
         tables: dict[tuple[int, int], tuple[int, ...]] = {}
 
         def table(t: int, mask: int) -> tuple[int, ...]:
@@ -390,11 +401,11 @@ class CoverEnumeration:
                 row = []
                 for ab in range(36):
                     d = digit_of[t].get(sum(1 << twist[ab] for twist in twists))
-                    row.append(self.count if d is None else d * weights[t])
+                    row.append(self.count if d is None else d * self._weights[t])
                 tables[t, mask] = tuple(row)
             return tables[t, mask]
 
-        return self._pinning_steps(), masks, table
+        return self._pinning_steps(), table
 
     def __getstate__(self) -> dict:
         """Without `_gauge`, which holds a closure; a copy builds its own."""
@@ -447,7 +458,7 @@ class CoverEnumeration:
         so its cost is bounded by the distinct states, not by the
         6 * product(tree slot counts) relabelings they stand for.
         """
-        steps, _, table = self._gauge
+        steps, table = self._gauge
         work = [(x_at, [_INVERSE[q] if down else q
                         for q in range(6) if cover[tree_pair] >> q & 1],
                  [(table(t, cover[t]), u_at, v_at) for t, u_at, v_at in reads], keep)
@@ -475,10 +486,6 @@ class CoverEnumeration:
                 if total < limit:
                     stack.append((k + 1, total, *(frontier[i] for i in keep)))
         return found
-
-    def __iter__(self) -> Iterator[Cover]:
-        for i in range(self.count):
-            yield self.at(i)
 
 
 # ---------------------------------------------------------------------------

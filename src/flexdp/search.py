@@ -19,9 +19,10 @@ six of its colorings that give every marginal exactly 1/3 settle it at
 1/3; every other representative gets an epsilon* LP, built from the
 colorings its floor enumerated (`flexibility.epsilon_below`).  Parallel
 runs split the representatives into chunks; a chunk carries the graph's
-enumeration and returns its values in order, and one merge keeps the
-first index attaining the minimum.  Chunks depend only on the graph, so
-output and LP count are identical for any job count.
+enumeration and returns its values in order, the merge gives each index its
+representative's value, and `_first_minimum` reads off the minimum and its
+first index.  Chunks depend only on the graph, so output and LP count are
+identical for any job count.
 
 The theorem check reuses these answers for every graph with a leaf.  A
 pendant vertex changes no cover's epsilon*, so such a graph's values are
@@ -29,10 +30,10 @@ those of its 2-core (`two_core`), which is an earlier row: connected, with
 fewer vertices, the same multiplicity cap and mad no larger.  The graphs
 without a leaf are searched first, as above, in one wave; then each graph
 with a leaf scans its own indices in order and reads each cover's value off
-its core's row, through a vertex map onto the row's graph and
-`CoverEnumeration.class_index`.  It builds no representatives, and only a
-class its core's row left unknown (skipped, or past the budget) is
-evaluated.
+its core's row, at the index `CoverEnumeration.class_index` gives the cover
+carried along a vertex map onto the row's graph.  It builds no
+representatives, and only a class its core's row left unknown (skipped, or
+past the budget) is evaluated.
 """
 from __future__ import annotations
 
@@ -164,27 +165,21 @@ def _eps_chunk(task: tuple) -> tuple[list[Optional[Fraction]], int]:
     return values, queries
 
 
-# per graph: minimum, first index attaining it, orbits, queries, each
-# index's representative, and each representative's value (None: skipped)
-Minimum = tuple[Fraction, int, int, int, list[int], dict[int, Optional[Fraction]]]
-
-
 def _class_minima(enums: Sequence[tuple[CoverEnumeration, int]], jobs: int,
-                  keep: bool) -> list[Minimum]:
-    """Minimum epsilon* over the first `evaluated` cover classes of each graph.
+                  keep: bool) -> list[tuple[list[Optional[Fraction]], int, int]]:
+    """Epsilon* over the first `evaluated` cover classes of each graph.
 
     Only the representatives from `CoverEnumeration.representatives` are
     evaluated, and only those that `epsilon_below` settles neither by
     their uniform floor nor by six colorings get an epsilon* LP.  Returns,
-    per (enumeration, evaluated) pair, the minimum, the first index that
-    attains it, the number of representatives (the orbit count), the
-    number of LPs solved (queries), `rep_of` from `representatives`, and
-    each representative's value, None where it was skipped; with `keep`
-    none is.  The representatives are cut into chunks of CHUNK that run in
-    a process pool when jobs > 1 (the pool's module is imported only then);
-    chunk results are merged in task order, skipped classes (None) are
-    ignored, and the chunks do not depend on the job count, so neither does
-    the output.  A budget or job count below 1 raises ValueError.
+    per (enumeration, evaluated) pair, each index's representative's value
+    (None where it was skipped; with `keep` none is), the number of
+    representatives (orbits) and of LPs solved (queries).  The
+    representatives are cut into chunks of CHUNK that run in a process pool
+    when jobs > 1 (the pool's module is imported only then); chunk results
+    are merged in task order, and the chunks do not depend on the job
+    count, so neither does the output.  A budget or job count below 1
+    raises ValueError.
     """
     if any(evaluated < 1 for _, evaluated in enums):
         raise ValueError("budget must be at least 1")
@@ -205,11 +200,15 @@ def _class_minima(enums: Sequence[tuple[CoverEnumeration, int]], jobs: int,
     for reps, rep_of in scans:
         parts = list(islice(results, -(-len(reps) // CHUNK)))
         value = dict(zip(reps, chain.from_iterable(values for values, _ in parts)))
-        best = min(v for v in value.values() if v is not None)
-        first = next(i for i in reps if value[i] == best)
-        minima.append((best, first, len(reps), sum(q for _, q in parts),
-                       rep_of, value))
+        minima.append(([value[r] for r in rep_of], len(reps),
+                       sum(q for _, q in parts)))
     return minima
+
+
+def _first_minimum(values: list[Optional[Fraction]]) -> tuple[Fraction, int]:
+    """The smallest value that is not None, and the first index holding it."""
+    best = min(v for v in values if v is not None)
+    return best, values.index(best)
 
 
 def min_epsilon_over_covers(g: Multigraph, budget: int = DEFAULT_BUDGET,
@@ -225,9 +224,9 @@ def min_epsilon_over_covers(g: Multigraph, budget: int = DEFAULT_BUDGET,
     """
     enum = CoverEnumeration(g)
     evaluated = min(enum.count, budget)
-    [(best, best_index, orbits, queries, rep_of, value)] = _class_minima(
-        [(enum, evaluated)], jobs, per_class)
-    per_class_values = tuple((enum.at(i), value[r]) for i, r in enumerate(rep_of)) \
+    [(values, orbits, queries)] = _class_minima([(enum, evaluated)], jobs, per_class)
+    best, best_index = _first_minimum(values)
+    per_class_values = tuple((enum.at(i), v) for i, v in enumerate(values)) \
         if per_class else None
     return WorstCoverReport(best, enum.at(best_index), evaluated == enum.count,
                             enum.count, evaluated, orbits, queries, per_class_values)
@@ -272,47 +271,36 @@ def _core_row(g: Multigraph, core: Sequence[int]) -> tuple[str, dict[int, int]]:
     return _code(len(core), code), {core[x]: a for a, x in enumerate(p)}
 
 
-def _moved(cover: Cover, phi: dict[int, int]) -> Cover:
-    """The cover's matchings between the vertices `phi` maps, carried along
-    it; a pair whose ends swap order takes the inverse permutations."""
-    matchings = {}
-    for (u, v), perms in cover.matchings.items():
-        if u in phi and v in phi:
-            a, b = phi[u], phi[v]
-            matchings[min(a, b), max(a, b)] = perms if a < b else \
-                tuple(tuple(p.index(c) for c in range(3)) for p in perms)
-    return Cover(matchings)
-
-
 def _from_core(enum: CoverEnumeration, evaluated: int, phi: dict[int, int],
-               core_enum: CoverEnumeration, core_evaluated: int,
-               core: Minimum) -> tuple[Fraction, int, int, int]:
+               core_enum: CoverEnumeration,
+               known: list[Optional[Fraction]]) -> tuple[Fraction, int, int, int]:
     """The minimum over a graph's first `evaluated` classes, read off its
     2-core's row: the minimum, its first index, the classes evaluated and
     the LPs solved.
 
-    Index i takes the value of the core's class of `enum.at(i)` moved by
-    `phi`.  A class the core's row left unknown (skipped, or past its
-    budget) goes through `epsilon_below` on the moved cover, with the
-    minimum found so far as `best`.  The scan stops once the minimum
-    reaches a lower bound: the core's minimum when the core's row is
-    complete, else 0.
+    Index i takes `known[j]`, for the index j that `core_enum.class_index`
+    gives `enum.at(i)` carried along `phi`.  A class the core's row left
+    unknown (skipped, or j past its budget) goes through `epsilon_below` at
+    `core_enum.at(j)`, whose S3^n class, and so floor, six colorings and
+    epsilon*, it shares, with the minimum found so far as `best`.  The scan
+    stops once the minimum reaches a lower bound: the core's minimum when
+    `known` covers all `core_enum.count` indices, else 0.
     """
-    core_best, _, _, _, rep_of, known = core
-    lower = core_best if core_evaluated == core_enum.count else 0
-    best, first, orbits, queries = Fraction(1), 0, 0, 0
+    lower = _first_minimum(known)[0] if len(known) == core_enum.count else 0
+    values: list[Optional[Fraction]] = []
+    best, orbits, queries = Fraction(1), 0, 0
     for i in range(evaluated):
-        cover = _moved(enum.at(i), phi)
-        j = core_enum.class_index(cover)
-        value = known[rep_of[j]] if j < core_evaluated else None
+        j = core_enum.class_index(enum.at(i), phi)
+        value = known[j] if j < len(known) else None
         if value is None:
-            value, query = epsilon_below(core_enum.g, cover, best)
+            value, query = epsilon_below(core_enum.g, core_enum.at(j), best)
             orbits, queries = orbits + 1, queries + query
+        values.append(value)
         if value is not None and value < best:
-            best, first = value, i
+            best = value
             if best == lower:
                 break
-    return best, first, orbits, queries
+    return (*_first_minimum(values), orbits, queries)
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +396,21 @@ def theorem_check(max_vertices: int, max_multiplicity: int, jobs: int = 1,
     limits = [min(enum.count, budget) for enum in enums]
     cores = [two_core(g) for _, g, _ in kept]
     wave = [k for k, (_, g, _) in enumerate(kept) if len(cores[k]) == g.n]
-    minima = dict(zip(wave, _class_minima([(enums[k], limits[k]) for k in wave],
-                                          jobs, False)))
+    known = dict(zip(wave, _class_minima([(enums[k], limits[k]) for k in wave],
+                                         jobs, False)))
     row_of = {kept[k][0]: k for k in wave}
     rows = []
     for k, ((code, g, density), enum) in enumerate(zip(kept, enums)):
-        if k in minima:
-            best, best_index, orbits, queries, _, _ = minima[k]
+        if k in known:
+            values, orbits, queries = known[k]
+            best, best_index = _first_minimum(values)
         else:
             core_code, phi = _core_row(g, cores[k])
             if core_code not in row_of:
                 raise RuntimeError(f"the 2-core {core_code} of {code} is not a row")
             c = row_of[core_code]
             best, best_index, orbits, queries = _from_core(
-                enum, limits[k], phi, enums[c], limits[c], minima[c])
+                enum, limits[k], phi, enums[c], known[c][0])
         found = find_I_subgraph(g)
         if budget < enum.count:
             status = "skipped"

@@ -292,12 +292,15 @@ def relabeling_canonical_form(g: Multigraph, cover: Cover) -> tuple:
                for sigma in product(PERMS, repeat=g.n))
 
 
-def _apply_vertex_permutation(cover: Cover, perm) -> Cover:
-    """The cover carried along perm; a pair whose ends swap order has its
-    matchings inverted, so they still read from the smaller end."""
+def carried_cover(cover: Cover, phi: dict) -> Cover:
+    """The cover's matchings between the vertices the map phi takes,
+    carried along it; a pair whose ends swap order has its matchings
+    inverted, so they still read from the smaller end."""
     matchings = {}
     for (u, v), perms in cover.matchings.items():
-        a, b = perm[u], perm[v]
+        if u not in phi or v not in phi:
+            continue
+        a, b = phi[u], phi[v]
         if a > b:
             a, b = b, a
             perms = tuple(tuple(p.index(c) for c in range(3)) for p in perms)
@@ -314,7 +317,7 @@ def automorphisms(g: Multigraph) -> set:
 
 def orbit_canonical_form(g: Multigraph, cover: Cover) -> tuple:
     """Minimum of `relabeling_canonical_form` over the automorphisms of g."""
-    return min(relabeling_canonical_form(g, _apply_vertex_permutation(cover, perm))
+    return min(relabeling_canonical_form(g, carried_cover(cover, dict(enumerate(perm))))
                for perm in automorphisms(g))
 
 

@@ -417,10 +417,13 @@ def test_stdout_pipe_closed_early_exits_2_silently(tmp_path):
     assert proc.stderr == b""
 
 
-@pytest.mark.parametrize("argv", [["flex"], ["critical", "--epsilon", "1/5"]])
+@pytest.mark.parametrize("argv", [["flex"], ["critical", "--epsilon", "1/5"],
+                                  ["worst"]])
 def test_input_too_deep_to_recurse_is_usage_error(tmp_path, argv):
     """A 1,100-vertex path has 3 * 2^1099 colorings, far past the
-    enumeration cap: one error line and exit 2, not a traceback."""
+    enumeration cap: one error line naming the cap and exit 2, not a
+    traceback, and no recursion limit on the way there (`worst` first looks
+    for the path's automorphisms)."""
     n = 1100
     graph = tmp_path / "path.txt"
     graph.write_text(f"vertices {n}\n"
@@ -434,3 +437,4 @@ def test_input_too_deep_to_recurse_is_usage_error(tmp_path, argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "input too large to enumerate" in proc.stderr

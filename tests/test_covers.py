@@ -1,11 +1,11 @@
 """Cover validation, the adversarial covers, and class enumeration."""
 import pickle
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from flexdp.covers import (IDENTITY, SWAP01, Cover, CoverEnumeration,
+from flexdp.covers import (IDENTITY, PERMS, SWAP01, Cover, CoverEnumeration,
                            CoverError, ListDistribution, tight_cover,
                            parse_cover, serialize_cover, straight_cover,
                            validate, _automorphism_generators)
@@ -137,13 +137,23 @@ class TestEnumeration:
             enum = CoverEnumeration(g)
             if enum.count > 300:
                 continue
-            for cover in enum:
-                assert validate(g, cover) == []
+            for i in range(enum.count):
+                assert validate(g, enum.at(i)) == []
 
-    def test_indexing_matches_iteration(self):
-        g = Multigraph(3, [(0, 1, 2), (1, 2, 1), (0, 2, 1)])
+    def test_at_decodes_the_combinations_order(self):
+        """Index i is a mixed-radix number, last pair fastest, whose digits
+        pick each pair's perms in `combinations` order; a tree pair's first
+        slot is the identity."""
+        g = Multigraph(3, [(0, 1, 2), (1, 2, 1), (0, 2, 3)])
         enum = CoverEnumeration(g)
-        assert [enum.at(i) for i in range(enum.count)] == list(enum)
+        tree = {(min(x, y), max(x, y)) for x, y in enum.tree}
+        options = []
+        for u, v, k in g.edge_items():
+            options.append([(IDENTITY,) + c for c in combinations(PERMS[1:], k - 1)]
+                           if (u, v) in tree else list(combinations(PERMS, k)))
+        assert enum.pairs == [(u, v) for u, v, _ in g.edge_items()]
+        assert [enum.at(i) for i in range(enum.count)] == \
+            [Cover(dict(zip(enum.pairs, pick))) for pick in product(*options)]
 
     def test_disconnected_rejected(self):
         with pytest.raises(CoverError):
@@ -164,7 +174,8 @@ class TestEnumeration:
             if g.edge_total() > 4 or g.n > 4:
                 continue
             checked += 1
-            orbits = [relabeling_orbit(g, c) for c in CoverEnumeration(g)]
+            enum = CoverEnumeration(g)
+            orbits = [relabeling_orbit(g, enum.at(i)) for i in range(enum.count)]
             closure = set().union(*orbits)
             ours = {min(orbit) for orbit in orbits}
             seen, brute_classes = set(), 0
@@ -235,7 +246,8 @@ class TestRepresentatives:
                 continue
             enum = CoverEnumeration(g)
             reps, rep_of = enum.representatives(enum.count)
-            s3_forms = [relabeling_canonical_form(g, c) for c in enum]
+            s3_forms = [relabeling_canonical_form(g, enum.at(i))
+                        for i in range(enum.count)]
             # a class's canonical form is a cover of that class, so the orbit
             # form need only be found once per class
             orbit_form = {form: orbit_canonical_form(g, Cover(dict(form)))

@@ -181,8 +181,9 @@ class TestFractionalPacking:
                                  (1, 3, 1), (2, 3, 1)])
         c4 = Multigraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
         for g in (diamond, c4):
-            for cover in CoverEnumeration(g):
-                assert fractional_packing(g, cover) is not None
+            enum = CoverEnumeration(g)
+            for i in range(enum.count):
+                assert fractional_packing(g, enum.at(i)) is not None
 
     def test_witnesses_pinned_on_every_42_index(self):
         """Every cover index of every (4,2) graph with mad < 3: 289 covers,

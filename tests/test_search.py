@@ -19,10 +19,11 @@ from flexdp.search import (BudgetExceeded, canonical_code, cover_hash,
                            criticality_check, enumerate_connected_multigraphs,
                            gap_audit, is_flexible, min_epsilon_over_covers,
                            theorem_check, two_core)
-from oracles import (canonical_code_by_permutations, colorings_by_brute_force,
-                     connected_multigraph_classes, epsilon_every_index,
-                     min_epsilon_every_index, random_connected_multigraph,
-                     random_cover, random_multigraph, six_colorings_by_brute_force,
+from oracles import (canonical_code_by_permutations, carried_cover,
+                     colorings_by_brute_force, connected_multigraph_classes,
+                     epsilon_every_index, min_epsilon_every_index,
+                     random_connected_multigraph, random_cover, random_multigraph,
+                     relabeling_canonical_form, six_colorings_by_brute_force,
                      two_core_by_brute_force, with_pendant_trees)
 
 
@@ -482,13 +483,23 @@ class TestLeafRows:
         with pytest.raises(RuntimeError, match="is not a row"):
             theorem_check(3, 1)
 
-    # sha256 of the TSVs of the budget-cut runs before leaf rows were read
-    # off their cores
+    # (max vertices, max multiplicity, budget, classes evaluated and LPs
+    # solved over all rows, sha256 of the TSV); the (4,2), (5,1) and (5,2)
+    # budget 20 TSVs are those from before leaf rows were read off their
+    # cores
     BUDGET_CUTS = [
-        (4, 2, 2, "fc494268b1ad46f77d2862d68781fc688dc88c556f17ff592abd5f1dbaa8141a"),
-        (4, 2, 7, "36d0a34a170649af7fc2c1e160ab8c5dc48dc1aa6d76f51b2db5846b634d6511"),
-        (5, 1, 10, "ef1df3056695f51b6409e4cdfeff2974888a0bfbcce8e96573d353c2407ad5b2"),
-        (5, 2, 20, "be169c4695382aaf9c61252a488e1b19604327ea7f3522ab56310887b0fb3944"),
+        (4, 2, 2, 21, 12,
+         "fc494268b1ad46f77d2862d68781fc688dc88c556f17ff592abd5f1dbaa8141a"),
+        (4, 2, 7, 37, 12,
+         "36d0a34a170649af7fc2c1e160ab8c5dc48dc1aa6d76f51b2db5846b634d6511"),
+        (5, 1, 10, 62, 2,
+         "ef1df3056695f51b6409e4cdfeff2974888a0bfbcce8e96573d353c2407ad5b2"),
+        (5, 2, 5, 190, 78,
+         "496524ca198f4c29339a5649ca9a76e28309ace383bc39c47d75c8f5a141fa5f"),
+        (5, 2, 20, 431, 112,
+         "be169c4695382aaf9c61252a488e1b19604327ea7f3522ab56310887b0fb3944"),
+        (5, 2, 50, 396, 124,
+         "c74c63a4b7f27e8bada4c2314fe42f7837a534f8a4d97a1b9b8ad941c388b0d2"),
     ]
 
     def test_any_cut_matches_every_index_oracle(self):
@@ -500,21 +511,42 @@ class TestLeafRows:
             code, phi = search._core_row(g, two_core(g))
             core_enum = CoverEnumeration(_graph_of(code))
             for core_limit in range(1, core_enum.count + 1):
-                [core] = search._class_minima([(core_enum, core_limit)], 1, False)
+                [(known, _, _)] = search._class_minima([(core_enum, core_limit)],
+                                                       1, False)
                 for limit in sorted({1, min(3, enum.count), enum.count}):
                     best, first, _, _ = search._from_core(
-                        enum, limit, phi, core_enum, core_limit, core)
+                        enum, limit, phi, core_enum, known)
                     assert (best, first) == min_epsilon_every_index(g, limit)
 
+    def test_class_index_carries_a_cover_onto_its_core_row(self):
+        """On seeded leaf graphs, the index `class_index` gives a cover and
+        the map onto its core's row graph is in the S3^n class of the cover
+        the oracle carries along that map."""
+        rng = random.Random(85)
+        for _ in range(60):
+            g = with_pendant_trees(
+                rng, random_connected_multigraph(rng, max_n=4, max_mult=2),
+                rng.randint(1, 3))
+            code, phi = search._core_row(g, two_core(g))
+            row = _graph_of(code)
+            core_enum = CoverEnumeration(row)
+            cover = random_cover(rng, g)
+            j = core_enum.class_index(cover, phi)
+            assert relabeling_canonical_form(row, core_enum.at(j)) == \
+                relabeling_canonical_form(row, carried_cover(cover, phi))
+
     def test_budget_cut_tsv_pinned(self):
-        """The runs reach leaf rows cut by the budget whose core's row is
-        complete, and leaf rows cut with their core's row.  No leaf row
-        here has fewer classes than its core's, so none is complete with
-        its core's row cut: the test above covers that case."""
+        """The TSVs and the classes and LPs the runs spent.  The runs reach
+        leaf rows cut by the budget whose core's row is complete, and leaf
+        rows cut with their core's row.  No leaf row here has fewer classes
+        than its core's, so none is complete with its core's row cut: the
+        oracle test above covers that case."""
         cases = set()
-        for max_vertices, max_mult, budget, digest in self.BUDGET_CUTS:
+        for max_vertices, max_mult, budget, orbits, queries, digest in self.BUDGET_CUTS:
             report = theorem_check(max_vertices, max_mult, budget=budget)
             assert hashlib.sha256(report.to_tsv().encode()).hexdigest() == digest
+            assert (sum(r.orbits for r in report.rows),
+                    sum(r.queries for r in report.rows)) == (orbits, queries)
             classes = {r.code: r.classes for r in report.rows}
             for g in _leaf_graphs(max_vertices, max_mult):
                 core = canonical_code(g.induced(two_core(g)))
@@ -544,7 +576,11 @@ class TestTheoremCheck:
         assert all(r.epsilon_min >= Q(1, 5) for r in report.rows)
 
     def test_parallel_report_identical(self):
+        """Also at (5,2) cut at 50 classes, where leaf rows evaluate the
+        classes their core's row left unknown."""
         assert theorem_check(3, 2, jobs=2) == theorem_check(3, 2, jobs=1)
+        assert theorem_check(5, 2, jobs=2, budget=50) == \
+            theorem_check(5, 2, jobs=1, budget=50)
 
     def test_budget_skips_not_passes(self):
         report = theorem_check(3, 2, budget=3)
