@@ -6,7 +6,6 @@ identity of their own.  All values are immutable after construction.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -30,6 +29,10 @@ class Multigraph:
 
     `bfs` is the one breadth-first walk; `components`, `is_connected`,
     `bfs_order` and the spanning tree of `CoverEnumeration` read from it.
+    Each vertex's row of `_adj` maps its neighbours, in increasing order,
+    to multiplicities: `_mult` is sorted, so a vertex's smaller neighbours
+    are inserted before its larger ones.  `neighbors`, `bfs` and
+    `find_I_subgraph` read the rows in that order without sorting.
     """
 
     __slots__ = ("n", "_mult", "_adj")
@@ -72,7 +75,7 @@ class Multigraph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not (0 <= v < self.n):
             raise GraphError(f"vertex {v} out of range")
-        return tuple(sorted(self._adj[v]))
+        return tuple(self._adj[v])
 
     def edge_total(self) -> int:
         """Number of edges counted with multiplicity."""
@@ -146,7 +149,7 @@ class Multigraph:
             while head < len(order):
                 x = order[head]
                 head += 1
-                for y in sorted(self._adj[x]):
+                for y in self._adj[x]:
                     if not seen[y]:
                         seen[y] = True
                         parent[y] = x
@@ -261,114 +264,105 @@ def mad_subset_oracle(g: Multigraph) -> Fraction:
     return best
 
 
-class _Dinic:
-    """Integer max-flow, small dense instances only."""
+def _min_cut(size: int, arcs: Sequence[tuple[int, int, int]],
+             s: int, t: int) -> tuple[int, list[int]]:
+    """Maximum s-t flow over the arcs (tail, head, capacity), and the source
+    side of the minimal minimum cut: the vertices the final BFS reaches from
+    s in the residual network, the same set for every maximum flow, listed
+    in BFS order (s first).
 
-    def __init__(self, size: int):
-        self.size = size
-        self.graph: list[list[list[int]]] = [[] for _ in range(size)]
-
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        self.graph[u].append([v, cap, len(self.graph[v])])
-        self.graph[v].append([u, 0, len(self.graph[u]) - 1])
-
-    def min_cut(self, s: int, t: int) -> tuple[int, list[int]]:
-        """Maximum flow value, and the source side of a minimum cut: the
-        vertices reachable from s in the final residual graph."""
-        flow = 0
-        while True:
-            level = [-1] * self.size
-            level[s] = 0
-            queue = deque([s])
-            while queue:
-                x = queue.popleft()
-                for e in self.graph[x]:
-                    if e[1] > 0 and level[e[0]] < 0:
-                        level[e[0]] = level[x] + 1
-                        queue.append(e[0])
-            if level[t] < 0:
-                return flow, [v for v in range(self.size) if level[v] >= 0]
-            it = [0] * self.size
-
-            def dfs(x: int, pushed: int) -> int:
-                if x == t:
-                    return pushed
-                while it[x] < len(self.graph[x]):
-                    e = self.graph[x][it[x]]
-                    v, cap, rev = e
-                    if cap > 0 and level[v] == level[x] + 1:
-                        d = dfs(v, min(pushed, cap))
-                        if d > 0:
-                            e[1] -= d
-                            self.graph[v][rev][1] += d
-                            return d
-                    it[x] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 62)
-                if pushed == 0:
-                    break
-                flow += pushed
-
-
-def _denser_set(g: Multigraph, guess: Fraction) -> Optional[list[int]]:
-    """A nonempty U with 2|E(U)|/|U| strictly above `guess`, or None if
-    there is none.
-
-    Min cut on the classical densest-subgraph network (Goldberg 1984), with
-    capacities scaled by 2*denominator so everything stays integral.
+    Dinic's blocking flows (Dinic 1970): arc 2i is the i-th given arc and
+    2i+1 its residual reverse.  Each augmenting path is walked on an
+    explicit stack of arcs with a current-arc pointer per vertex; a dead end
+    pops one arc and moves its tail's pointer on.
     """
-    p, q = guess.numerator, guess.denominator
-    total = g.edge_total()
-    if total == 0:
-        return None
-    net = _Dinic(g.n + 2)
-    s, t = g.n, g.n + 1
-    for v in range(g.n):
-        net.add_edge(s, v, 2 * q * g.degree(v))
-        net.add_edge(v, t, 2 * p)
-    for (u, v), m in g._mult.items():
-        net.add_edge(u, v, 2 * q * m)
-        net.add_edge(v, u, 2 * q * m)
-    flow, side = net.min_cut(s, t)
-    return [v for v in side if v != s] if flow < 4 * q * total else None
+    head: list[int] = []
+    cap: list[int] = []
+    out: list[list[int]] = [[] for _ in range(size)]
+    for u, v, c in arcs:
+        out[u].append(len(head))
+        out[v].append(len(head) + 1)
+        head += (v, u)
+        cap += (c, 0)
+    flow = 0
+    while True:
+        level = [-1] * size
+        level[s] = 0
+        queue = [s]
+        for x in queue:
+            for e in out[x]:
+                if cap[e] > 0 and level[head[e]] < 0:
+                    level[head[e]] = level[x] + 1
+                    queue.append(head[e])
+        if level[t] < 0:
+            return flow, queue
+        current = [0] * size
+        path: list[int] = []
+        x = s
+        while True:
+            if x == t:
+                pushed = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= pushed
+                    cap[e ^ 1] += pushed
+                flow += pushed
+                path.clear()
+                x = s
+            row, i = out[x], current[x]
+            while i < len(row) and (cap[row[i]] == 0
+                                    or level[head[row[i]]] != level[x] + 1):
+                i += 1
+            current[x] = i
+            if i < len(row):
+                path.append(row[i])
+                x = head[row[i]]
+            elif x == s:
+                break
+            else:
+                x = head[path.pop() ^ 1]
+                current[x] += 1
 
 
 def mad(g: Multigraph) -> Fraction:
     """Exact maximum average degree, max over nonempty U of 2|E(U)|/|U|.
 
-    Dinkelbach iteration (Dinkelbach 1967) on min cuts.  With guess p/q, the
+    Dinkelbach iteration (Dinkelbach 1967) on min cuts of the classical
+    densest-subgraph network (Goldberg 1984), with capacities scaled by
+    2*denominator so everything stays integral.  With guess p/q, the
     network has s->v of capacity 2q*deg(v), v->t of 2p and u->v, v->u of
     2q*mult(u,v); the cut with source side {s} + S has capacity
-    4q|E| - 4q|E(S)| + 2p|S|, which is 4q|E| at S empty.  So a minimum cut
-    below 4q|E| has a nonempty source side S strictly denser than p/q, and
-    when the minimum cut is 4q|E| no set is.  Starting from the density
-    2|E|/n of the whole vertex set, each step moves the guess to the density
-    of the denser set found; the guess is always the density of an actual
-    set and rises strictly, so the iteration ends, and it ends at the
-    maximum.  Agreement with `mad_subset_oracle` is a tested invariant.
+    4q|E| - 4q|E(S)| + 2p|S|, which is 4q|E| at S empty.  So a maximum flow
+    below 4q|E| leaves a minimum cut whose source side minus s is a
+    nonempty set S strictly denser than p/q, and when the flow is 4q|E| no
+    set is (with no edges the flow is 0 and the answer 0).  Starting from
+    the density 2|E|/n of the whole vertex set, each step moves the guess
+    to the density of the denser set found; the guess is always the
+    density of an actual set and rises strictly, so the iteration ends, and
+    it ends at the maximum.  Agreement with `mad_subset_oracle` is a tested
+    invariant.
     """
     if g.n == 0:
         raise GraphError("mad of the empty graph is undefined")
-    density = Q(2 * g.edge_total(), g.n)
-    while (denser := _denser_set(g, density)) is not None:
+    s, t = g.n, g.n + 1
+    total = g.edge_total()
+    density = Q(2 * total, g.n)
+    while True:
+        p, q = density.numerator, density.denominator
+        arcs = []
+        for v in range(g.n):
+            arcs += ((s, v, 2 * q * g.degree(v)), (v, t, 2 * p))
+        for (u, v), m in g._mult.items():
+            arcs += ((u, v, 2 * q * m), (v, u, 2 * q * m))
+        flow, side = _min_cut(g.n + 2, arcs, s, t)
+        if flow == 4 * q * total:
+            return density
+        denser = side[1:]
         density = Q(2 * g.edges_within(denser), len(denser))
-    return density
 
 
 # ---------------------------------------------------------------------------
 # Detection of the inflexible odd-cycle family
 # ---------------------------------------------------------------------------
-
-def _pattern_need(position: int, m: int) -> int:
-    """Required multiplicity of the cycle edge leaving position `position`.
-
-    Positions 1..2m+1 around the cycle; the doubled edges sit at the odd
-    positions 1,3,...,2m-1, everything else needs a single edge.
-    """
-    return 2 if position % 2 == 1 and position <= 2 * m - 1 else 1
-
 
 def find_I_subgraph(g: Multigraph) -> Optional[tuple[int, tuple[int, ...]]]:
     """Smallest m and a witness odd cycle whose alternating edges are doubled.
@@ -377,31 +371,33 @@ def find_I_subgraph(g: Multigraph) -> Optional[tuple[int, tuple[int, ...]]]:
     (v_1,v_2), (v_3,v_4), ..., (v_{2m-1},v_{2m}) and >= 1 on the remaining
     cycle edges.  Extra multiplicity anywhere is allowed.  Returns None when
     no such cycle exists; simple graphs always return None.
+
+    For each m and start vertex, a depth-first search grows the path on a
+    stack of (place, vertex) entries, smallest neighbour first, so the
+    witness is the lexicographically first sequence for the smallest m.
+    The edge leaving place i (from 0) is doubled when i is even and < 2m.
     """
+    path: list[int] = []
+    used = [False] * g.n
     for m in range(1, (g.n - 1) // 2 + 1):
         length = 2 * m + 1
         for start in range(g.n):
-            witness = _extend_cycle(g, m, length, [start], {start})
-            if witness is not None:
-                return m, tuple(witness)
-    return None
-
-
-def _extend_cycle(g, m, length, path, used):
-    k = len(path)
-    if k == length:
-        return list(path) if g.multiplicity(path[-1], path[0]) >= 1 else None
-    need = _pattern_need(k, m)
-    for w in g.neighbors(path[-1]):
-        if w in used or g.multiplicity(path[-1], w) < need:
-            continue
-        path.append(w)
-        used.add(w)
-        result = _extend_cycle(g, m, length, path, used)
-        if result is not None:
-            return result
-        used.discard(w)
-        path.pop()
+            stack = [(0, start)]
+            while stack:
+                place, v = stack.pop()
+                for w in path[place:]:
+                    used[w] = False
+                del path[place:]
+                path.append(v)
+                used[v] = True
+                if place == length - 1:
+                    if g.multiplicity(v, start) >= 1:
+                        return m, tuple(path)
+                    continue
+                need = 2 if place % 2 == 0 and place < 2 * m else 1
+                stack += [(place + 1, w)
+                          for w, mult in reversed(g._adj[v].items())
+                          if not used[w] and mult >= need]
     return None
 
 

@@ -21,6 +21,13 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def subprocess_env():
+    """The environment for running `python -m flexdp.cli` on this checkout."""
+    src = str(Path(flexdp.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def write_j1(tmp_path):
     graph = tmp_path / "j1.txt"
     cover = tmp_path / "j1cov.txt"
@@ -311,6 +318,20 @@ def test_critical_budget_below_one_is_usage_error(tmp_path, capsys, budget):
     assert err == "error: budget must be at least 1\n"
 
 
+def test_mad_of_a_long_path(tmp_path):
+    """A 2,000-vertex path: the min cuts walk long augmenting paths on an
+    explicit stack, so the answer comes back instead of a recursion-limit
+    error."""
+    n = 2000
+    graph = tmp_path / "path.txt"
+    graph.write_text(f"vertices {n}\n"
+                     + "".join(f"edge {v} {v + 1} 1\n" for v in range(n - 1)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flexdp.cli", "mad", str(graph)],
+        capture_output=True, text=True, env=subprocess_env(), timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "mad = 1999/1000\n", "")
+
+
 def test_perfbench_smoke_check_passes():
     """The benchmark harness still finds every name its tracer wraps."""
     root = Path(__file__).resolve().parent.parent
@@ -402,15 +423,12 @@ def test_stdout_pipe_closed_early_exits_2_silently(tmp_path):
     read its lines, and the buffered rest must not raise at exit."""
     graph = tmp_path / "k4.txt"
     run(["gen", "k4", "--out", str(graph)])
-    src = str(Path(flexdp.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "flexdp.cli", "worst", str(graph), "--per-class"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300)
+            stdout=write_end, stderr=subprocess.PIPE, env=subprocess_env(), timeout=300)
     finally:
         os.close(write_end)
     assert proc.returncode == 2
@@ -428,12 +446,9 @@ def test_input_too_deep_to_recurse_is_usage_error(tmp_path, argv):
     graph = tmp_path / "path.txt"
     graph.write_text(f"vertices {n}\n"
                      + "".join(f"edge {v} {v + 1} 1\n" for v in range(n - 1)))
-    src = str(Path(flexdp.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "flexdp.cli", argv[0], str(graph), *argv[1:]],
-        capture_output=True, text=True, env=env, timeout=300)
+        capture_output=True, text=True, env=subprocess_env(), timeout=300)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
