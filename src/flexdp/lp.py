@@ -2,11 +2,15 @@
 
 Maximization over `int` or `Fraction` data, `x >= 0` only (any other bound
 is written as a row), kept as sparse integer columns (each row scaled by its
-own denominator).  The kernel `_Revised` prices columns on demand and pivots
-only d*B^-1 over one common denominator d, with exact divisions and no gcd.
-A pivot equal to d (most of them) moves only the entries at the pivot
-row's nonzeros, in place: Bareiss's exact division leaves a - f*b/d there,
-so d divides f*b.
+own denominator).  The kernel `_Revised` pivots only d*B^-1 over one
+common denominator d, with exact divisions and no gcd.  A pivot equal to d
+(most of them) moves only the entries at the pivot row's nonzeros, in
+place: Bareiss's exact division leaves a - f*b/d there, so d divides f*b.
+It prices every column at once: the z-row's reduced costs sit in one
+integer T, one W-bit slot per column (Kronecker substitution), which each
+pivot updates exactly with a few big-integer operations, and Bland's
+entering column is T's lowest negative slot.  W doubles, and T is packed
+again, whenever a bound on the reduced costs outgrows W - 2 bits.
 Every optimal solve is verified against the exact optimality certificate
 (feasibility, complementary slackness, strong duality).
 """
@@ -68,6 +72,26 @@ def _dot(row: list[int], col: tuple) -> int:
     return sum(map(get, ks)) if vs is None else sum(map(mul, map(get, ks), vs))
 
 
+def _pack(cols: list, width: int, rows: int) -> list[int]:
+    """Each row k of the sparse columns `cols` (see `_dot`) as one integer,
+    sum_j A_kj * 2**(width*j) (Kronecker substitution); `width` is a
+    multiple of 8.  The entries of the all-ones columns, most of them, are
+    set as bytes; the others are added as shifted integers."""
+    step = width // 8
+    size = step * len(cols)
+    ones, others = bytearray(size * rows), [0] * rows
+    for at, (ks, vs) in zip(range(0, size, step), cols):
+        if vs is None:
+            for k in ks:
+                ones[k * size + at] = 1
+        else:
+            for k, a in zip(ks, vs):
+                others[k] += a << 8 * at
+    ones = memoryview(ones)
+    return [int.from_bytes(ones[i:i + size], "little") + rest
+            for i, rest in zip(range(0, size * rows, size), others)]
+
+
 class _Revised:
     """Revised simplex over sparse columns, fraction-free over `d` > 0.
 
@@ -88,12 +112,36 @@ class _Revised:
     and every row with f == 0 stay, and an entry with b == 0 stays: only
     the pivot row's nonzeros move, in place.  Rows are distinct lists, so
     updating one in place changes no other.
+
+    Pricing reads the whole z-row at once from one integer.  Row k of A is
+    packed as `packed[k]` = sum_j A_kj * 2**(W*j), and the invariant on
+    `T` is T = sum_j (u.A_j - d*cost[j]) * 2**(W*j) = sum_k u_k*packed[k]
+    - d*C, with C the packed costs; `run` computes T from u when it starts.
+    `pivot` applies to T the update it applies to u: with the packed pivot
+    row P = sum_k rp[k]*packed[k] and the entering column's z entry zq,
+    T becomes (piv*T - zq*P) / d, which is T - zq*P/d when piv == d, and
+    is negated with the rows when piv < 0.  Every slot of T is exact, so
+    the packed T is too, whatever W.  Only reading slots needs W: once the
+    bound sum_k |u_k| * max_j |A_kj| + d * max_j |cost[j]| fits in W - 2
+    bits, every slot is in [-2**(W-1), 2**(W-1)), and adding 2**(W-1) to
+    each (`top`) leaves bit W-1 of slot j clear exactly when column j's
+    reduced cost is negative.  Before each pricing the bound is checked;
+    when it does not fit, W doubles and everything is packed again from u.
     """
 
     def __init__(self, cols: list, rows: list[list[int]], cost: list[int]):
         self.cols, self.rows, self.cost = cols, rows, cost
         self.basis = list(range(len(cols) - len(rows) + 1, len(cols)))
         self.d = 1
+        # max_j |A_kj|: at least the 1 of row k's artificial
+        self.amax = amax = [1] * (len(rows) - 1)
+        for ks, vs in cols:
+            if vs:
+                for k, a in zip(ks, map(abs, vs)):
+                    if a > amax[k]:
+                        amax[k] = a
+        self.width = 16
+        self.packed = _pack(cols, self.width, len(amax))
 
     def column(self, j: int) -> list[int]:
         """Tableau column j over d: d*B^-1 A_j, then its z entry."""
@@ -105,35 +153,64 @@ class _Revised:
         out[-1] -= self.d * self.cost[j]
         return out
 
+    def repack(self, width: int) -> None:
+        """Pack A's rows (when `width` is new), the costs, T and `top` at
+        `width` bits a slot; T is computed from u."""
+        if width != self.width:
+            self.width = width
+            self.packed = _pack(self.cols, width, len(self.amax))
+        costs = sum(c << width * j for j, c in enumerate(self.cost) if c)
+        self.T = sum(map(mul, self.rows[-1], self.packed)) - self.d * costs
+        self.top = int.from_bytes(
+            (bytes(width // 8 - 1) + b"\x80") * self.ncols, "little")
+
+    def entering(self) -> int:
+        """Bland's entering column: the lowest slot of T below 0, or -1.
+        First the slots widen until the reduced costs' bound fits."""
+        bits = (sum(map(mul, map(abs, self.rows[-1]), self.amax))
+                + self.d * self.cmax).bit_length() + 2
+        if bits > self.width:
+            width = 2 * self.width
+            while width < bits:
+                width *= 2
+            self.repack(width)
+        top = self.top
+        negative = ~(self.T + top) & top
+        if not negative:
+            return -1
+        return ((negative & -negative).bit_length() - 1) // self.width
+
     def pivot(self, p: int, j: int, column: list[int]) -> None:
         rows, rp = self.rows, self.rows[p]
-        piv, d = column[p], self.d
+        piv, d, zq = column[p], self.d, column[-1]
+        pivot_row = sum(b * r for b, r in zip(rp, self.packed) if b)  # rp.A
         if piv == d:
             moved = [(k, b) for k, b in enumerate(rp) if b]
             for ri, f in zip(rows, column):
                 if f and ri is not rp:
                     for k, b in moved:
                         ri[k] -= f * b // d
+            self.T -= zq * pivot_row // d
         else:
             for i, (ri, f) in enumerate(zip(rows, column)):
                 if i != p:
-                    rows[i] = [(a * piv - f * b) // d for a, b in zip(ri, rp)]
+                    rows[i] = ([(a * piv - f * b) // d for a, b in zip(ri, rp)]
+                               if f else [a * piv // d for a in ri])
+            self.T = (piv * self.T - zq * pivot_row) // d
             if piv < 0:
                 self.rows = [[-a for a in row] for row in rows]
+                self.T = -self.T
             self.d = abs(piv)
         self.basis[p] = j
 
     def run(self, ncols: int) -> str:
         """Bland's rule over columns below `ncols` until optimal or unbounded."""
-        cols, cost = self.cols, self.cost
+        self.ncols = ncols
+        self.cmax = max(map(abs, self.cost), default=0)
+        self.repack(self.width)
         while True:
-            u, d = self.rows[-1], self.d
-            get = u.__getitem__
-            for entering, (ks, vs), c in zip(range(ncols), cols, cost):
-                if (sum(map(get, ks)) if vs is None
-                        else sum(map(mul, map(get, ks), vs))) < d * c:
-                    break
-            else:
+            entering = self.entering()
+            if entering < 0:
                 return "optimal"
             column = self.column(entering)
             leave = -1

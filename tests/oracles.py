@@ -1,7 +1,8 @@
 """Independent reference implementations used to validate the fast paths.
 
 Everything here is deliberately brute force or textbook: vertex enumeration
-and a dense `Fraction` simplex for LPs, exhaustive assignment counting for
+and a dense `Fraction` simplex for LPs, a column-by-column pricing scan for
+the simplex kernel's packed pricing, exhaustive assignment counting for
 colorings, explicit relabeling orbits for cover classes (per-vertex color
 relabelings, then graph automorphisms) and for graph classes and codes, a
 union-find for connected components, every vertex sequence for the
@@ -175,6 +176,23 @@ def bland_simplex(lp):
             primal[b] = row[-1]
     dual = tuple(sign * z[art0 + i] for i, sign in enumerate(signs))
     return "optimal", tuple(primal), z[-1], dual
+
+
+def reduced_costs(tab) -> list:
+    """u.A_j - d*cost[j] for every column j of a revised-simplex kernel, one
+    dot product per column, from `tab.rows[-1]` (the z-row multipliers u),
+    `tab.d`, `tab.cols` (sparse columns: row indices, entries or None if
+    all are 1) and `tab.cost`."""
+    u, d = tab.rows[-1], tab.d
+    return [sum(u[k] * a for k, a in zip(ks, (1,) * len(ks) if vs is None else vs))
+            - d * c for (ks, vs), c in zip(tab.cols, tab.cost)]
+
+
+def first_negative_column(tab) -> int:
+    """Bland's entering column by scanning: the first j below `tab.ncols`
+    whose reduced cost is negative, or -1."""
+    return next((j for j, r in zip(range(tab.ncols), reduced_costs(tab))
+                 if r < 0), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from flexdp.graphs import gen_family, mad
 from flexdp.lp import (LinearProgram, LpError, LpInternalError, _Revised,
                        solve, verify_certificate)
 from flexdp.search import enumerate_connected_multigraphs
-from oracles import bland_simplex, oracle_solve
+from oracles import (bland_simplex, first_negative_column, oracle_solve,
+                     reduced_costs)
 
 
 def lp(objective, rows):
@@ -294,26 +295,45 @@ def test_witnesses_match_dense_bland_oracle():
     assert all(statuses.values()), statuses
 
 
-def _epsilon_star_lps():
-    """The epsilon* LPs of the tight J_1..J_3 covers and of every (4,2)
-    graph with mad < 3 under its first cover class, as `epsilon_star`
-    builds them."""
+def _recorded_lps(queries):
+    """The LPs `flexibility` solves while `queries` are asked, in order."""
     programs = []
 
     def recording(program):
         programs.append(program)
         return solve(program)
 
-    graphs = [g for g in enumerate_connected_multigraphs(4, 2) if mad(g) < 3]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(flexibility, "solve", recording)
-        for m in (1, 2, 3):
-            g = gen_family("jm", m)[0]
-            flexibility.epsilon_star(g, tight_cover("jm", g))
-        for g in graphs:
-            flexibility.epsilon_star(g, CoverEnumeration(g).at(0), shortcut=False)
+        for query in queries:
+            query()
+    return programs
+
+
+def _epsilon_star_lps():
+    """The epsilon* LPs of the tight J_1..J_3 covers and of every (4,2)
+    graph with mad < 3 under its first cover class, as `epsilon_star`
+    builds them."""
+    tight = [gen_family("jm", m)[0] for m in (1, 2, 3)]
+    graphs = [g for g in enumerate_connected_multigraphs(4, 2) if mad(g) < 3]
+    programs = _recorded_lps(
+        [lambda g=g: flexibility.epsilon_star(g, tight_cover("jm", g))
+         for g in tight]
+        + [lambda g=g: flexibility.epsilon_star(g, CoverEnumeration(g).at(0),
+                                                shortcut=False)
+           for g in graphs])
     assert len(programs) == 3 + len(graphs)
     return programs
+
+
+def _j5_lp():
+    """The epsilon* LP of the tight J_5 cover, 40 rows by 368 colorings and
+    epsilon, as `epsilon_star` builds it."""
+    g = gen_family("jm", 5)[0]
+    (program,) = _recorded_lps(
+        [lambda: flexibility.epsilon_star(g, tight_cover("jm", g))])
+    assert (len(program.rows), program.num_vars) == (40, 369)
+    return program
 
 
 def test_epsilon_star_lps_match_dense_bland_oracle():
@@ -349,3 +369,110 @@ def test_unit_and_full_pivots_match_dense_bland_oracle(monkeypatch):
         assert first == bland_simplex(program)
         assert _outcome(program) == first
     assert all(counts.values()), counts
+
+
+def test_packed_pricing_picks_the_first_negative_column(monkeypatch):
+    """At every pricing step the lowest negative slot of the packed z-row is
+    the column a scan of every reduced cost picks first (-1 when none is
+    negative), and after every pivot, negative ones driving artificials out
+    included, each slot of T holds its column's reduced cost; over the
+    epsilon* LPs, the first 200 LPs of the pinned-digest generator and the
+    J_5 epsilon* LP."""
+    programs = _epsilon_star_lps() + list(_degenerate_lps(200)) + [_j5_lp()]
+    steps = {"entering": 0, "optimal": 0, "negative": 0}
+    entering, pivot = _Revised.entering, _Revised.pivot
+
+    def checked_entering(tab):
+        expected = first_negative_column(tab)
+        picked = entering(tab)
+        assert picked == expected
+        steps["entering" if picked >= 0 else "optimal"] += 1
+        return picked
+
+    def checked_pivot(tab, p, j, column):
+        steps["negative"] += column[p] < 0
+        pivot(tab, p, j, column)
+        assert tab.T == sum(r << tab.width * slot
+                            for slot, r in enumerate(reduced_costs(tab)))
+
+    monkeypatch.setattr(_Revised, "entering", checked_entering)
+    monkeypatch.setattr(_Revised, "pivot", checked_pivot)
+    for program in programs:
+        solve(program)
+    assert steps["entering"] > 1000 and steps["optimal"] > len(programs)
+    assert steps["negative"], steps
+
+
+def _wide_lps(count):
+    """Small LPs whose every entry is a Fraction with 30- to 40-digit
+    numerator and denominator."""
+    rng = random.Random(5)
+
+    def entry():
+        return Q(rng.choice((-1, 1)) * rng.randint(10**29, 10**40),
+                 rng.randint(10**29, 10**40))
+
+    for _ in range(count):
+        n, m = rng.randint(2, 5), rng.randint(2, 5)
+        yield LinearProgram(n, tuple(entry() for _ in range(n)), tuple(
+            (tuple(entry() for _ in range(n)), rng.choice(("<=", "=", ">=")),
+             entry()) for _ in range(m)))
+
+
+def test_slot_width_grows_mid_phase(monkeypatch):
+    """The pivots of LPs with 30- to 40-digit coefficients outgrow the slot
+    width they start a phase with: the kernel must double it and repack
+    between pivots, pick the scan's column at every pricing step, and still
+    return the dense oracle's outcome."""
+    phase_pivots, growths = [0], [0]
+    run, pivot, repack = _Revised.run, _Revised.pivot, _Revised.repack
+    entering = _Revised.entering
+
+    def counting_run(tab, ncols):
+        phase_pivots[0] = 0
+        return run(tab, ncols)
+
+    def counting_pivot(tab, p, j, column):
+        phase_pivots[0] += 1
+        pivot(tab, p, j, column)
+
+    def counting_repack(tab, width):
+        if width > tab.width and phase_pivots[0]:
+            assert width % tab.width == 0
+            growths[0] += 1
+        repack(tab, width)
+
+    def checked_entering(tab):
+        expected = first_negative_column(tab)
+        assert entering(tab) == expected
+        return expected
+
+    monkeypatch.setattr(_Revised, "run", counting_run)
+    monkeypatch.setattr(_Revised, "pivot", counting_pivot)
+    monkeypatch.setattr(_Revised, "repack", counting_repack)
+    monkeypatch.setattr(_Revised, "entering", checked_entering)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for program in _wide_lps(20):
+        expected = bland_simplex(program)
+        assert _outcome(program) == expected
+        statuses[expected[0]] += 1
+    assert growths[0] >= 1
+    assert all(statuses.values()), statuses
+
+
+def test_j5_pivot_counts_pinned(monkeypatch):
+    """The J_5 epsilon* LP takes 640 pivots, 526 of them equal to the
+    common denominator, the counts of the kernel that priced column by
+    column: the basis sequence is unchanged."""
+    counts = {"all": 0, "unit": 0}
+    pivot = _Revised.pivot
+
+    def counting(tab, p, j, column):
+        counts["all"] += 1
+        counts["unit"] += column[p] == tab.d
+        pivot(tab, p, j, column)
+
+    program = _j5_lp()
+    monkeypatch.setattr(_Revised, "pivot", counting)
+    assert solve(program).value == Q(1, 5)
+    assert counts == {"all": 640, "unit": 526}
