@@ -2,24 +2,30 @@
 
 Maximization over `int` or `Fraction` data, `x >= 0` only (any other bound
 is written as a row), kept as sparse integer columns (each row scaled by its
-own denominator).  The kernel `_Revised` pivots only d*B^-1 over one
-common denominator d, with exact divisions and no gcd.  A pivot equal to d
-(most of them) moves only the entries at the pivot row's nonzeros, in
-place: Bareiss's exact division leaves a - f*b/d there, so d divides f*b.
-It prices every column at once: the z-row's reduced costs sit in one
-integer T, one W-bit slot per column (Kronecker substitution), which each
-pivot updates exactly with a few big-integer operations, and Bland's
-entering column is T's lowest negative slot.  W doubles, and T is packed
-again, whenever a bound on the reduced costs outgrows W - 2 bits.
-Every optimal solve is verified against the exact optimality certificate
-(feasibility, complementary slackness, strong duality).
+own denominator).  The kernel `_Revised` keeps only d*B^-1 and the basic
+solution beta over one common denominator d, and the z-row multipliers u,
+updated by Bareiss's fraction-free pivots (exact divisions, no gcd).  Its
+two hot structures are packed by Kronecker substitution, one integer with
+a fixed-width slot per entry, so a pivot is a few big-integer operations
+per packed integer rather than one small one per entry: each column of
+d*B^-1, and beta, is one integer with a slot per basic row, and the z-row's
+reduced costs are one integer T with a slot per column of A, which prices
+every column at once (Bland's entering column is T's lowest negative
+slot).  A slot width doubles, and its integers are packed again, whenever
+a bound on the entries outgrows it; the packed arithmetic itself is exact
+at any width, and no float is used anywhere.  Every optimal solve is
+verified against the exact optimality certificate (feasibility,
+complementary slackness, strong duality).
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from itertools import compress
+from math import isqrt, lcm, prod
+from operator import itemgetter, mul
+from struct import calcsize
 from typing import Optional, Union
 
 from .rationals import integral
@@ -29,6 +35,11 @@ Number = Union[int, Fraction]
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
 _RELATIONS = (LESS, EQUAL, GREATER)
+
+# Slot width -> the native signed format that reads a little-endian slot of
+# that width; wider slots, or a big-endian host, decode slot by slot.
+_CASTS = ({8 * calcsize(c): c for c in "hiq"} if sys.byteorder == "little"
+          else {})
 
 
 class LpError(ValueError):
@@ -96,62 +107,165 @@ class _Revised:
     """Revised simplex over sparse columns, fraction-free over `d` > 0.
 
     `cols[j]` is column A_j of the scaled matrix (see `_dot`), `cost[j]` its
-    phase cost.  `rows[i]` is row i of d*B^-1 with beta_i = d*(B^-1 b)_i
-    appended; `rows[-1]` is u with u.b appended.  Invariant: the tableau
-    over d has row_i . A_j in row i and u.A_j - d*cost[j] in the z-row.
-    The artificials start as the identity, so `rows` is the dense
-    tableau's artificial block and right-hand side, and `pivot` is its
-    exact update (Edmonds 1967; Bareiss 1968) on that block: every reduced
-    cost and ratio Bland's rule reads, and so every basis, is the same.
+    phase cost.  Over the m rows of A and the basic rows i (`basis[i]` is
+    row i's basic column), the kernel keeps d*B^-1 and beta = d*B^-1 b as
+    m + 1 packed columns: `B[k]` = sum_i (d*B^-1)_ik * 2**(V*i) for k < m,
+    and `B[m]` = sum_i beta_i * 2**(V*i).  `u` is the z-row multipliers
+    with u.b appended.  Invariant: the tableau over d has (d*B^-1 A_j)_i in
+    row i and u.A_j - d*cost[j] in the z-row, so `column(j)` is
+    X = sum_k A_kj * B[k], decoded once.  The artificials start as the
+    identity, B[k] = 2**(V*k), so `B` and `u` are the dense tableau's
+    artificial block, right-hand side and z-row, and `pivot` is its exact
+    update (Edmonds 1967; Bareiss 1968) on them: every reduced cost and
+    ratio Bland's rule reads, and so every basis, is the same.
 
-    The update of row i by a pivot `piv` in row p is
-    (a*piv - f*b) / d for each entry a of row i, b of row p and f of the
-    entering column in row i; Bareiss's theorem makes every such quotient
-    an integer.  When piv == d (most pivots: d = 1 and piv = 1 dominate)
-    the quotient is a - f*b/d, so d divides f*b exactly, d stays, row p
-    and every row with f == 0 stay, and an entry with b == 0 stays: only
-    the pivot row's nonzeros move, in place.  Rows are distinct lists, so
-    updating one in place changes no other.
+    A pivot `piv` on row p, entering column X with z entry zq, reads the
+    pivot row b_k (slot p of every B[k]) and sets Y = X - d * 2**(V*p);
+    then every B[k] becomes (piv*B[k] - b_k*Y) / d and every u_k becomes
+    (piv*u_k - zq*b_k) / d.  Slot i != p of b_k*Y is f_i*b_k, so slot i
+    of B[k] takes Bareiss's step (a*piv - f_i*b_k) / d, an integer, and
+    slot p, piv - d in Y, keeps b_k: every quotient is exact, so the packed
+    division is too.  When piv == d (most pivots: d = 1 and piv = 1
+    dominate) d stays and only the B[k] with b_k != 0 move, by b_k*Y / d;
+    when d == 1 there is no division at all.  A negative piv negates B, u
+    and T with the same operations, and d becomes |piv|.
+
+    The packed arithmetic is exact at any slot width; only reading slots
+    needs |slot| < 2**(V-1).  Every entry the kernel meets, of d*B^-1,
+    beta and the tableau columns, is a minor of [A | b] of order at most m
+    (d = |det B|, so d*B^-1 is the adjugate up to sign, and the rest is
+    Cramer's rule), so at most Hadamard's bound H, the product of the m
+    largest column norms.  When H fits a 64-bit slot, V starts at the
+    narrowest width with H < 2**(V-2); whenever V holds H that way, `M` =
+    H and no pivot checks anything.  Otherwise `M` bounds every |entry| of
+    d*B^-1 and beta pivot by pivot, and cs >= max_j sum_k |A_kj| (the
+    longest column times the largest entry) makes M*cs bound every decoded
+    column.  Before each pivot the bound after it, M' = (|piv|*M +
+    max|f|*max|b|) // d + 1, is checked: M'*cs < 2**(V-2).  When that
+    fails, `refit` reads every column at the current width (still valid
+    before the pivot), sets M to their exact maximum, and doubles V until
+    M'*cs fits V/2 - 2 bits, which leaves half of each slot for M to drift
+    before the next refit.
 
     Pricing reads the whole z-row at once from one integer.  Row k of A is
     packed as `packed[k]` = sum_j A_kj * 2**(W*j), and the invariant on
     `T` is T = sum_j (u.A_j - d*cost[j]) * 2**(W*j) = sum_k u_k*packed[k]
     - d*C, with C the packed costs; `run` computes T from u when it starts.
     `pivot` applies to T the update it applies to u: with the packed pivot
-    row P = sum_k rp[k]*packed[k] and the entering column's z entry zq,
-    T becomes (piv*T - zq*P) / d, which is T - zq*P/d when piv == d, and
-    is negated with the rows when piv < 0.  Every slot of T is exact, so
-    the packed T is too, whatever W.  Only reading slots needs W: once the
-    bound sum_k |u_k| * max_j |A_kj| + d * max_j |cost[j]| fits in W - 2
-    bits, every slot is in [-2**(W-1), 2**(W-1)), and adding 2**(W-1) to
-    each (`top`) leaves bit W-1 of slot j clear exactly when column j's
-    reduced cost is negative.  Before each pricing the bound is checked;
-    when it does not fit, W doubles and everything is packed again from u.
+    row P = sum_k b_k*packed[k], T becomes (piv*T - zq*P) / d.  Only
+    reading slots needs W: once the bound sum_k |u_k| * max_j |A_kj| +
+    d * max_j |cost[j]| fits in W - 2 bits, every slot is in
+    [-2**(W-1), 2**(W-1)), and adding 2**(W-1) to each (`top`) leaves bit
+    W-1 of slot j clear exactly when column j's reduced cost is negative.
+    Before each pricing the bound is checked; when it does not fit, W
+    doubles and everything is packed again from u.
     """
 
-    def __init__(self, cols: list, rows: list[list[int]], cost: list[int]):
-        self.cols, self.rows, self.cost = cols, rows, cost
-        self.basis = list(range(len(cols) - len(rows) + 1, len(cols)))
+    def __init__(self, cols: list, rhs: list[int], u: list[int],
+                 cost: list[int]):
+        m = len(rhs)
+        self.cols, self.u, self.cost = cols, u, cost
+        self.basis = list(range(len(cols) - m, len(cols)))
         self.d = 1
-        # max_j |A_kj|: at least the 1 of row k's artificial
-        self.amax = amax = [1] * (len(rows) - 1)
-        for ks, vs in cols:
+        # max_j |A_kj| (at least the 1 of row k's artificial), |A_j|^2
+        self.amax = amax = [1] * m
+        lengths = list(map(len, map(itemgetter(0), cols)))
+        squares = lengths[:]
+        for j, (ks, vs) in enumerate(cols):
             if vs:
+                squares[j] = sum(map(mul, vs, vs))
                 for k, a in zip(ks, map(abs, vs)):
                     if a > amax[k]:
                         amax[k] = a
+        squares.append(sum(map(mul, rhs, rhs)))
+        squares.sort()
+        self.H = isqrt(prod(squares[len(squares) - m:])) + 1
+        # the longest column times the largest entry: sum_k |A_kj| <= cs
+        self.cs = cs = max(1, max(lengths, default=0) * max(amax, default=1))
         self.width = 16
-        self.packed = _pack(cols, self.width, len(amax))
+        self.packed = _pack(cols, self.width, m)
+        # start from H when it fits a 64-bit slot, else from the entries
+        self.M = max(rhs, default=0) or 1
+        need = self.M * cs if self.H >> 62 else self.H
+        width = 16
+        while need >> width - 2:
+            width *= 2
+        if not self.H >> width - 2:  # no pivot can outgrow V, none checks
+            self.M = self.H
+        self.slots(width, m)
+        self.B = [1 << width * k for k in range(m)] + [self.encode(rhs)]
+
+    def slots(self, width: int, count: int) -> None:
+        """Set V = `width` bits a slot over `count` basic rows, and the
+        constants that read them: `off` has bit V-1 set in every slot."""
+        self.V, self.half, self.mask = width, 1 << width - 1, (1 << width) - 1
+        self.off = int.from_bytes(
+            (bytes(width // 8 - 1) + b"\x80") * count, "little")
+        self.nbytes = width // 8 * count
+        self.cast = _CASTS.get(width)
+
+    def encode(self, values: list[int]) -> int:
+        """sum_i values[i] * 2**(V*i)."""
+        V = self.V
+        return sum(v << V * i for i, v in enumerate(values) if v)
+
+    def decode(self, x: int) -> list[int]:
+        """The slots of x, each in [-2**(V-1), 2**(V-1)): adding `off`
+        makes every slot nonnegative, with no borrow between slots, and
+        the xor leaves each one's V-bit two's complement."""
+        raw = ((x + self.off) ^ self.off).to_bytes(self.nbytes, "little")
+        if self.cast:
+            return memoryview(raw).cast(self.cast).tolist()
+        step = self.V // 8
+        return [int.from_bytes(raw[i:i + step], "little", signed=True)
+                for i in range(0, self.nbytes, step)]
+
+    def row(self, p: int) -> list[int]:
+        """Slot p of every B[k]: row p of d*B^-1, then beta_p."""
+        off, mask, half, shift = self.off, self.mask, self.half, self.V * p
+        return [((x + off) >> shift & mask) - half for x in self.B]
 
     def column(self, j: int) -> list[int]:
-        """Tableau column j over d: d*B^-1 A_j, then its z entry."""
+        """Tableau column j over d: d*B^-1 A_j, then its z entry.  Its
+        packed form X is kept for `pivot`."""
         ks, vs = self.cols[j]
+        B, u = self.B, self.u
         if vs is None:
-            out = [sum(map(r.__getitem__, ks)) for r in self.rows]
+            self.X = X = sum(map(B.__getitem__, ks))
+            z = sum(map(u.__getitem__, ks))
         else:
-            out = [sum(map(mul, map(r.__getitem__, ks), vs)) for r in self.rows]
-        out[-1] -= self.d * self.cost[j]
+            self.X = X = sum(map(mul, map(B.__getitem__, ks), vs))
+            z = sum(map(mul, map(u.__getitem__, ks), vs))
+        out = self.decode(X)
+        out.append(z - self.d * self.cost[j])
         return out
+
+    def pack(self, width: int, columns: list[list[int]]) -> None:
+        """Pack B again from its decoded columns, at `width` bits a slot."""
+        self.slots(width, len(columns[0]))
+        self.B = list(map(self.encode, columns))
+
+    def refit(self, piv: int, fb: int) -> int:
+        """Tighten M to the exact max |entry| of d*B^-1 and beta, and double
+        V until the bound M' after pivoting on `piv`, with max|f|*max|b| =
+        `fb`, fits V/2 - 2 bits; return M', or H once H fits V."""
+        columns = list(map(self.decode, self.B))
+        self.M = max(max(map(abs, c)) for c in columns)
+        bound = (abs(piv) * self.M + fb) // self.d + 1
+        width = self.V
+        while bound * self.cs >> width // 2 - 2:
+            width *= 2
+        if width != self.V:
+            self.pack(width, columns)
+        return bound if self.H >> width - 2 else self.H
+
+    def delete(self, i: int) -> None:
+        """Drop basic row i (a redundant row of A)."""
+        columns = list(map(self.decode, self.B))
+        for c in columns:
+            del c[i]
+        del self.basis[i]
+        self.pack(self.V, columns)
 
     def repack(self, width: int) -> None:
         """Pack A's rows (when `width` is new), the costs, T and `top` at
@@ -160,14 +274,14 @@ class _Revised:
             self.width = width
             self.packed = _pack(self.cols, width, len(self.amax))
         costs = sum(c << width * j for j, c in enumerate(self.cost) if c)
-        self.T = sum(map(mul, self.rows[-1], self.packed)) - self.d * costs
+        self.T = sum(map(mul, self.u, self.packed)) - self.d * costs
         self.top = int.from_bytes(
             (bytes(width // 8 - 1) + b"\x80") * self.ncols, "little")
 
     def entering(self) -> int:
         """Bland's entering column: the lowest slot of T below 0, or -1.
         First the slots widen until the reduced costs' bound fits."""
-        bits = (sum(map(mul, map(abs, self.rows[-1]), self.amax))
+        bits = (sum(map(mul, map(abs, self.u), self.amax))
                 + self.d * self.cmax).bit_length() + 2
         if bits > self.width:
             width = 2 * self.width
@@ -181,26 +295,43 @@ class _Revised:
         return ((negative & -negative).bit_length() - 1) // self.width
 
     def pivot(self, p: int, j: int, column: list[int]) -> None:
-        rows, rp = self.rows, self.rows[p]
-        piv, d, zq = column[p], self.d, column[-1]
-        pivot_row = sum(b * r for b, r in zip(rp, self.packed) if b)  # rp.A
+        d, piv, zq = self.d, column[p], column[-1]
+        rp = self.row(p)
+        X = self.X
+        if self.H >> self.V - 2:  # else no entry can outgrow V
+            f = column[:-1]
+            fb = max(map(abs, f)) * max(map(abs, rp))
+            bound = (abs(piv) * self.M + fb) // d + 1
+            if bound * self.cs >> self.V - 2:
+                width = self.V
+                bound = self.refit(piv, fb)
+                if self.V != width:
+                    X = self.encode(f)
+            self.M = bound
+        B, u = self.B, self.u
+        Y = X - (d << self.V * p)
+        P = sum(map(mul, compress(rp, rp), compress(self.packed, rp)))  # rp.A
         if piv == d:
-            moved = [(k, b) for k, b in enumerate(rp) if b]
-            for ri, f in zip(rows, column):
-                if f and ri is not rp:
-                    for k, b in moved:
-                        ri[k] -= f * b // d
-            self.T -= zq * pivot_row // d
+            if d == 1:
+                for k, b in enumerate(rp):
+                    if b:
+                        B[k] -= b * Y
+                        u[k] -= zq * b
+                self.T -= zq * P
+            else:
+                for k, b in enumerate(rp):
+                    if b:
+                        B[k] -= b * Y // d
+                        u[k] -= zq * b // d
+                self.T -= zq * P // d
         else:
-            for i, (ri, f) in enumerate(zip(rows, column)):
-                if i != p:
-                    rows[i] = ([(a * piv - f * b) // d for a, b in zip(ri, rp)]
-                               if f else [a * piv // d for a in ri])
-            self.T = (piv * self.T - zq * pivot_row) // d
-            if piv < 0:
-                self.rows = [[-a for a in row] for row in rows]
-                self.T = -self.T
-            self.d = abs(piv)
+            if piv < 0:  # negate B, u and T with the update
+                piv, Y, zq = -piv, -Y, -zq
+            self.B = [(piv * x - b * Y) // d if b else piv * x // d
+                      for x, b in zip(B, rp)]
+            self.u = [(piv * a - zq * b) // d for a, b in zip(u, rp)]
+            self.T = (piv * self.T - zq * P) // d
+            self.d = piv
         self.basis[p] = j
 
     def run(self, ncols: int) -> str:
@@ -215,10 +346,10 @@ class _Revised:
             column = self.column(entering)
             leave = -1
             best_num = best_den = 0  # ratio = beta / coefficient
-            for i, (row, den) in enumerate(zip(self.rows[:-1], column)):
+            for i, (num, den) in enumerate(zip(self.decode(self.B[-1]),
+                                               column)):
                 if den <= 0:
                     continue
-                num = row[-1]
                 if leave < 0 or num * best_den < best_num * den or (
                         num * best_den == best_num * den
                         and self.basis[i] < self.basis[leave]):
@@ -259,39 +390,39 @@ def solve(lp: LinearProgram) -> LpOutcome:
     # B = I, u is the artificials' costs -L/dens[i].
     common = lcm(*dens)
     weights = [-(common // den) for den in dens]
-    rows = [[int(i == k) for k in range(m)] + [b] for i, b in enumerate(rhs)]
-    rows.append(weights + [sum(w * b for w, b in zip(weights, rhs))])
-    tab = _Revised(cols, rows, [0] * art0 + weights)
+    u = weights + [sum(w * b for w, b in zip(weights, rhs))]
+    tab = _Revised(cols, rhs, u, [0] * art0 + weights)
     tab.run(art0 + m)
-    if tab.rows[-1][m] != 0:
+    if tab.u[m] != 0:
         return LpOutcome(status="infeasible")
 
     # Drive artificials out of the basis; drop rows that turn out redundant.
     for i in range(m - 1, -1, -1):
         if tab.basis[i] < art0:
             continue
-        j = next((j for j in range(art0) if _dot(tab.rows[i], cols[j])), -1)
+        row = tab.row(i)
+        j = next((j for j in range(art0) if _dot(row, cols[j])), -1)
         if j < 0:
-            del tab.rows[i], tab.basis[i]
+            tab.delete(i)
         else:
             tab.pivot(i, j, tab.column(j))
 
     # Phase 2, artificials barred: u = c_B . d B^-1 for the real costs.
     cost, cden = integral(lp.objective)
     z = [0] * (m + 1)
-    for row, b in zip(tab.rows, tab.basis):
+    for i, b in enumerate(tab.basis):
         if b < n and cost[b]:
-            z = [a + cost[b] * r for a, r in zip(z, row)]
-    tab.rows[-1] = z
+            z = [a + cost[b] * r for a, r in zip(z, tab.row(i))]
+    tab.u = z
     tab.cost = cost + [0] * (art0 + m - n)
     if tab.run(art0) == "unbounded":
         return LpOutcome(status="unbounded")
 
-    d, z = tab.d, tab.rows[-1]
+    d, z = tab.d, tab.u
     primal = [Q(0)] * n
-    for row, b in zip(tab.rows, tab.basis):
+    for beta, b in zip(tab.decode(tab.B[-1]), tab.basis):
         if b < n:
-            primal[b] = Q(row[m], d)
+            primal[b] = Q(beta, d)
     value = Q(z[m], d * cden)
 
     # u_i weighs row i, which was scaled by dens[i] and negated if sign < 0.

@@ -180,12 +180,53 @@ def bland_simplex(lp):
 
 def reduced_costs(tab) -> list:
     """u.A_j - d*cost[j] for every column j of a revised-simplex kernel, one
-    dot product per column, from `tab.rows[-1]` (the z-row multipliers u),
-    `tab.d`, `tab.cols` (sparse columns: row indices, entries or None if
-    all are 1) and `tab.cost`."""
-    u, d = tab.rows[-1], tab.d
+    dot product per column, from `tab.u` (the z-row multipliers u), `tab.d`,
+    `tab.cols` (sparse columns: row indices, entries or None if all are 1)
+    and `tab.cost`."""
+    u, d = tab.u, tab.d
     return [sum(u[k] * a for k, a in zip(ks, (1,) * len(ks) if vs is None else vs))
             - d * c for (ks, vs), c in zip(tab.cols, tab.cost)]
+
+
+def slots_of(x: int, width: int, count: int) -> list[int]:
+    """The `count` signed `width`-bit slots s_i of x = sum_i s_i *
+    2**(width*i), lowest first, peeled off one at a time; asserts that
+    nothing is left above them."""
+    out = []
+    for _ in range(count):
+        s = x % (1 << width)
+        if s >> width - 1:
+            s -= 1 << width
+        out.append(s)
+        x = (x - s) >> width
+    assert x == 0, "x has bits above its slots"
+    return out
+
+
+def list_pivot(rows: list, p: int, column: list, d: int) -> int:
+    """The fraction-free pivot of a revised-simplex kernel kept as lists of
+    rows: `rows[i]` is row i of d*B^-1 with beta_i appended and `rows[-1]`
+    is u with u.b appended; `column` is the entering tableau column over d
+    with its z entry last.  Updates `rows` in place and returns the new d.
+
+    Every entry a of row i takes (a*piv - f*b) / d with b the entry of row
+    p and f = column[i].  A pivot equal to d (unit) moves only the entries
+    at the pivot row's nonzeros, in place; any other (full) rewrites every
+    row, and a negative one then negates them all."""
+    rp, piv = rows[p], column[p]
+    if piv == d:
+        moved = [(k, b) for k, b in enumerate(rp) if b]
+        for ri, f in zip(rows, column):
+            if f and ri is not rp:
+                for k, b in moved:
+                    ri[k] -= f * b // d
+        return d
+    for i, (ri, f) in enumerate(zip(rows, column)):
+        if i != p:
+            rows[i] = [(a * piv - f * b) // d for a, b in zip(ri, rp)]
+    if piv < 0:
+        rows[:] = [[-a for a in row] for row in rows]
+    return abs(piv)
 
 
 def first_negative_column(tab) -> int:

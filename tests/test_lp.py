@@ -13,8 +13,8 @@ from flexdp.graphs import gen_family, mad
 from flexdp.lp import (LinearProgram, LpError, LpInternalError, _Revised,
                        solve, verify_certificate)
 from flexdp.search import enumerate_connected_multigraphs
-from oracles import (bland_simplex, first_negative_column, oracle_solve,
-                     reduced_costs)
+from oracles import (bland_simplex, first_negative_column, list_pivot,
+                     oracle_solve, reduced_costs, slots_of)
 
 
 def lp(objective, rows):
@@ -345,13 +345,14 @@ def test_epsilon_star_lps_match_dense_bland_oracle():
 def test_unit_and_full_pivots_match_dense_bland_oracle(monkeypatch):
     """Both branches of `_Revised.pivot` run and keep the oracle's witnesses.
 
-    A pivot equal to the denominator updates the rows in place, at the
-    pivot row's nonzeros only; any other pivot rewrites every row, and a
-    negative one (driving an artificial out) negates them all.  Over the
-    epsilon* LPs and the first 200 LPs of the pinned-digest generator each
-    branch must run, every outcome must equal the dense oracle's, and a
-    second solve of the same program must return the same outcome, which
-    an in-place update that leaked into shared data would break.
+    A pivot equal to the denominator moves, in place, only the packed
+    columns at the pivot row's nonzeros; any other pivot rewrites every
+    column, and a negative one (driving an artificial out) negates them
+    all.  Over the epsilon* LPs and the first 200 LPs of the pinned-digest
+    generator each branch must run, every outcome must equal the dense
+    oracle's, and a second solve of the same program must return the same
+    outcome, which an in-place update that leaked into shared data would
+    break.
     """
     programs = _epsilon_star_lps() + list(_degenerate_lps(200))
     counts = {"unit": 0, "full": 0, "negative": 0}
@@ -403,6 +404,69 @@ def test_packed_pricing_picks_the_first_negative_column(monkeypatch):
     assert steps["negative"], steps
 
 
+def _columns(tab) -> list:
+    """The kernel's packed columns of d*B^-1 and beta, read by the oracle."""
+    return [slots_of(x, tab.V, len(tab.basis)) for x in tab.B]
+
+
+def test_packed_columns_match_list_pivot(monkeypatch):
+    """After every pivot the packed columns B of d*B^-1 and beta, u and d
+    equal the rows that the list-of-rows pivot gives from the same state,
+    and M bounds every entry.  Before it, the entering column is each
+    row's dot product with A_j and the z entry u.A_j - d*cost[j].  Over the
+    epsilon* LPs, the first 200 LPs of the pinned-digest generator and the
+    J_5 epsilon* LP, where M is tracked pivot by pivot; unit, full and
+    negative pivots all run."""
+    programs = _epsilon_star_lps() + list(_degenerate_lps(200)) + [_j5_lp()]
+    counts = {"unit": 0, "full": 0, "negative": 0}
+    pivot = _Revised.pivot
+
+    def checked(tab, p, j, column):
+        rows = [list(r) for r in zip(*_columns(tab))] + [list(tab.u)]
+        ks, vs = tab.cols[j]
+        entries = (1,) * len(ks) if vs is None else vs
+        assert column == [sum(r[k] * a for k, a in zip(ks, entries))
+                          for r in rows[:-1]] + [
+            sum(tab.u[k] * a for k, a in zip(ks, entries))
+            - tab.d * tab.cost[j]]
+        counts["unit" if column[p] == tab.d else "full"] += 1
+        counts["negative"] += column[p] < 0
+        d = list_pivot(rows, p, column, tab.d)
+        pivot(tab, p, j, column)
+        columns = _columns(tab)
+        assert tab.d == d
+        assert columns == [list(c) for c in zip(*rows[:-1])]
+        assert tab.u == rows[-1]
+        assert tab.M >= max(abs(a) for c in columns for a in c)
+
+    monkeypatch.setattr(_Revised, "pivot", checked)
+    for program in programs:
+        solve(program)
+    assert all(counts.values()), counts
+
+
+@pytest.mark.parametrize("width", [16, 32, 64, 128])
+@pytest.mark.parametrize("native", [True, False], ids=["cast", "bytes"])
+def test_slots_read_back(width, native):
+    """`encode`, `decode` and `row` round-trip any slots within the width
+    bound, the extremes included, through the native cast and through the
+    slot-by-slot bytes path."""
+    rng = random.Random(width)
+    limit = (1 << width - 2) - 1
+    count = 9
+    columns = [[rng.choice((limit, -limit, 0, rng.randint(-limit, limit)))
+                for _ in range(count)] for _ in range(5)] + [[0] * count]
+    tab = _Revised.__new__(_Revised)
+    tab.slots(width, count)
+    if not native:
+        tab.cast = None
+    tab.B = [tab.encode(c) for c in columns]
+    assert [slots_of(x, width, count) for x in tab.B] == columns
+    assert [tab.decode(x) for x in tab.B] == columns
+    for p in range(count):
+        assert tab.row(p) == [c[p] for c in columns]
+
+
 def _wide_lps(count):
     """Small LPs whose every entry is a Fraction with 30- to 40-digit
     numerator and denominator."""
@@ -451,6 +515,41 @@ def test_slot_width_grows_mid_phase(monkeypatch):
     monkeypatch.setattr(_Revised, "pivot", counting_pivot)
     monkeypatch.setattr(_Revised, "repack", counting_repack)
     monkeypatch.setattr(_Revised, "entering", checked_entering)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for program in _wide_lps(20):
+        expected = bland_simplex(program)
+        assert _outcome(program) == expected
+        statuses[expected[0]] += 1
+    assert growths[0] >= 1
+    assert all(statuses.values()), statuses
+
+
+def test_column_width_grows_mid_phase(monkeypatch):
+    """The pivots of LPs with 30- to 40-digit coefficients outgrow the
+    slot width V of the packed columns of d*B^-1: the kernel must read
+    them at the old width, double V and repack between pivots, keep M a
+    bound on every entry, and still return the dense oracle's outcome."""
+    phase_pivots, growths = [0], [0]
+    run, pivot, pack = _Revised.run, _Revised.pivot, _Revised.pack
+
+    def counting_run(tab, ncols):
+        phase_pivots[0] = 0
+        return run(tab, ncols)
+
+    def checked_pivot(tab, p, j, column):
+        pivot(tab, p, j, column)
+        phase_pivots[0] += 1
+        assert tab.M >= max(abs(a) for c in _columns(tab) for a in c)
+
+    def counting_pack(tab, width, columns):
+        if width > tab.V and phase_pivots[0]:
+            assert width % tab.V == 0
+            growths[0] += 1
+        pack(tab, width, columns)
+
+    monkeypatch.setattr(_Revised, "run", counting_run)
+    monkeypatch.setattr(_Revised, "pivot", checked_pivot)
+    monkeypatch.setattr(_Revised, "pack", counting_pack)
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for program in _wide_lps(20):
         expected = bland_simplex(program)
