@@ -323,31 +323,60 @@ def _min_cut(size: int, arcs: Sequence[tuple[int, int, int]],
                 current[x] += 1
 
 
+def peel(g: Multigraph, floor: int) -> list[int]:
+    """The vertices left, in increasing order, after removing vertices of
+    multigraph degree at most 1 one at a time until none is left or only
+    `floor` vertices are (Batagelj and Zaversnik 2003).  A removed vertex
+    has at most one simple edge to the rest, so each removal lowers at
+    most one degree by one."""
+    degree = [g.degree(v) for v in range(g.n)]
+    alive = set(range(g.n))
+    low = [v for v in range(g.n) if degree[v] <= 1]
+    while low and len(alive) > floor:
+        v = low.pop()
+        alive.remove(v)
+        for u in g.neighbors(v):
+            if u in alive:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    low.append(u)
+    return sorted(alive)
+
+
 def mad(g: Multigraph) -> Fraction:
     """Exact maximum average degree, max over nonempty U of 2|E(U)|/|U|.
 
-    Dinkelbach iteration (Dinkelbach 1967) on min cuts of the classical
-    densest-subgraph network (Goldberg 1984), with capacities scaled by
-    2*denominator so everything stays integral.  With guess p/q, the
-    network has s->v of capacity 2q*deg(v), v->t of 2p and u->v, v->u of
-    2q*mult(u,v); the cut with source side {s} + S has capacity
-    4q|E| - 4q|E(S)| + 2p|S|, which is 4q|E| at S empty.  So a maximum flow
-    below 4q|E| leaves a minimum cut whose source side minus s is a
-    nonempty set S strictly denser than p/q, and when the flow is 4q|E| no
-    set is (with no edges the flow is 0 and the answer 0).  Starting from
-    the density 2|E|/n of the whole vertex set, each step moves the guess
-    to the density of the denser set found; the guess is always the
-    density of an actual set and rises strictly, so the iteration ends, and
-    it ends at the maximum.  Agreement with `mad_subset_oracle` is a tested
-    invariant.
+    Vertices of multigraph degree at most 1 are peeled first (`peel`).
+    While mad >= 2 such a vertex never lowers the density of a densest set,
+    so a nonempty 2-core has g's mad; an empty one means g is a simple
+    forest, whose mad is 2(c-1)/c for its largest component of c vertices
+    (0 when every vertex is isolated).
+
+    On the core: Dinkelbach iteration (Dinkelbach 1967) on min cuts of the
+    classical densest-subgraph network (Goldberg 1984), with guess p/q
+    held as two integers.  The network has s->v of capacity 2q*deg(v),
+    v->t of 2p and u->v, v->u of 2q*mult(u,v); the cut with source side
+    {s} + S has capacity 4q|E| - 4q|E(S)| + 2p|S|, which is 4q|E| at S
+    empty.  So a maximum flow below 4q|E| leaves a minimum cut whose source
+    side minus s is a nonempty set S strictly denser than p/q, and when
+    the flow is 4q|E| no set is.  Starting from the density 2|E|/n of the
+    whole core, each step moves the guess to the density of the denser set
+    found; the guess is always the density of an actual set and rises
+    strictly, so the iteration ends, and it ends at the maximum.  Agreement
+    with `mad_subset_oracle` is a tested invariant.
     """
     if g.n == 0:
         raise GraphError("mad of the empty graph is undefined")
+    core = peel(g, 0)
+    if not core:
+        c = max(map(len, g.components()))
+        return Q(2 * (c - 1), c)
+    if len(core) < g.n:
+        g = g.induced(core)
     s, t = g.n, g.n + 1
     total = g.edge_total()
-    density = Q(2 * total, g.n)
+    p, q = 2 * total, g.n
     while True:
-        p, q = density.numerator, density.denominator
         arcs = []
         for v in range(g.n):
             arcs += ((s, v, 2 * q * g.degree(v)), (v, t, 2 * p))
@@ -355,9 +384,9 @@ def mad(g: Multigraph) -> Fraction:
             arcs += ((u, v, 2 * q * m), (v, u, 2 * q * m))
         flow, side = _min_cut(g.n + 2, arcs, s, t)
         if flow == 4 * q * total:
-            return density
+            return Q(p, q)
         denser = side[1:]
-        density = Q(2 * g.edges_within(denser), len(denser))
+        p, q = 2 * g.edges_within(denser), len(denser)
 
 
 # ---------------------------------------------------------------------------

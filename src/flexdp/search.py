@@ -3,9 +3,12 @@ check, criticality, and the potential gap audit.
 
 Graphs are enumerated up to isomorphism by orderly generation (Read 1978):
 multiplicity vectors are scanned in lexicographic order, and only those that
-no vertex relabeling makes smaller are kept.  The relabelings of each vertex
-count are built once, as itemgetters over the pair indices, and serve both
-that scan and `canonical_code`.
+no vertex relabeling makes smaller are kept.  The scan skips every vector
+that swapping two tied vertices makes smaller (`_orderly_candidates`), so
+row 0 is non-decreasing.  The relabelings of each vertex count are built
+once, as itemgetters over the pair indices, grouped by the vertex each moves
+to position 0 (`_first_row_groups`); the scan and `canonical_code` search
+only the groups whose vertex's sorted row can tie the least row 0.
 
 The worst-cover search evaluates one cover per orbit under per-vertex list
 relabeling and graph automorphisms (`CoverEnumeration.representatives`),
@@ -41,7 +44,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, islice, permutations, product
+from itertools import chain, combinations, islice, permutations
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -49,7 +52,8 @@ from .covers import Cover, CoverEnumeration, serialize_cover, trivial_list_distr
 # `epsilon_star` is not called here; it stays a name of this module because
 # perfbench's tracer wraps `search.epsilon_star`.
 from .flexibility import THIRD, epsilon_below, epsilon_star, framework_feasible
-from .graphs import Multigraph, PotentialAssignment, find_I_subgraph, mad, potential
+from .graphs import (Multigraph, PotentialAssignment, find_I_subgraph, mad, peel,
+                     potential)
 from .rationals import rat_str
 
 Q = Fraction
@@ -96,6 +100,23 @@ def _relabelings(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[itemgetter,
     return pairs, tuple(itemgetter(*image) for image in moved), tuple(moved.values())
 
 
+@cache
+def _first_row_groups(n: int) -> tuple[tuple[itemgetter, tuple[itemgetter, ...]], ...]:
+    """Per vertex x: a getter of x's row (its multiplicities to the other
+    vertices, in vertex order) and the getters of `_relabelings(n)` whose
+    relabeling p moves x to position 0 (p[0] = x).  The groups partition
+    the getters; below 3 vertices there are none, and no groups."""
+    pairs, maps, perms = _relabelings(n)
+    if not maps:
+        return ()
+    index = {pair: i for i, (u, v) in enumerate(pairs) for pair in ((u, v), (v, u))}
+    groups: list[list[itemgetter]] = [[] for _ in range(n)]
+    for m, p in zip(maps, perms):
+        groups[p[0]].append(m)
+    return tuple((itemgetter(*(index[x, v] for v in range(n) if v != x)), tuple(group))
+                 for x, group in enumerate(groups))
+
+
 def _code(n: int, vec: Sequence[int]) -> str:
     return f"{n}:{','.join(map(str, vec))}"
 
@@ -107,10 +128,76 @@ def _own_vector(g: Multigraph) -> tuple[int, ...]:
 def canonical_code(g: Multigraph) -> str:
     """Minimum multiplicity vector over all vertex relabelings.
 
+    A relabeling's row 0 is its group vertex's row in some order, so at
+    least that row sorted; the minimum is taken over the identity and the
+    groups of `_first_row_groups` whose vertex has the least sorted row.
     The relabelings of each vertex count are built on first use and kept
     for the life of the process: n! of them, meant for desk-scale n."""
     vec = _own_vector(g)
-    return _code(g.n, min([vec] + [m(vec) for m in _relabelings(g.n)[1]]))
+    groups = _first_row_groups(g.n)
+    rows = [sorted(row(vec)) for row, _ in groups]
+    least = min(rows, default=None)
+    return _code(g.n, min([vec] + [m(vec) for (_, group), r in zip(groups, rows)
+                                   if r == least for m in group]))
+
+
+def _orderly_candidates(n: int, top: int) -> Iterator[tuple[int, ...]]:
+    """Multiplicity vectors over K_n's pairs with entries at most `top`, in
+    lexicographic order, without those that swapping two tied vertices
+    makes smaller; every canonical vector is among them.
+
+    Vertices j < k, both above i, are tied at row i when their columns
+    agree in every row before i.  Swapping them then changes nothing before (i, j) and
+    swaps (i, j) with (i, k), so the entry at (i, k) must be at least the
+    one at (i, j).  Tied vertices form runs (all of 1..n-1 at row 0; each
+    row is non-decreasing along a run, so equal entries split it), so only
+    j = k - 1 is checked: tied at row i when tied at row i - 1 with equal
+    entries there.  The vector is an odometer on an explicit stack: its
+    last entry below `top` goes up by one and every later entry restarts
+    at its least value.
+    """
+    pairs = _relabelings(n)[0]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    # per pair (i, k): the pair (i, k - 1) within the row, and (i - 1, k)
+    # and (i - 1, k - 1) above it; -1 where there is none
+    steps = [(index[i, k - 1] if k - 1 > i else -1, index[i - 1, k] if i else -1,
+              index[i - 1, k - 1] if i else -1) for i, k in pairs]
+    vec = [0] * len(pairs)
+    tied = [False] * len(pairs)     # at (i, k): k - 1 and k tied at row i
+    start = 0
+    while True:
+        for s in range(start, len(pairs)):
+            left, up, diag = steps[s]
+            tied[s] = left >= 0 and (up < 0 or tied[up] and vec[up] == vec[diag])
+            vec[s] = vec[left] if tied[s] else 0
+        yield tuple(vec)
+        start = len(pairs) - 1
+        while start >= 0 and vec[start] == top:
+            start -= 1
+        if start < 0:
+            return
+        vec[start] += 1
+        start += 1
+
+
+def _is_canonical(vec: tuple[int, ...], groups: Sequence) -> bool:
+    """Whether no relabeling makes the vector, whose row 0 is sorted,
+    smaller: a vertex whose sorted row is below row 0 beats it at once, and
+    only group 0 and the groups of vertices whose sorted row equals row 0
+    are tested, as any other relabeling is larger on row 0."""
+    first = list(vec[:len(groups) - 1])
+    tested = [groups[0][1]]
+    for row, group in groups[1:]:
+        r = sorted(row(vec))
+        if r < first:
+            return False
+        if r == first:
+            tested.append(group)
+    for group in tested:
+        for m in group:
+            if m(vec) < vec:
+                return False
+    return True
 
 
 def enumerate_connected_multigraphs(max_vertices: int,
@@ -118,9 +205,9 @@ def enumerate_connected_multigraphs(max_vertices: int,
     """Connected multigraphs up to isomorphism, in (vertex count, code) order:
     each class once, as the graph whose own multiplicity vector is its code."""
     for n in range(1, max_vertices + 1):
-        pairs, maps, _ = _relabelings(n)
-        for vec in product(range(max_multiplicity + 1), repeat=len(pairs)):
-            if all(m(vec) >= vec for m in maps):
+        pairs, groups = _relabelings(n)[0], _first_row_groups(n)
+        for vec in _orderly_candidates(n, max_multiplicity):
+            if not groups or _is_canonical(vec, groups):
                 g = Multigraph(n, [(u, v, k) for (u, v), k in zip(pairs, vec) if k])
                 if g.is_connected():
                     yield g
@@ -239,25 +326,14 @@ def min_epsilon_over_covers(g: Multigraph, budget: int = DEFAULT_BUDGET,
 def two_core(g: Multigraph) -> list[int]:
     """The vertices of a connected g's 2-core, in increasing order.
 
-    Vertices of multigraph degree 1 are peeled until none is left
-    (Batagelj and Zaversnik 2003), or until one vertex is, which happens
-    exactly when g is a tree.  Each peeled vertex has one simple edge to
-    the rest, so epsilon*(G, H) = epsilon*(G - v, H - v) for every cover H:
+    Vertices of multigraph degree 1 are peeled (`graphs.peel`) until none
+    is left, or until one vertex is, which happens exactly when g is a
+    tree.  Each peeled vertex has one simple edge to the rest, so
+    epsilon*(G, H) = epsilon*(G - v, H - v) for every cover H:
     restriction gives <=, and giving v one of the two colors its
     neighbour's color leaves, uniformly, gives >= (`gadgets.gadget_pendent`).
     """
-    degree = [g.degree(v) for v in range(g.n)]
-    alive = set(range(g.n))
-    leaves = [v for v in range(g.n) if degree[v] == 1]
-    while leaves and len(alive) > 1:
-        v = leaves.pop()
-        alive.remove(v)
-        for u in g.neighbors(v):
-            if u in alive:
-                degree[u] -= 1
-                if degree[u] == 1:
-                    leaves.append(u)
-    return sorted(alive)
+    return peel(g, 1)
 
 
 def _core_row(g: Multigraph, core: Sequence[int]) -> tuple[str, dict[int, int]]:

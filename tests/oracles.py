@@ -8,9 +8,12 @@ relabelings, then graph automorphisms) and for graph classes and codes, a
 union-find for connected components, every vertex sequence for the
 inflexible family, every root and every triple of coloring pairs for the
 six-coloring certificate of epsilon* = 1/3.  None of it shares code with
-the implementations under test, except the per-index worst-cover scan: it
-calls the library's `epsilon_star` on every cover index, so it checks the
-search's orbit cut and LP skipping, not the LP.
+the implementations under test, except in two places.  The per-index
+worst-cover scan calls the library's `epsilon_star` on every cover index,
+so it checks the search's orbit cut and LP skipping, not the LP.  The
+product scan of graph classes tests every vector against the library's
+relabeling getters, so it checks the pruned scan and the first-row groups,
+not the getters, which `canonical_code_by_permutations` checks.
 """
 from __future__ import annotations
 
@@ -18,9 +21,11 @@ import functools
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import Iterator
 
 from flexdp.covers import PERMS, Cover
 from flexdp.graphs import Multigraph
+from flexdp.search import _relabelings
 
 Q = Fraction
 
@@ -455,6 +460,21 @@ def connected_multigraph_classes(max_vertices: int, max_mult: int) -> set:
                 classes.add(frozenset((n, _relabeled_edge_list(edges, perm))
                                       for perm in permutations(range(n))))
     return classes
+
+
+def enumerate_by_product_scan(max_vertices: int,
+                              max_multiplicity: int) -> Iterator[Multigraph]:
+    """Connected multigraphs up to isomorphism, in (vertex count, code) order,
+    by the plain orderly scan: every multiplicity vector in `product` order,
+    kept when no relabeling getter of `search._relabelings` makes it
+    smaller."""
+    for n in range(1, max_vertices + 1):
+        pairs, maps, _ = _relabelings(n)
+        for vec in product(range(max_multiplicity + 1), repeat=len(pairs)):
+            if all(m(vec) >= vec for m in maps):
+                g = Multigraph(n, [(u, v, k) for (u, v), k in zip(pairs, vec) if k])
+                if g.is_connected():
+                    yield g
 
 
 # ---------------------------------------------------------------------------

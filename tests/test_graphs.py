@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from flexdp.graphs import (GraphError, GraphFormatError, Multigraph,
                            PotentialAssignment, find_I_subgraph, gen_family,
-                           mad, mad_subset_oracle, parse_graph, potential,
-                           serialize_graph, sigma)
+                           mad, mad_subset_oracle, parse_graph, peel,
+                           potential, serialize_graph, sigma)
 from flexdp.search import enumerate_connected_multigraphs
 from oracles import (components_by_union_find, find_I_subgraph_oracle,
-                     random_connected_multigraph, random_multigraph)
+                     random_connected_multigraph, random_multigraph, random_tree,
+                     two_core_by_brute_force, with_pendant_trees)
 
 
 class TestConstruction:
@@ -188,6 +189,51 @@ class TestMad:
     def test_flow_matches_subsets_on_enumerated_graphs(self, max_vertices, max_mult):
         for g in enumerate_connected_multigraphs(max_vertices, max_mult):
             assert mad(g) == mad_subset_oracle(g)
+
+    def test_flow_matches_subsets_with_pendant_trees(self):
+        """The peel removes the trees and the min cuts run on what is left."""
+        rng = random.Random(84)
+        for _ in range(150):
+            g = with_pendant_trees(
+                rng, random_connected_multigraph(rng, max_n=6, max_mult=2),
+                rng.randint(0, 5))
+            assert mad(g) == mad_subset_oracle(g)
+
+    def test_forests_and_isolated_vertices(self):
+        """An empty 2-core: mad is 2(c-1)/c for the largest component."""
+        rng = random.Random(85)
+        for _ in range(60):
+            sizes = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+            edges, base = [], 0
+            for size in sizes:
+                edges += [(base + u, base + v, 1)
+                          for u, v, _ in random_tree(rng, size).edge_items()]
+                base += size
+            g = Multigraph(base, edges)
+            c = max(sizes)
+            assert peel(g, 0) == []
+            assert mad(g) == Q(2 * (c - 1), c) == mad_subset_oracle(g)
+        cases = {Multigraph(9, [(0, 1, 1), (1, 2, 1), (3, 4, 1), (3, 5, 1),
+                                (3, 6, 1)]): Q(3, 2),
+                 Multigraph(4, [(1, 3, 1)]): Q(1),
+                 Multigraph(3, [(0, 1, 2)]): Q(2)}       # a doubled edge is a core
+        for g, expected in cases.items():
+            assert mad(g) == expected == mad_subset_oracle(g)
+
+    def test_peel_finds_the_two_core(self):
+        """The oracle answers [0] when no set has minimum degree 2."""
+        rng = random.Random(86)
+        for _ in range(100):
+            g = random_multigraph(rng, max_n=8, max_mult=2)
+            oracle = two_core_by_brute_force(g)
+            assert peel(g, 0) == (oracle if len(oracle) > 1 else [])
+
+    def test_long_cycle_with_a_doubled_edge(self):
+        """Nothing peels, so the min cuts run on the whole 500-vertex
+        network; the whole graph is the densest set."""
+        n = 500
+        g = Multigraph(n, [(v, (v + 1) % n, 1) for v in range(n)] + [(0, 1, 1)])
+        assert mad(g) == Q(501, 250)
 
     def test_single_vertex(self):
         assert mad(Multigraph(1, [])) == 0

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as Q
-from itertools import combinations
+from itertools import combinations, islice, product
 from pathlib import Path
 
 import pytest
@@ -21,6 +21,7 @@ from flexdp.search import (BudgetExceeded, canonical_code, cover_hash,
                            theorem_check, two_core)
 from oracles import (canonical_code_by_permutations, carried_cover,
                      colorings_by_brute_force, connected_multigraph_classes,
+                     enumerate_by_product_scan,
                      epsilon_every_index, min_epsilon_every_index,
                      random_connected_multigraph, random_cover, random_multigraph,
                      relabeling_canonical_form, six_colorings_by_brute_force,
@@ -87,6 +88,69 @@ class TestCanonicalCode:
                  enumerate_connected_multigraphs(max_vertices, max_mult)]
         assert len(forms) == len(classes)
         assert all(sum(form in orbit for form in forms) == 1 for orbit in classes)
+
+    @pytest.mark.parametrize("max_vertices, max_mult",
+                             [(3, 3), (4, 2), (5, 1), (5, 2), (6, 1)])
+    def test_same_sequence_as_product_scan(self, max_vertices, max_mult):
+        assert list(enumerate_connected_multigraphs(max_vertices, max_mult)) == \
+            list(enumerate_by_product_scan(max_vertices, max_mult))
+
+    @pytest.mark.parametrize("n, top, count", [
+        (3, 3, 40), (4, 2, 216), (5, 1, 166), (5, 2, 5589), (6, 1, 1626)])
+    def test_candidates_hold_every_canonical_vector(self, n, top, count):
+        """The candidates increase strictly and include every vector that
+        no relabeling makes smaller, connected or not; the first-row test
+        keeps exactly those."""
+        candidates = list(search._orderly_candidates(n, top))
+        assert len(candidates) == count
+        assert all(a < b for a, b in zip(candidates, candidates[1:]))
+        _, maps, _ = search._relabelings(n)
+        canonical = [vec for vec in product(range(top + 1), repeat=n * (n - 1) // 2)
+                     if all(m(vec) >= vec for m in maps)]
+        groups = search._first_row_groups(n)
+        assert [vec for vec in candidates
+                if search._is_canonical(vec, groups)] == canonical
+
+    def test_matches_permutation_oracle_at_seven_vertices(self):
+        rng = random.Random(77)
+        seven = islice((g for g in enumerate_connected_multigraphs(7, 1) if g.n == 7), 12)
+        for g in list(seven) + [random_multigraph(rng, max_n=7, max_mult=2)
+                                for _ in range(4)]:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            relabeled = Multigraph(g.n, [(perm[u], perm[v], m)
+                                         for u, v, m in g.edge_items()])
+            assert canonical_code(relabeled) == canonical_code_by_permutations(g)
+
+    def test_least_first_row_shared_by_several_vertices(self):
+        """Several vertices tie on the least sorted row, so several first-row
+        groups are searched.  In K4, C6, K3,3 and the doubled C4 every
+        vertex ties; in the two 5-vertex graphs some tied vertex's group
+        misses the minimum, so a search of one tied group would be wrong."""
+        cycle = [(v, (v + 1) % 4, 2) for v in range(4)]
+        symmetric = [gen_family("k4")[0],
+                     Multigraph(6, [(v, (v + 1) % 6, 1) for v in range(6)]),
+                     Multigraph(6, [(u, v, 1) for u in range(3) for v in range(3, 6)]),
+                     Multigraph(4, cycle)]
+        lopsided = [Multigraph(5, [(0, 4, 1), (1, 4, 1), (2, 3, 1), (3, 4, 1)]),
+                    Multigraph(5, [(0, 3, 1), (0, 4, 1), (1, 2, 1), (1, 4, 1),
+                                   (2, 3, 1), (3, 4, 1)])]
+        rng = random.Random(78)
+        for g in symmetric + lopsided:
+            vec = search._own_vector(g)
+            groups = search._first_row_groups(g.n)
+            rows = [sorted(row(vec)) for row, _ in groups]
+            tied = [x for x, r in enumerate(rows) if r == min(rows)]
+            assert len(tied) == (g.n if g in symmetric else 3)
+            minima = {min([m(vec) for m in groups[x][1]] + [vec] * (x == 0))
+                      for x in tied}
+            assert len(minima) == (1 if g in symmetric else 2)
+            for _ in range(5):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                relabeled = Multigraph(g.n, [(perm[u], perm[v], m)
+                                             for u, v, m in g.edge_items()])
+                assert canonical_code(relabeled) == canonical_code_by_permutations(g)
 
     @pytest.mark.parametrize("max_vertices, max_mult", [(3, 3), (4, 2), (5, 1)])
     def test_yields_own_code_in_increasing_order(self, max_vertices, max_mult):
