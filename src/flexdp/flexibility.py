@@ -1,10 +1,12 @@
 """Flexibility computations: epsilon*, packings, and framework feasibility.
 
 Everything is phrased as an exact LP over the enumerated colorings of a
-cover.  The dual multipliers of the marginal constraints are reported as
-the worst weighted request certifying the optimum.  Only `epsilon_below`,
-the worst-cover search's query, settles most covers without an LP, by
-exact bounds and certificates of its own.
+cover, with each row built from its nonzeros only: a (vertex, color) row
+is 1 at the colorings in that pair's `_support`.  The dual multipliers of
+the marginal constraints are reported as the worst weighted request
+certifying the optimum.  Only `epsilon_below`, the worst-cover search's
+query, settles most covers without an LP, by exact bounds and
+certificates of its own.
 """
 from __future__ import annotations
 
@@ -70,15 +72,6 @@ def _marginal_columns(g: Multigraph, cover: Cover, lists: ListAssignment
     return colorings, _support(colorings, lists)
 
 
-def _indicator(width: int, columns: Sequence[int]) -> tuple[int, ...]:
-    """0/1 row of the given width with ones at `columns`, as Python ints:
-    the LPs here have integer coefficients and Fraction right-hand sides."""
-    coeffs = [0] * width
-    for i in columns:
-        coeffs[i] = 1
-    return tuple(coeffs)
-
-
 def _feasible_support(columns: Sequence, rows) -> Optional[list]:
     """(column, weight) pairs with nonzero weight at a feasible point of
     `rows`, x >= 0, one variable per column; None when infeasible.  The
@@ -120,8 +113,9 @@ def _epsilon_report(colorings: list[Coloring],
             return FlexReport(Q(0), True, dist, request)
 
     k = len(colorings)
-    rows = [(_indicator(k, where[pair]) + (-1,), ">=", Q(0)) for pair in pairs]
-    rows.append(((1,) * k + (0,), "=", Q(1)))
+    rows = [({**dict.fromkeys(where[pair], 1), k: -1}, ">=", Q(0))  # marginal - eps
+            for pair in pairs]
+    rows.append((dict.fromkeys(range(k), 1), "=", Q(1)))
     outcome = solve(LinearProgram(k + 1, (0,) * k + (1,), tuple(rows)))
     if outcome.status != "optimal":   # feasible at eps = 0 and bounded by 1
         raise LpInternalError(f"the epsilon* LP reported {outcome.status}")
@@ -218,8 +212,7 @@ def fractional_packing(g: Multigraph, cover: Cover) -> Optional[ColoringDistribu
     colorings, where = _marginal_columns(g, cover, full_lists(g.n))
     if not colorings or not all(where.values()):
         return None
-    k = len(colorings)
-    return _feasible_support(colorings, [(_indicator(k, cols), "=", Q(1, 3))
+    return _feasible_support(colorings, [(dict.fromkeys(cols, 1), "=", Q(1, 3))
                                          for cols in where.values()])
 
 
@@ -244,16 +237,12 @@ def box_distribution(g: Multigraph, cover: Cover, lists: ListAssignment,
         pins[(v, c)] = val
     if not colorings:
         return None
-    k = len(colorings)
     rows = []
     for pair, cols in where.items():
-        coeffs = _indicator(k, cols)
-        if pair in pins:
-            rows.append((coeffs, "=", pins[pair]))
-        else:
-            rows.append((coeffs, ">=", lower))
-            rows.append((coeffs, "<=", upper))
-    rows.append(((1,) * k, "=", Q(1)))
+        coeffs = dict.fromkeys(cols, 1)
+        bounds = [("=", pins[pair])] if pair in pins else [(">=", lower), ("<=", upper)]
+        rows += [(coeffs, rel, rhs) for rel, rhs in bounds]
+    rows.append((dict.fromkeys(range(len(colorings)), 1), "=", Q(1)))
     return _feasible_support(colorings, rows)
 
 
@@ -324,14 +313,13 @@ def framework_feasible(g: Multigraph, pa: PotentialAssignment, cover: Cover,
     if not all(where.values()):
         return None
 
-    k = len(colorings)
-    rows = [(_indicator(k, [col for col in range(k) if owner[col] == o]), "=", prob)
+    rows = [(dict.fromkeys((i for i, x in enumerate(owner) if x == o), 1), "=", prob)
             for o, (_, prob) in enumerate(active)]
-    rows += [(_indicator(k, cols), ">=", eps) for cols in where.values()]
+    rows += [(dict.fromkeys(cols, 1), ">=", eps) for cols in where.values()]
     for v in pa.pi(4):
         for c in range(3):
             target = 2 * eps if c == pa.basepoint[v] else Q(1, 2) - eps
-            rows.append((_indicator(k, where[(v, c)]), "=", target))
+            rows.append((dict.fromkeys(where[(v, c)], 1), "=", target))
     support = _feasible_support(list(zip(owner, colorings)), rows)
     if support is None:
         return None

@@ -14,6 +14,7 @@ from typing import Iterable, Optional, Sequence
 Q = Fraction
 
 SUBSET_ORACLE_CAP = 20  # the oracle visits all 2^n - 1 subsets
+MAX_VERTICES = 10**5    # most vertices a graph may have, checked before any per-vertex list
 
 
 class GraphError(ValueError):
@@ -22,6 +23,11 @@ class GraphError(ValueError):
 
 class GraphFormatError(ValueError):
     """Malformed graph/cover text input."""
+
+
+def _check_vertex_count(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise GraphError(f"vertex count {n} outside 0..{MAX_VERTICES}")
 
 
 class Multigraph:
@@ -38,8 +44,7 @@ class Multigraph:
     __slots__ = ("n", "_mult", "_adj")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int, int]] = ()):
-        if vertex_count < 0:
-            raise GraphError(f"vertex_count must be nonnegative, got {vertex_count}")
+        _check_vertex_count(vertex_count)
         self.n = vertex_count
         mult: dict[tuple[int, int], int] = {}
         for u, v, m in edges:
@@ -449,13 +454,15 @@ def gen_family(kind: str, m: Optional[int] = None,
       k4  -- complete graph on 4 vertices.
       c2  -- doubled edge with the exceptional values rho = (4, 6).
 
-    Everything gets rho = 6 and basepoint 0 except the c2 kind.
+    Everything gets rho = 6 and basepoint 0 except the c2 kind; beyond
+    MAX_VERTICES vertices, GraphError is raised before anything is built.
     """
     kind = kind.lower()
     if kind == "im":
         if m is None or m < 1:
             raise GraphError("im requires m >= 1")
         n = 2 * m + 1
+        _check_vertex_count(n)
         edges = [(j, (j + 1) % n, 1) for j in range(n)]
         edges += [(2 * i, 2 * i + 1, 1) for i in range(m)]
         return Multigraph(n, edges), PotentialAssignment.uniform(n)
@@ -464,6 +471,7 @@ def gen_family(kind: str, m: Optional[int] = None,
             raise GraphError("jm requires m >= 1")
         cyc = 2 * m + 1
         n = cyc + 2
+        _check_vertex_count(n)
         edges = [(j, (j + 1) % cyc, 1) for j in range(cyc)]
         edges += [(j - 1, j, 1) for j in range(2, 2 * m - 1, 2)]
         edges += [(0, cyc, 2), (2 * m - 1, cyc + 1, 2)]
@@ -473,6 +481,7 @@ def gen_family(kind: str, m: Optional[int] = None,
             raise GraphError("s requires a list of chain lengths >= 1")
         m_val = len(chains)
         cyc = 2 * m_val + 1
+        _check_vertex_count(cyc + 3 * sum(chains))
         edges = [(j, (j + 1) % cyc, 1) for j in range(cyc)]
         next_vertex = cyc
         for j, t in enumerate(chains):

@@ -1,21 +1,13 @@
 """Exact rational linear programming: revised simplex with Bland's rule.
 
 Maximization over `int` or `Fraction` data, `x >= 0` only (any other bound
-is written as a row), kept as sparse integer columns (each row scaled by its
-own denominator).  The kernel `_Revised` keeps only d*B^-1 and the basic
-solution beta over one common denominator d, and the z-row multipliers u,
-updated by Bareiss's fraction-free pivots (exact divisions, no gcd).  Its
-two hot structures are packed by Kronecker substitution, one integer with
-a fixed-width slot per entry, so a pivot is a few big-integer operations
-per packed integer rather than one small one per entry: each column of
-d*B^-1, and beta, is one integer with a slot per basic row, and the z-row's
-reduced costs are one integer T with a slot per column of A, which prices
-every column at once (Bland's entering column is T's lowest negative
-slot).  A slot width doubles, and its integers are packed again, whenever
-a bound on the entries outgrows it; the packed arithmetic itself is exact
-at any width, and no float is used anywhere.  Every optimal solve is
-verified against the exact optimality certificate (feasibility,
-complementary slackness, strong duality).
+is written as a row).  A row is a {column: coefficient} dict of its
+nonzeros, read in one pass into sparse integer columns, each row scaled by
+its own denominator.  The kernel `_Revised` pivots fraction-free on integers
+packed by Kronecker substitution, a slot per entry, and prices every column
+at once; no float is used anywhere.  Every optimal solve is verified
+against the exact optimality certificate (feasibility, complementary
+slackness, strong duality), which compares integers only.
 """
 from __future__ import annotations
 
@@ -34,7 +26,7 @@ Q = Fraction
 Number = Union[int, Fraction]
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
-_RELATIONS = (LESS, EQUAL, GREATER)
+_BROKEN = {LESS: ">", EQUAL: "!=", GREATER: "<"}   # what a violated row shows
 
 # Slot width -> the native signed format that reads a little-endian slot of
 # that width; wider slots, or a big-endian host, decode slot by slot.
@@ -43,7 +35,7 @@ _CASTS = ({8 * calcsize(c): c for c in "hiq"} if sys.byteorder == "little"
 
 
 class LpError(ValueError):
-    """Malformed program: width mismatch or unknown relation."""
+    """Malformed program: bad width, column out of range, unknown relation."""
 
 
 class LpInternalError(AssertionError):
@@ -52,19 +44,21 @@ class LpInternalError(AssertionError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max objective . x  subject to rows, x >= 0."""
+    """max objective . x  subject to rows, x >= 0; a row is (coefficients,
+    relation, rhs), its coefficients a {column: value} dict of its nonzeros
+    over columns 0..num_vars-1 (an empty dict is the zero row)."""
 
     num_vars: int
     objective: tuple[Number, ...]
-    rows: tuple[tuple[tuple[Number, ...], str, Number], ...]
+    rows: tuple[tuple[dict[int, Number], str, Number], ...]
 
     def __post_init__(self):
         if len(self.objective) != self.num_vars:
             raise LpError("objective width does not match num_vars")
         for coeffs, rel, _ in self.rows:
-            if len(coeffs) != self.num_vars:
-                raise LpError("row width does not match num_vars")
-            if rel not in _RELATIONS:
+            if coeffs and not 0 <= min(coeffs) <= max(coeffs) < self.num_vars:
+                raise LpError(f"row column outside 0..{self.num_vars - 1}")
+            if rel not in _BROKEN:
                 raise LpError(f"unknown relation {rel!r}")
 
 
@@ -76,16 +70,10 @@ class LpOutcome:
     dual: Optional[tuple[Fraction, ...]] = None
 
 
-def _dot(row: list[int], col: tuple) -> int:
-    """row . A_j; a column is (row indices, entries or None if all are 1)."""
-    ks, vs = col
-    get = row.__getitem__
-    return sum(map(get, ks)) if vs is None else sum(map(mul, map(get, ks), vs))
-
-
 def _pack(cols: list, width: int, rows: int) -> list[int]:
-    """Each row k of the sparse columns `cols` (see `_dot`) as one integer,
-    sum_j A_kj * 2**(width*j) (Kronecker substitution); `width` is a
+    """Each row k of the sparse columns `cols`, (row indices, entries or
+    None if all are 1), as sum_j A_kj * 2**(width*j) (Kronecker
+    substitution), one integer; `width` is a
     multiple of 8.  The entries of the all-ones columns, most of them, are
     set as bytes; the others are added as shifted integers."""
     step = width // 8
@@ -106,69 +94,64 @@ def _pack(cols: list, width: int, rows: int) -> list[int]:
 class _Revised:
     """Revised simplex over sparse columns, fraction-free over `d` > 0.
 
-    `cols[j]` is column A_j of the scaled matrix (see `_dot`), `cost[j]` its
-    phase cost.  Over the m rows of A and the basic rows i (`basis[i]` is
-    row i's basic column), the kernel keeps d*B^-1 and beta = d*B^-1 b as
-    m + 1 packed columns: `B[k]` = sum_i (d*B^-1)_ik * 2**(V*i) for k < m,
-    and `B[m]` = sum_i beta_i * 2**(V*i).  `u` is the z-row multipliers
-    with u.b appended.  Invariant: the tableau over d has (d*B^-1 A_j)_i in
-    row i and u.A_j - d*cost[j] in the z-row, so `column(j)` is
-    X = sum_k A_kj * B[k], decoded once.  The artificials start as the
-    identity, B[k] = 2**(V*k), so `B` and `u` are the dense tableau's
-    artificial block, right-hand side and z-row, and `pivot` is its exact
-    update (Edmonds 1967; Bareiss 1968) on them: every reduced cost and
-    ratio Bland's rule reads, and so every basis, is the same.
+    `cols[j]` is column A_j of the scaled matrix (see `_pack`), `cost[j]`
+    its phase cost.  Over the m rows of A and the basic rows i (`basis[i]`
+    is row i's basic column), the kernel keeps d*B^-1 and beta = d*B^-1 b
+    as m + 1 packed columns: `B[k]` = sum_i (d*B^-1)_ik * 2**(V*i) for
+    k < m, and `B[m]` = sum_i beta_i * 2**(V*i).  `u` is the z-row
+    multipliers with u.b appended.  Invariant: the tableau over d has
+    (d*B^-1 A_j)_i in row i and u.A_j - d*cost[j] in the z-row, so
+    `column(j)` is X = sum_k A_kj * B[k], decoded once.  The artificials
+    start as the identity, so `B` and `u` are the dense tableau's artificial
+    block, right-hand side and z-row, and `pivot` is its exact update
+    (Edmonds 1967; Bareiss 1968): every reduced cost and ratio Bland's rule
+    reads, and so every basis, is the same.
 
     A pivot `piv` on row p, entering column X with z entry zq, reads the
     pivot row b_k (slot p of every B[k]) and sets Y = X - d * 2**(V*p);
-    then every B[k] becomes (piv*B[k] - b_k*Y) / d and every u_k becomes
-    (piv*u_k - zq*b_k) / d.  Slot i != p of b_k*Y is f_i*b_k, so slot i
-    of B[k] takes Bareiss's step (a*piv - f_i*b_k) / d, an integer, and
-    slot p, piv - d in Y, keeps b_k: every quotient is exact, so the packed
-    division is too.  When piv == d (most pivots: d = 1 and piv = 1
-    dominate) d stays and only the B[k] with b_k != 0 move, by b_k*Y / d;
-    when d == 1 there is no division at all.  A negative piv negates B, u
-    and T with the same operations, and d becomes |piv|.
+    every B[k] becomes (piv*B[k] - b_k*Y) / d and every u_k (piv*u_k -
+    zq*b_k) / d.  Slot i != p of B[k] takes Bareiss's step (a*piv -
+    f_i*b_k) / d, an integer, and slot p keeps b_k, so the packed division
+    is exact.  When piv == d (most pivots) only the B[k] at the pivot row's
+    nonzeros move, by b_k*Y / d, with no division when d == 1.  A negative
+    piv negates B, u and T with the same operations; d becomes |piv|.
 
-    The packed arithmetic is exact at any slot width; only reading slots
-    needs |slot| < 2**(V-1).  Every entry the kernel meets, of d*B^-1,
-    beta and the tableau columns, is a minor of [A | b] of order at most m
-    (d = |det B|, so d*B^-1 is the adjugate up to sign, and the rest is
-    Cramer's rule), so at most Hadamard's bound H, the product of the m
-    largest column norms.  When H fits a 64-bit slot, V starts at the
-    narrowest width with H < 2**(V-2); whenever V holds H that way, `M` =
-    H and no pivot checks anything.  Otherwise `M` bounds every |entry| of
-    d*B^-1 and beta pivot by pivot, and cs >= max_j sum_k |A_kj| (the
-    longest column times the largest entry) makes M*cs bound every decoded
-    column.  Before each pivot the bound after it, M' = (|piv|*M +
-    max|f|*max|b|) // d + 1, is checked: M'*cs < 2**(V-2).  When that
-    fails, `refit` reads every column at the current width (still valid
-    before the pivot), sets M to their exact maximum, and doubles V until
-    M'*cs fits V/2 - 2 bits, which leaves half of each slot for M to drift
-    before the next refit.
+    The packed arithmetic is exact at any width; only reading a slot needs
+    |slot| < 2**(V-1).  Every entry the kernel meets is a minor of [A | b]
+    of order at most m (d = |det B|; d*B^-1 is the adjugate up to sign, the
+    rest is Cramer's rule), so at most Hadamard's bound H, the product of
+    the m largest column norms.  When H fits a 64-bit slot, V starts at the
+    narrowest width with H < 2**(V-2), `M` = H and no pivot checks
+    anything.  Otherwise `M` bounds every |entry| of d*B^-1 and beta pivot
+    by pivot, and cs >= max_j sum_k |A_kj| makes M*cs bound every decoded
+    column.  Before each pivot M' = (|piv|*M + max|f|*max|b|) // d + 1 is
+    checked: M'*cs < 2**(V-2).  When that fails, `refit` reads every column
+    at the current width, sets M to their exact maximum, and doubles V
+    until M'*cs fits V/2 - 2 bits, leaving half of each slot for M to drift.
 
-    Pricing reads the whole z-row at once from one integer.  Row k of A is
-    packed as `packed[k]` = sum_j A_kj * 2**(W*j), and the invariant on
-    `T` is T = sum_j (u.A_j - d*cost[j]) * 2**(W*j) = sum_k u_k*packed[k]
-    - d*C, with C the packed costs; `run` computes T from u when it starts.
-    `pivot` applies to T the update it applies to u: with the packed pivot
-    row P = sum_k b_k*packed[k], T becomes (piv*T - zq*P) / d.  Only
-    reading slots needs W: once the bound sum_k |u_k| * max_j |A_kj| +
-    d * max_j |cost[j]| fits in W - 2 bits, every slot is in
-    [-2**(W-1), 2**(W-1)), and adding 2**(W-1) to each (`top`) leaves bit
-    W-1 of slot j clear exactly when column j's reduced cost is negative.
-    Before each pricing the bound is checked; when it does not fit, W
-    doubles and everything is packed again from u.
+    Pricing reads the z-row from one integer.  Row k of A is packed as
+    `packed[k]` = sum_j A_kj * 2**(W*j), and T = sum_j (u.A_j - d*cost[j])
+    * 2**(W*j) = sum_k u_k*packed[k] - d*C, C the packed costs; `run`
+    computes T from u, and `pivot` updates it as u: with the packed pivot
+    row P = sum_k b_k*packed[k], T becomes (piv*T - zq*P) / d.  Once the
+    bound S + d * max_j |cost[j]|, S = sum_k |u_k| * max_j |A_kj|, fits W -
+    2 bits, adding 2**(W-1) to each slot (`top`) leaves bit W-1 of slot j
+    clear exactly when column j's reduced cost is negative.  `entering`
+    checks the bound, and when it does not fit, W doubles and everything is
+    packed again from u.  S is kept running: a unit pivot adds the change
+    of each u_k it moves, and `run` and a full pivot sum it afresh.
     """
 
     def __init__(self, cols: list, rhs: list[int], u: list[int],
                  cost: list[int]):
         m = len(rhs)
         self.cols, self.u, self.cost = cols, u, cost
-        self.basis = list(range(len(cols) - m, len(cols)))
+        self.art0 = len(cols) - m
+        self.basis = list(range(self.art0, len(cols)))
         self.d = 1
-        # max_j |A_kj| (at least the 1 of row k's artificial), |A_j|^2
-        self.amax = amax = [1] * m
+        # max_j |A_kj| (at least the 1 of row k's artificial), then 0 for
+        # u.b, which no reduced cost reads; |A_j|^2
+        self.amax = amax = [1] * m + [0]
         lengths = list(map(len, map(itemgetter(0), cols)))
         squares = lengths[:]
         for j, (ks, vs) in enumerate(cols):
@@ -259,12 +242,23 @@ class _Revised:
             self.pack(width, columns)
         return bound if self.H >> width - 2 else self.H
 
-    def delete(self, i: int) -> None:
-        """Drop basic row i (a redundant row of A)."""
+    def redundant(self, p: int) -> int:
+        """The first real column with a nonzero in basic row p, or -1 when
+        the row is redundant: the lowest nonzero slot of the packed row P =
+        sum_k b_k*packed[k], read at P's lowest set bit once W holds P."""
+        rp = self.row(p)
+        self.fit(sum(map(mul, map(abs, rp), self.amax)))
+        P = sum(map(mul, compress(rp, rp), compress(self.packed, rp)))
+        j = ((P & -P).bit_length() - 1) // self.width
+        return j if P and j < self.art0 else -1
+
+    def delete(self, rows: list[int]) -> None:
+        """Drop the basic `rows` (redundant rows of A) in one repack."""
         columns = list(map(self.decode, self.B))
-        for c in columns:
-            del c[i]
-        del self.basis[i]
+        for i in sorted(rows, reverse=True):
+            for c in columns:
+                del c[i]
+            del self.basis[i]
         self.pack(self.V, columns)
 
     def repack(self, width: int) -> None:
@@ -272,22 +266,24 @@ class _Revised:
         `width` bits a slot; T is computed from u."""
         if width != self.width:
             self.width = width
-            self.packed = _pack(self.cols, width, len(self.amax))
+            self.packed = _pack(self.cols, width, len(self.amax) - 1)
         costs = sum(c << width * j for j, c in enumerate(self.cost) if c)
         self.T = sum(map(mul, self.u, self.packed)) - self.d * costs
         self.top = int.from_bytes(
             (bytes(width // 8 - 1) + b"\x80") * self.ncols, "little")
 
+    def fit(self, bound: int) -> None:
+        """Double W, and pack again, until `bound` fits W - 2 bits."""
+        width = self.width
+        while bound >> width - 2:
+            width *= 2
+        if width != self.width:
+            self.repack(width)
+
     def entering(self) -> int:
         """Bland's entering column: the lowest slot of T below 0, or -1.
         First the slots widen until the reduced costs' bound fits."""
-        bits = (sum(map(mul, map(abs, self.u), self.amax))
-                + self.d * self.cmax).bit_length() + 2
-        if bits > self.width:
-            width = 2 * self.width
-            while width < bits:
-                width *= 2
-            self.repack(width)
+        self.fit(self.S + self.d * self.cmax)
         top = self.top
         negative = ~(self.T + top) & top
         if not negative:
@@ -308,28 +304,25 @@ class _Revised:
                 if self.V != width:
                     X = self.encode(f)
             self.M = bound
-        B, u = self.B, self.u
+        B, u, amax = self.B, self.u, self.amax
         Y = X - (d << self.V * p)
         P = sum(map(mul, compress(rp, rp), compress(self.packed, rp)))  # rp.A
         if piv == d:
-            if d == 1:
-                for k, b in enumerate(rp):
-                    if b:
-                        B[k] -= b * Y
-                        u[k] -= zq * b
-                self.T -= zq * P
-            else:
-                for k, b in enumerate(rp):
-                    if b:
-                        B[k] -= b * Y // d
-                        u[k] -= zq * b // d
-                self.T -= zq * P // d
+            S = self.S
+            for k in compress(range(len(rp)), rp):   # the nonzeros b_k
+                b, a = rp[k], u[k]
+                B[k] -= b * Y if d == 1 else b * Y // d
+                u[k] = z = a - (zq * b if d == 1 else zq * b // d)
+                S += (abs(z) - abs(a)) * amax[k]
+            self.S = S
+            self.T -= zq * P if d == 1 else zq * P // d
         else:
             if piv < 0:  # negate B, u and T with the update
                 piv, Y, zq = -piv, -Y, -zq
             self.B = [(piv * x - b * Y) // d if b else piv * x // d
                       for x, b in zip(B, rp)]
-            self.u = [(piv * a - zq * b) // d for a, b in zip(u, rp)]
+            self.u = u = [(piv * a - zq * b) // d for a, b in zip(u, rp)]
+            self.S = sum(map(mul, map(abs, u), amax))
             self.T = (piv * self.T - zq * P) // d
             self.d = piv
         self.basis[p] = j
@@ -338,6 +331,7 @@ class _Revised:
         """Bland's rule over columns below `ncols` until optimal or unbounded."""
         self.ncols = ncols
         self.cmax = max(map(abs, self.cost), default=0)
+        self.S = sum(map(mul, map(abs, self.u), self.amax))
         self.repack(self.width)
         while True:
             entering = self.entering()
@@ -363,16 +357,17 @@ def solve(lp: LinearProgram) -> LpOutcome:
     """Exact two-phase simplex; the certificate is verified on every solve."""
     n = lp.num_vars
     m = len(lp.rows)
-    # Column j has row indices ks[j] and entries vs[j].  Row i is scaled by
-    # its denominator dens[i] and negated if its rhs is negative; its slack
-    # gets +-1 and its artificial 1.
+    # Column j has row indices ks[j] and entries vs[j], read off the rows'
+    # nonzeros.  Row i is scaled by its denominator dens[i] and negated if
+    # its rhs is negative; its slack gets +-1 and its artificial 1.
     ks = [[] for _ in range(n)]
     vs = [[] for _ in range(n)]
     rhs, dens, signs = [], [], []
     for i, (coeffs, rel, b) in enumerate(lp.rows):
-        nums, den = integral((*coeffs, b))
+        nums, den = integral((*coeffs.values(), b))
         sign = -1 if b < 0 else 1
-        for j, a in enumerate(nums[:n]):
+        rhs.append(sign * nums.pop())
+        for j, a in zip(coeffs, nums):
             if a:
                 ks[j].append(i)
                 vs[j].append(sign * a)
@@ -380,7 +375,6 @@ def solve(lp: LinearProgram) -> LpOutcome:
             ks.append([i])
             vs.append([sign if rel == LESS else -sign])
         signs.append(sign)
-        rhs.append(sign * nums[n])
         dens.append(den)
     art0 = len(ks)
     cols = [(tuple(k), None if v.count(1) == len(v) else tuple(v))
@@ -396,16 +390,18 @@ def solve(lp: LinearProgram) -> LpOutcome:
     if tab.u[m] != 0:
         return LpOutcome(status="infeasible")
 
-    # Drive artificials out of the basis; drop rows that turn out redundant.
+    # Drive artificials out of the basis.  A redundant row is zero on every
+    # real column, which later pivots keep, so all are dropped at once.
+    redundant = []
     for i in range(m - 1, -1, -1):
-        if tab.basis[i] < art0:
-            continue
-        row = tab.row(i)
-        j = next((j for j in range(art0) if _dot(row, cols[j])), -1)
-        if j < 0:
-            tab.delete(i)
-        else:
-            tab.pivot(i, j, tab.column(j))
+        if tab.basis[i] >= art0:
+            j = tab.redundant(i)
+            if j < 0:
+                redundant.append(i)
+            else:
+                tab.pivot(i, j, tab.column(j))
+    if redundant:
+        tab.delete(redundant)
 
     # Phase 2, artificials barred: u = c_B . d B^-1 for the real costs.
     cost, cden = integral(lp.objective)
@@ -423,12 +419,11 @@ def solve(lp: LinearProgram) -> LpOutcome:
     for beta, b in zip(tab.decode(tab.B[-1]), tab.basis):
         if b < n:
             primal[b] = Q(beta, d)
-    value = Q(z[m], d * cden)
 
     # u_i weighs row i, which was scaled by dens[i] and negated if sign < 0.
     dual = tuple(Q(signs[i] * dens[i] * z[i], d * cden) for i in range(m))
-    outcome = LpOutcome(status="optimal", primal=tuple(primal), value=value,
-                        dual=dual)
+    outcome = LpOutcome(status="optimal", primal=tuple(primal),
+                        value=Q(z[m], d * cden), dual=dual)
     verify_certificate(lp, outcome)
     return outcome
 
@@ -436,49 +431,56 @@ def solve(lp: LinearProgram) -> LpOutcome:
 def verify_certificate(lp: LinearProgram, out: LpOutcome) -> None:
     """Exact optimality check: raises LpInternalError on any violation.
 
-    The primal is scaled to integers over one denominator and the dual over
-    another, so every dot product below is an integer sum for integer rows;
-    a Fraction is built only where a sum meets its bound.
+    Every check compares integers: primal, dual and objective are each
+    scaled to integers over one denominator, and the nonzeros a sum reads
+    of a row (those on the primal's support, or all of a row with a nonzero
+    dual) over the row's own.  A Fraction is built only for a message.
     """
     if out.status != "optimal":
         return
-    x, y = out.primal, out.dual
-    if any(xj < 0 for xj in x):
+    xs, xden = integral(out.primal)
+    if min(xs, default=0) < 0:
         raise LpInternalError("primal violates x >= 0")
-    xs, xden = integral(x)
-    support = [(j, v) for j, v in enumerate(xs) if v]
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        lhs = Q(sum(coeffs[j] * v for j, v in support), xden)
-        if rel == LESS and lhs > rhs:
-            raise LpInternalError(f"row {i}: {lhs} > {rhs}")
-        if rel == GREATER and lhs < rhs:
-            raise LpInternalError(f"row {i}: {lhs} < {rhs}")
-        if rel == EQUAL and lhs != rhs:
-            raise LpInternalError(f"row {i}: {lhs} != {rhs}")
-        if rel == LESS and y[i] < 0:
+    support = [j for j, v in enumerate(xs) if v]
+    xsup, zeros = [xs[j] for j in support], [0] * len(support)
+    ys, yden = integral(out.dual)
+    for i, ((coeffs, rel, b), w) in enumerate(zip(lp.rows, ys)):
+        nums, den = integral(list(map(coeffs.get, support, zeros)))
+        lhs = sum(map(mul, nums, xsup))     # over den * xden
+        gap = lhs * b.denominator - b.numerator * den * xden  # sign of lhs - b
+        if gap and (rel == EQUAL or (gap > 0) == (rel == LESS)):
+            raise LpInternalError(
+                f"row {i}: {Q(lhs, den * xden)} {_BROKEN[rel]} {b}")
+        if rel == LESS and w < 0:
             raise LpInternalError(f"row {i}: dual sign for <= must be >= 0")
-        if rel == GREATER and y[i] > 0:
+        if rel == GREATER and w > 0:
             raise LpInternalError(f"row {i}: dual sign for >= must be <= 0")
-        if y[i] != 0 and lhs != rhs:
+        if w and gap:
             raise LpInternalError(f"row {i}: complementary slackness fails")
-    value = Q(sum(lp.objective[j] * v for j, v in support), xden)
-    if value != out.value:
+    cs, cden = integral(lp.objective)
+    value = sum(map(mul, cs, xs))   # over cden * xden
+    if value * out.value.denominator != out.value.numerator * cden * xden:
         raise LpInternalError("reported value differs from objective at primal")
 
-    # Reduced costs y.A - c, all scaled by the dual denominator.
-    ys, yden = integral(y)
-    reduced = [-yden * c for c in lp.objective]
-    for (coeffs, _, _), w in zip(lp.rows, ys):
-        if w:
-            reduced = [r + w * a for r, a in zip(reduced, coeffs)]
+    # Reduced costs y.A - c over yden * L * cden, L the lcm of the
+    # denominators of the rows with a nonzero dual.
+    dual_rows = [(coeffs, *integral(coeffs.values()), w)
+                 for (coeffs, _, _), w in zip(lp.rows, ys) if w]
+    L = lcm(*(den for _, _, den, _ in dual_rows))
+    reduced = [-yden * L * c for c in cs]
+    for coeffs, nums, den, w in dual_rows:
+        w *= L // den * cden
+        for j, a in zip(coeffs, nums):
+            reduced[j] += w * a
     for j, rj in enumerate(reduced):
         if rj < 0:
-            raise LpInternalError(
-                f"column {j}: dual infeasible (reduced cost {Q(rj, yden)})")
-        if rj != 0 and xs[j] != 0:
+            raise LpInternalError(f"column {j}: dual infeasible "
+                                  f"(reduced cost {Q(rj, yden * L * cden)})")
+        if rj and xs[j]:
             raise LpInternalError(f"column {j}: complementary slackness fails")
-    rhs, rden = integral([rhs for _, _, rhs in lp.rows])
-    dual_value = Q(sum(w * b for w, b in zip(ys, rhs) if w), yden * rden)
-    if dual_value != value:
+    bs, bden = integral([b for _, _, b in lp.rows])
+    dual_value = sum(map(mul, ys, bs))  # over yden * bden
+    if dual_value * cden * xden != value * yden * bden:
         raise LpInternalError(
-            f"strong duality fails: dual {dual_value} vs primal {value}")
+            f"strong duality fails: dual {Q(dual_value, yden * bden)} "
+            f"vs primal {Q(value, cden * xden)}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Sequence, Union
 
 Q = Fraction
@@ -47,7 +48,7 @@ def integral(values: Sequence[Union[int, Fraction]]) -> tuple[list[int], int]:
 
     `values` are ints or Fractions; an empty sequence gives ([], 1).
     """
-    den = lcm(*(v.denominator for v in values))
+    den = lcm(*map(attrgetter("denominator"), values))
     if den == 1:
-        return [v.numerator for v in values], 1
+        return list(map(attrgetter("numerator"), values)), 1
     return [v.numerator * (den // v.denominator) for v in values], den

@@ -14,6 +14,10 @@ so it checks the search's orbit cut and LP skipping, not the LP.  The
 product scan of graph classes tests every vector against the library's
 relabeling getters, so it checks the pruned scan and the first-row groups,
 not the getters, which `canonical_code_by_permutations` checks.
+
+`LinearProgram` keeps only each row's nonzeros.  Tests that write an LP's
+rows in full build it through `dense_lp`, and the LP oracles read every
+program's rows back in full through `dense_rows`.
 """
 from __future__ import annotations
 
@@ -25,9 +29,36 @@ from typing import Iterator
 
 from flexdp.covers import PERMS, Cover
 from flexdp.graphs import Multigraph
+from flexdp.lp import LinearProgram
 from flexdp.search import _relabelings
 
 Q = Fraction
+
+
+# ---------------------------------------------------------------------------
+# Dense LPs: the one way tests write rows in full, and the oracles read them
+# ---------------------------------------------------------------------------
+
+def dense_lp(objective, rows) -> LinearProgram:
+    """max objective . x over `rows`, each (coefficients, relation, rhs)
+    with one coefficient per entry of `objective`, as the `LinearProgram`
+    that keeps each row's nonzeros."""
+    n = len(objective)
+    assert all(len(coeffs) == n for coeffs, _, _ in rows), "row width"
+    return LinearProgram(n, tuple(objective), tuple(
+        ({j: a for j, a in enumerate(coeffs) if a}, rel, rhs)
+        for coeffs, rel, rhs in rows))
+
+
+def dense_rows(lp) -> list:
+    """The rows of `lp` in full: (num_vars Fractions, relation, rhs)."""
+    rows = []
+    for coeffs, rel, rhs in lp.rows:
+        dense = [Q(0)] * lp.num_vars
+        for j, a in coeffs.items():
+            dense[j] = Q(a)
+        rows.append((dense, rel, rhs))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +109,7 @@ def _vertices(constraints, n):
 def oracle_solve(lp):
     """(status, value) by brute force; exact, exponential, tiny LPs only."""
     n = lp.num_vars
-    constraints = [(list(row[0]), row[1], row[2]) for row in lp.rows]
+    constraints = dense_rows(lp)
     for j in range(n):
         bound = [Q(0)] * n
         bound[j] = Q(1)
@@ -128,7 +159,7 @@ def bland_simplex(lp):
             slack_of[i] = n + len(slack_of)
     art0 = n + len(slack_of)
     tab, signs, basis = [], [], list(range(art0, art0 + m))
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
+    for i, (coeffs, rel, rhs) in enumerate(dense_rows(lp)):
         sign = -1 if rhs < 0 else 1
         row = [Q(sign * a) for a in coeffs] + [Q(0)] * (art0 + m - n)
         if rel != "=":

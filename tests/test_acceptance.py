@@ -19,8 +19,9 @@ from flexdp.graphs import (Multigraph, PotentialAssignment, gen_family, mad,
                            mad_subset_oracle, potential)
 from flexdp.lp import solve
 from flexdp.search import theorem_check
-from oracles import (oracle_solve, random_connected_multigraph, random_cover,
-                     random_2connected_subcubic, random_2lists, random_tree)
+from oracles import (dense_lp, oracle_solve, random_connected_multigraph,
+                     random_cover, random_2connected_subcubic, random_2lists,
+                     random_tree)
 
 JOBS = 8
 
@@ -225,11 +226,10 @@ def test_criterion_12_lp_engine_soundness():
         n = rng.randint(1, 4)
         m = rng.randint(1, 5)
         rand_q = lambda: Q(rng.randint(-4, 4), rng.randint(1, 3))
-        from flexdp.lp import LinearProgram
-        program = LinearProgram(
-            n, tuple(rand_q() for _ in range(n)),
-            tuple((tuple(rand_q() for _ in range(n)),
-                   rng.choice(["<=", "=", ">="]), rand_q()) for _ in range(m)))
+        program = dense_lp(
+            [rand_q() for _ in range(n)],
+            [([rand_q() for _ in range(n)],
+              rng.choice(["<=", "=", ">="]), rand_q()) for _ in range(m)])
         outcome = solve(program)  # certificate re-verified on every solve
         status, value = oracle_solve(program)
         assert outcome.status == status

@@ -12,7 +12,7 @@ import pytest
 import flexdp
 from flexdp.cli import run
 from flexdp.covers import parse_cover
-from flexdp.graphs import gen_family, parse_graph, serialize_graph
+from flexdp.graphs import MAX_VERTICES, gen_family, parse_graph, serialize_graph
 
 
 def invoke(capsys, *argv):
@@ -453,3 +453,30 @@ def test_input_too_deep_to_recurse_is_usage_error(tmp_path, argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "input too large to enumerate" in proc.stderr
+
+
+def _memory_capped():
+    """Cap the child's address space at 1 GiB, so that a graph built at the
+    requested size fails with MemoryError instead of exhausting the host."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["gen", "im", "--m", "100000000"], ""),
+    (["mad", "{big}"], "{big}: "),
+], ids=["gen", "file"])
+def test_huge_vertex_count_is_usage_error(tmp_path, argv, prefix):
+    """A vertex count above MAX_VERTICES, asked of `gen` or read from a
+    graph file, exits 2 with one error line before a list of that size is
+    built."""
+    big = tmp_path / "big.txt"
+    big.write_text("vertices 1000000000\n")
+    argv = [a.format(big=big) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "flexdp.cli", *argv], capture_output=True,
+        text=True, env=subprocess_env(), timeout=300, preexec_fn=_memory_capped)
+    count = 200000001 if argv[0] == "gen" else 1000000000
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: {prefix.format(big=big)}vertex count "
+                           f"{count} outside 0..{MAX_VERTICES}\n")

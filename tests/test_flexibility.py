@@ -103,7 +103,8 @@ class TestEpsilonStar:
 
     def test_optimum_sandwiched_by_plain_feasibility(self):
         """Independent route: feasible at eps*, infeasible just above it."""
-        from flexdp.lp import LinearProgram, solve
+        from flexdp.lp import solve
+        from oracles import dense_lp
 
         def feasible_at(g, cover, eps):
             cols = enumerate_colorings(g, cover)
@@ -113,7 +114,7 @@ class TestEpsilonStar:
                      ">=", eps)
                     for v in range(g.n) for c in range(3)]
             rows.append(((Q(1),) * len(cols), "=", Q(1)))
-            program = LinearProgram(len(cols), (Q(0),) * len(cols), tuple(rows))
+            program = dense_lp((Q(0),) * len(cols), rows)
             return solve(program).status == "optimal"
 
         rng = random.Random(46)

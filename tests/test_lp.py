@@ -13,15 +13,15 @@ from flexdp.graphs import gen_family, mad
 from flexdp.lp import (LinearProgram, LpError, LpInternalError, _Revised,
                        solve, verify_certificate)
 from flexdp.search import enumerate_connected_multigraphs
-from oracles import (bland_simplex, first_negative_column, list_pivot,
-                     oracle_solve, reduced_costs, slots_of)
+from oracles import (bland_simplex, dense_lp, first_negative_column,
+                     list_pivot, oracle_solve, random_2connected_subcubic,
+                     random_cover, reduced_costs, slots_of)
 
 
 def lp(objective, rows):
     """The program over Fractions, x >= 0, with its width from `objective`."""
-    objective = tuple(Q(c) for c in objective)
-    return LinearProgram(len(objective), objective, tuple(
-        (tuple(Q(a) for a in coeffs), rel, Q(rhs)) for coeffs, rel, rhs in rows))
+    return dense_lp([Q(c) for c in objective], [
+        ([Q(a) for a in coeffs], rel, Q(rhs)) for coeffs, rel, rhs in rows])
 
 
 def test_single_cap():
@@ -93,13 +93,24 @@ def test_no_rows():
 
 
 @pytest.mark.parametrize("objective, rows, message", [
-    ((1,), (((1, 2), "<=", 1),), "objective width"),
-    ((1, 2), (((1,), "<=", 1),), "row width"),
-    ((1, 2), (((1, 2), "<", 1),), "unknown relation '<'"),
-], ids=["objective", "row", "relation"])
+    ((1,), (({0: 1, 1: 2}, "<=", 1),), "objective width"),
+    ((1, 2), (({0: 1, 2: 1}, "<=", 1),), r"row column outside 0\.\.1"),
+    ((1, 2), (({-1: 1}, "<=", 1),), r"row column outside 0\.\.1"),
+    ((1, 2), (({0: 1, 1: 2}, "<", 1),), "unknown relation '<'"),
+    ((1, 2), (({}, "==", 0),), "unknown relation '=='"),
+], ids=["objective", "row", "negative", "relation", "empty-row-relation"])
 def test_width_mismatch_rejected(objective, rows, message):
+    """A program is rejected for an objective of the wrong width, a row
+    with a column at num_vars or below 0, or an unknown relation."""
     with pytest.raises(LpError, match=message):
         LinearProgram(2, objective, rows)
+
+
+def test_empty_row_is_the_zero_row():
+    """A row with no nonzeros is valid: 0 <= 1 holds and 0 >= 1 fails."""
+    out = solve(LinearProgram(2, (1, 1), (({}, "<=", 1), ({0: 1, 1: 1}, "<=", 2))))
+    assert out.status == "optimal" and out.value == 2 and out.dual[0] == 0
+    assert solve(LinearProgram(1, (0,), (({}, ">=", 1),))).status == "infeasible"
 
 
 def _random_lp(rng, integral=False):
@@ -119,7 +130,7 @@ def _as_ints(program):
     """The same program with every entry a Python int (entries are integral)."""
     return LinearProgram(
         program.num_vars, tuple(int(c) for c in program.objective),
-        tuple((tuple(int(a) for a in coeffs), rel, int(rhs))
+        tuple(({j: int(a) for j, a in coeffs.items()}, rel, int(rhs))
               for coeffs, rel, rhs in program.rows))
 
 
@@ -148,7 +159,8 @@ def test_random_lps_match_vertex_enumeration_oracle():
     for _ in range(200):
         program = _random_lp(rng, integral=True)
         ints = _as_ints(program)
-        assert all(type(a) is int for coeffs, _, _ in ints.rows for a in coeffs)
+        assert all(type(a) is int for coeffs, _, _ in ints.rows
+                   for a in coeffs.values())
         out = solve(ints)
         assert out == solve(program)
         status, value = oracle_solve(program)
@@ -161,7 +173,7 @@ def test_random_lps_match_vertex_enumeration_oracle():
 
 # max 3 x0 + 2 x1 + 0 x2 at x = (3, 1, 0): rows 0 and 2 are tight with
 # duals 2 and 1, rows 1 and 3 are loose, and column 2 has reduced cost 2.
-_INT_LP = LinearProgram(3, (3, 2, 0), (
+_INT_LP = dense_lp((3, 2, 0), (
     ((1, 1, 1), "<=", 4),
     ((1, 3, 0), "<=", 9),
     ((1, 0, 0), "<=", 3),
@@ -478,9 +490,9 @@ def _wide_lps(count):
 
     for _ in range(count):
         n, m = rng.randint(2, 5), rng.randint(2, 5)
-        yield LinearProgram(n, tuple(entry() for _ in range(n)), tuple(
-            (tuple(entry() for _ in range(n)), rng.choice(("<=", "=", ">=")),
-             entry()) for _ in range(m)))
+        yield dense_lp([entry() for _ in range(n)], [
+            ([entry() for _ in range(n)], rng.choice(("<=", "=", ">=")),
+             entry()) for _ in range(m)])
 
 
 def test_slot_width_grows_mid_phase(monkeypatch):
@@ -575,3 +587,141 @@ def test_j5_pivot_counts_pinned(monkeypatch):
     monkeypatch.setattr(_Revised, "pivot", counting)
     assert solve(program).value == Q(1, 5)
     assert counts == {"all": 640, "unit": 526}
+
+
+def _pricing_sum(tab) -> int:
+    """sum_k |u_k| * max_j |A_kj| over the rows k of A, each max at least
+    the 1 of row k's artificial, from `tab.u` and the sparse `tab.cols`."""
+    amax = [1] * (len(tab.u) - 1)
+    for ks, vs in tab.cols:
+        for k, a in zip(ks, (1,) * len(ks) if vs is None else vs):
+            amax[k] = max(amax[k], abs(a))
+    return sum(abs(a) * w for a, w in zip(tab.u, amax))
+
+
+def test_running_pricing_sum_matches_a_fresh_sum(monkeypatch):
+    """After every pivot the kernel's running sum S, which bounds the packed
+    reduced costs, equals sum_k |u_k| * max_j |A_kj| summed afresh: in
+    phase 1, the drive-out and phase 2, through unit and full pivots, over
+    the J_5 epsilon* LP, 200 random LPs and the first 200 LPs of the
+    pinned-digest generator."""
+    rng = random.Random(20240331)
+    programs = ([_j5_lp()] + [_random_lp(rng) for _ in range(200)]
+                + list(_degenerate_lps(200)))
+    counts = dict.fromkeys(("phase 1", "drive-out", "phase 2", "unit",
+                            "full"), 0)
+    state = {"runs": 0, "running": False}
+    run, pivot = _Revised.run, _Revised.pivot
+
+    def tracking_run(tab, ncols):
+        state["runs"] += 1
+        state["running"] = True
+        try:
+            return run(tab, ncols)
+        finally:
+            state["running"] = False
+
+    def checked(tab, p, j, column):
+        counts["unit" if column[p] == tab.d else "full"] += 1
+        counts["phase 2" if state["runs"] > 1 else
+               "phase 1" if state["running"] else "drive-out"] += 1
+        pivot(tab, p, j, column)
+        assert tab.S == _pricing_sum(tab)
+
+    monkeypatch.setattr(_Revised, "run", tracking_run)
+    monkeypatch.setattr(_Revised, "pivot", checked)
+    for program in programs:
+        state["runs"] = 0
+        solve(program)
+    assert all(counts.values()), counts
+
+
+def _packing_instances():
+    """K4 under its first 20 cover classes (12 of them reach an LP), the
+    tight J_5 cover (its LP is infeasible), and the
+    first two instances on each of the first three graphs of the
+    criterion-8 packing sweep's stream (5, 4 and 6 vertices)."""
+    k4, j5 = gen_family("k4")[0], gen_family("jm", 5)[0]
+    classes = CoverEnumeration(k4)
+    found = [(k4, classes.at(i)) for i in range(20)]
+    found.append((j5, tight_cover("jm", j5)))
+    rng = random.Random(20240808)
+    for _ in range(3):
+        g = random_2connected_subcubic(rng, max_n=8)
+        found += [(g, random_cover(rng, g)) for _ in range(20)][:2]
+    return found
+
+
+def test_redundant_rows_dropped_in_one_repack(monkeypatch):
+    """The fractional-packing LPs of `_packing_instances` drop their
+    redundant rows (the three marginal rows of a vertex sum to the same
+    total) after the drive-out, all in one repack of the packed columns:
+    each solve deletes at most once, and that delete packs B exactly once.
+    The counts are those of the kernel that deleted row by row, and the
+    witnesses equal the dense oracle's, which deletes row by row too."""
+    programs = _recorded_lps([
+        lambda g=g, cover=cover: flexibility.fractional_packing(g, cover)
+        for g, cover in _packing_instances()])
+    delete, pack = _Revised.delete, _Revised.pack
+    packs, drops = [0], []
+
+    def counting_pack(tab, width, columns):
+        packs[0] += 1
+        pack(tab, width, columns)
+
+    def counting_delete(tab, rows):
+        before = packs[0]
+        delete(tab, rows)
+        drops.append((len(rows), packs[0] - before))
+
+    monkeypatch.setattr(_Revised, "pack", counting_pack)
+    monkeypatch.setattr(_Revised, "delete", counting_delete)
+    dropped = []
+    for program in programs:
+        drops.clear()
+        assert _outcome(program) == bland_simplex(program)
+        assert len(drops) <= 1 and all(count == 1 for _, count in drops)
+        dropped.append(sum(rows for rows, _ in drops))
+    assert dropped == [7, 7, 0, 0, 0, 0, 0, 0, 0, 0, 7, 0,
+                       0,
+                       4, 6, 3, 3, 5, 5]
+
+
+def test_redundant_matches_a_column_scan(monkeypatch):
+    """At every drive-out step the packed product's lowest nonzero slot is
+    the first real column with a nonzero in the artificial's row, as a
+    dot product per column finds it, and -1 exactly when there is none;
+    over the packing LPs above, the first 200 LPs of the pinned-digest
+    generator and the LPs with 30- to 40-digit entries."""
+    programs = (_recorded_lps([
+        lambda g=g, cover=cover: flexibility.fractional_packing(g, cover)
+        for g, cover in _packing_instances()])
+        + list(_degenerate_lps(200)) + list(_wide_lps(20)))
+    found = {"column": 0, "redundant": 0}
+    redundant = _Revised.redundant
+
+    def checked(tab, p):
+        row = tab.row(p)
+        expected = next((j for j, (ks, vs) in enumerate(tab.cols[:tab.art0])
+                         if sum(row[k] * a for k, a in zip(
+                             ks, (1,) * len(ks) if vs is None else vs))), -1)
+        assert redundant(tab, p) == expected
+        found["column" if expected >= 0 else "redundant"] += 1
+        return expected
+
+    monkeypatch.setattr(_Revised, "redundant", checked)
+    for program in programs:
+        solve(program)
+    assert all(found.values()), found
+
+
+def test_redundant_widens_before_reading_slots():
+    """A slot of 2**16 reads as 0 at the starting 16-bit width, so `redundant`
+    must widen W before it reads P: the row below, 2**16 at column 0, is
+    not redundant."""
+    tab = _Revised([((0,), (1 << 16,)), ((0,), None)], [0], [-1, 0], [0, -1])
+    tab.ncols, tab.cmax = 2, 1
+    tab.repack(tab.width)
+    assert tab.width == 16
+    assert tab.redundant(0) == 0
+    assert tab.width == 32
