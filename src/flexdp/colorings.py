@@ -87,7 +87,7 @@ def _colorings_of_valid_cover(g: Multigraph, cover: Cover,
     _check_lists(g, lists)
     if g.n == 0:
         return [()]
-    order = g.bfs_order()
+    order = g.bfs()[0]
     tables = _conflict_tables(g, cover, order)
     choices = [_choices(k, tuple(lists[v])) for k, v in enumerate(order)]
     result: list[Coloring] = []

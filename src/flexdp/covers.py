@@ -55,14 +55,11 @@ class Cover:
         key = (u, v) if u < v else (v, u)
         return self.matchings.get(key, ())
 
-    def key(self) -> tuple:
-        return tuple((pair, perms) for pair, perms in self.matchings.items())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Cover) and self.matchings == other.matchings
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash(tuple(self.matchings.items()))
 
     def __repr__(self) -> str:
         return f"Cover({self.matchings})"

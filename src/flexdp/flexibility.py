@@ -83,34 +83,27 @@ def _feasible_support(columns: Sequence, rows) -> Optional[list]:
     return [(col, x) for col, x in zip(columns, outcome.primal) if x != 0]
 
 
-def epsilon_star(g: Multigraph, cover: Cover, shortcut: bool = True) -> FlexReport:
+def epsilon_star(g: Multigraph, cover: Cover) -> FlexReport:
     """max eps s.t. some distribution gives every color marginal >= eps.
 
     Returns eps* = 0 with a flagged report when the cover admits no coloring
-    at all, which composes with minimisation over covers.  With `shortcut`
-    a color missing from every coloring yields eps* = 0 without an LP
-    solve; the certificate is the unit request on that color.
+    at all, which composes with minimisation over covers.  A color missing
+    from every coloring yields eps* = 0 without an LP solve; the
+    certificate is the unit request on that color.
     """
-    return _epsilon_report(*_marginal_columns(g, cover, full_lists(g.n)), shortcut)
+    return _epsilon_report(*_marginal_columns(g, cover, full_lists(g.n)))
 
 
 def _epsilon_report(colorings: list[Coloring],
-                    where: dict[tuple[int, int], list[int]],
-                    shortcut: bool) -> FlexReport:
+                    where: dict[tuple[int, int], list[int]]) -> FlexReport:
     """`epsilon_star` over the colorings and `_support` it enumerated."""
     pairs = list(where)
-    if not colorings:
+    dead = next((pair for pair in pairs if not where[pair]), None)
+    if dead is not None:            # the first pair when there is no coloring
         request = {pair: Q(0) for pair in pairs}
-        request[pairs[0]] = Q(1)
-        return FlexReport(Q(0), False, (), request)
-    if shortcut:
-        dead = next((pair for pair in pairs if not where[pair]), None)
-        if dead is not None:
-            uniform = Q(1, len(colorings))
-            request = {pair: Q(0) for pair in pairs}
-            request[dead] = Q(1)
-            dist = tuple((phi, uniform) for phi in colorings)
-            return FlexReport(Q(0), True, dist, request)
+        request[dead] = Q(1)
+        dist = tuple((phi, Q(1, len(colorings))) for phi in colorings)
+        return FlexReport(Q(0), bool(colorings), dist, request)
 
     k = len(colorings)
     rows = [({**dict.fromkeys(where[pair], 1), k: -1}, ">=", Q(0))  # marginal - eps
@@ -204,7 +197,7 @@ def epsilon_below(g: Multigraph, cover: Cover, best: Fraction
         if any(sum(phi[v] == c for phi in six) != 2 for v, c in where):
             raise LpInternalError("six colorings failed their marginal check")
         return THIRD, 0
-    return _epsilon_report(colorings, where, True).epsilon_star, 1
+    return _epsilon_report(colorings, where).epsilon_star, 1
 
 
 def fractional_packing(g: Multigraph, cover: Cover) -> Optional[ColoringDistribution]:

@@ -34,7 +34,8 @@ class Multigraph:
     """Loopless multigraph with positive integer edge multiplicities.
 
     `bfs` is the one breadth-first walk; `components`, `is_connected`,
-    `bfs_order` and the spanning tree of `CoverEnumeration` read from it.
+    the coloring order and the spanning tree of `CoverEnumeration` read
+    from it.
     Each vertex's row of `_adj` maps its neighbours, in increasing order,
     to multiplicities: `_mult` is sorted, so a vertex's smaller neighbours
     are inserted before its larger ones.  `neighbors`, `bfs` and
@@ -173,9 +174,6 @@ class Multigraph:
 
     def is_connected(self) -> bool:
         return self.bfs()[1].count(-1) <= 1
-
-    def bfs_order(self) -> tuple[int, ...]:
-        return self.bfs()[0]
 
     # -- value semantics -------------------------------------------------
 

@@ -7,8 +7,10 @@ no vertex relabeling makes smaller are kept.  The scan skips every vector
 that swapping two tied vertices makes smaller (`_orderly_candidates`), so
 row 0 is non-decreasing.  The relabelings of each vertex count are built
 once, as itemgetters over the pair indices, grouped by the vertex each moves
-to position 0 (`_first_row_groups`); the scan and `canonical_code` search
-only the groups whose vertex's sorted row can tie the least row 0.
+to position 0 (`_relabelings`).  The scan (`_is_canonical`) and `_least`,
+the one search for the least relabeled vector behind `canonical_code` and
+the 2-core lookup, search only the groups whose vertex's sorted row can tie
+the least row 0; the scan stops at the first smaller vector.
 
 The worst-cover search evaluates one cover per orbit under per-vertex list
 relabeling and graph automorphisms (`CoverEnumeration.representatives`),
@@ -28,15 +30,16 @@ first index.  Chunks depend only on the graph, so output and LP count are
 identical for any job count.
 
 The theorem check reuses these answers for every graph with a leaf.  A
-pendant vertex changes no cover's epsilon*, so such a graph's values are
-those of its 2-core (`two_core`), which is an earlier row: connected, with
-fewer vertices, the same multiplicity cap and mad no larger.  The graphs
-without a leaf are searched first, as above, in one wave; then each graph
-with a leaf scans its own indices in order and reads each cover's value off
-its core's row, at the index `CoverEnumeration.class_index` gives the cover
-carried along a vertex map onto the row's graph.  It builds no
-representatives, and only a class its core's row left unknown (skipped, or
-past the budget) is evaluated.
+pendant vertex changes no cover's epsilon* (`_from_core`), so such a
+graph's values are those of its 2-core (`graphs.peel`), which is an earlier
+row: connected, with fewer vertices, the same multiplicity cap and mad no
+larger.  The graphs without a leaf are searched first, as above, in one
+wave; then each graph with a leaf scans its own indices in order and reads
+each cover's value off its core's row, at the index
+`CoverEnumeration.class_index` gives the cover carried along a vertex map
+(`_core_row`) onto the row's graph.  It builds no representatives, and only
+a class its core's row left unknown (skipped, or past the budget) is
+evaluated.
 """
 from __future__ import annotations
 
@@ -81,40 +84,49 @@ def cover_hash(cover: Cover) -> str:
 # ---------------------------------------------------------------------------
 
 @cache
-def _relabelings(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[itemgetter, ...],
-                                  tuple[tuple[int, ...], ...]]:
-    """K_n's vertex pairs, one itemgetter per way a vertex relabeling can
-    move them, and the first relabeling p (in `permutations` order) behind
-    each: applied to a multiplicity vector, its getter returns the vector
-    that holds at each pair (u, v) the entry of (p[u], p[v]).
+def _relabelings(n: int) -> tuple[tuple[tuple[int, int], ...], tuple]:
+    """K_n's vertex pairs and, per vertex x, a getter of x's row (its
+    multiplicities to the other vertices, in vertex order), then the
+    relabelings p other than the identity with p[0] = x, in `permutations`
+    order: one itemgetter each, which maps a multiplicity vector to the one
+    holding at each pair (u, v) the entry of (p[u], p[v]), and the p.
 
-    Below 3 vertices no relabeling moves a pair, so there are no getters;
+    Below 3 vertices no relabeling moves a pair, so there are no groups;
     that also keeps out `itemgetter` of one index, which returns a scalar.
+    Built on first use and kept for the life of the process: n! relabelings,
+    meant for desk-scale n.
     """
     pairs = tuple(combinations(range(n), 2))
     index = {pair: i for i, (u, v) in enumerate(pairs) for pair in ((u, v), (v, u))}
-    moved: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for p in permutations(range(n)):
-        moved.setdefault(tuple(index[p[u], p[v]] for u, v in pairs), p)
-    del moved[tuple(range(len(pairs)))]
-    return pairs, tuple(itemgetter(*image) for image in moved), tuple(moved.values())
+    groups = []
+    for x in range(n if n > 2 else 0):
+        rest = [v for v in range(n) if v != x]
+        perms = tuple((x, *q) for q in permutations(rest))[x == 0:]  # no identity
+        groups.append((itemgetter(*(index[x, v] for v in rest)),
+                       tuple(itemgetter(*(index[p[u], p[v]] for u, v in pairs))
+                             for p in perms), perms))
+    return pairs, tuple(groups)
 
 
-@cache
-def _first_row_groups(n: int) -> tuple[tuple[itemgetter, tuple[itemgetter, ...]], ...]:
-    """Per vertex x: a getter of x's row (its multiplicities to the other
-    vertices, in vertex order) and the getters of `_relabelings(n)` whose
-    relabeling p moves x to position 0 (p[0] = x).  The groups partition
-    the getters; below 3 vertices there are none, and no groups."""
-    pairs, maps, perms = _relabelings(n)
-    if not maps:
-        return ()
-    index = {pair: i for i, (u, v) in enumerate(pairs) for pair in ((u, v), (v, u))}
-    groups: list[list[itemgetter]] = [[] for _ in range(n)]
-    for m, p in zip(maps, perms):
-        groups[p[0]].append(m)
-    return tuple((itemgetter(*(index[x, v] for v in range(n) if v != x)), tuple(group))
-                 for x, group in enumerate(groups))
+def _least(n: int, vec: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The least vector a relabeling makes of the multiplicity vector
+    `vec`, and the first relabeling, in `permutations` order, attaining it.
+
+    A relabeling's row 0 is its group vertex's row in some order, so at
+    least that row sorted: only the identity and the groups whose vertex
+    has the least sorted row can attain the minimum, and they are searched
+    in `permutations` order."""
+    groups = _relabelings(n)[1]
+    rows = [sorted(row(vec)) for row, _, _ in groups]
+    least = min(rows, default=None)
+    best, first = vec, tuple(range(n))
+    for (_, maps, perms), r in zip(groups, rows):
+        if r == least:
+            moved = [m(vec) for m in maps]
+            low = min(moved)
+            if low < best:
+                best, first = low, perms[moved.index(low)]
+    return best, first
 
 
 def _code(n: int, vec: Sequence[int]) -> str:
@@ -126,19 +138,8 @@ def _own_vector(g: Multigraph) -> tuple[int, ...]:
 
 
 def canonical_code(g: Multigraph) -> str:
-    """Minimum multiplicity vector over all vertex relabelings.
-
-    A relabeling's row 0 is its group vertex's row in some order, so at
-    least that row sorted; the minimum is taken over the identity and the
-    groups of `_first_row_groups` whose vertex has the least sorted row.
-    The relabelings of each vertex count are built on first use and kept
-    for the life of the process: n! of them, meant for desk-scale n."""
-    vec = _own_vector(g)
-    groups = _first_row_groups(g.n)
-    rows = [sorted(row(vec)) for row, _ in groups]
-    least = min(rows, default=None)
-    return _code(g.n, min([vec] + [m(vec) for (_, group), r in zip(groups, rows)
-                                   if r == least for m in group]))
+    """Minimum multiplicity vector over all vertex relabelings (`_least`)."""
+    return _code(g.n, _least(g.n, _own_vector(g))[0])
 
 
 def _orderly_candidates(n: int, top: int) -> Iterator[tuple[int, ...]]:
@@ -181,20 +182,20 @@ def _orderly_candidates(n: int, top: int) -> Iterator[tuple[int, ...]]:
 
 
 def _is_canonical(vec: tuple[int, ...], groups: Sequence) -> bool:
-    """Whether no relabeling makes the vector, whose row 0 is sorted,
-    smaller: a vertex whose sorted row is below row 0 beats it at once, and
-    only group 0 and the groups of vertices whose sorted row equals row 0
-    are tested, as any other relabeling is larger on row 0."""
+    """Whether no relabeling of `groups` makes the vector, whose row 0 is
+    sorted, smaller: a vertex whose sorted row is below row 0 beats it at
+    once, and only group 0 and the groups of vertices whose sorted row
+    equals row 0 are tested, as any other relabeling is larger on row 0."""
     first = list(vec[:len(groups) - 1])
     tested = [groups[0][1]]
-    for row, group in groups[1:]:
+    for row, maps, _ in groups[1:]:
         r = sorted(row(vec))
         if r < first:
             return False
         if r == first:
-            tested.append(group)
-    for group in tested:
-        for m in group:
+            tested.append(maps)
+    for maps in tested:
+        for m in maps:
             if m(vec) < vec:
                 return False
     return True
@@ -205,7 +206,7 @@ def enumerate_connected_multigraphs(max_vertices: int,
     """Connected multigraphs up to isomorphism, in (vertex count, code) order:
     each class once, as the graph whose own multiplicity vector is its code."""
     for n in range(1, max_vertices + 1):
-        pairs, groups = _relabelings(n)[0], _first_row_groups(n)
+        pairs, groups = _relabelings(n)
         for vec in _orderly_candidates(n, max_multiplicity):
             if not groups or _is_canonical(vec, groups):
                 g = Multigraph(n, [(u, v, k) for (u, v), k in zip(pairs, vec) if k])
@@ -323,28 +324,14 @@ def min_epsilon_over_covers(g: Multigraph, budget: int = DEFAULT_BUDGET,
 # Pendant vertices: a graph's minimum is its 2-core's
 # ---------------------------------------------------------------------------
 
-def two_core(g: Multigraph) -> list[int]:
-    """The vertices of a connected g's 2-core, in increasing order.
-
-    Vertices of multigraph degree 1 are peeled (`graphs.peel`) until none
-    is left, or until one vertex is, which happens exactly when g is a
-    tree.  Each peeled vertex has one simple edge to the rest, so
-    epsilon*(G, H) = epsilon*(G - v, H - v) for every cover H:
-    restriction gives <=, and giving v one of the two colors its
-    neighbour's color leaves, uniformly, gives >= (`gadgets.gadget_pendent`).
-    """
-    return peel(g, 1)
-
-
 def _core_row(g: Multigraph, core: Sequence[int]) -> tuple[str, dict[int, int]]:
     """The canonical code of g's subgraph on `core`, and a map from `core`
     onto the vertices of the graph whose own multiplicity vector is that
-    code (the first relabeling in `_relabelings` order that attains it)."""
-    pairs, maps, perms = _relabelings(len(core))
-    vec = tuple(g.multiplicity(core[a], core[b]) for a, b in pairs)
-    code, p = min([(vec, range(len(core)))]
-                  + [(m(vec), p) for m, p in zip(maps, perms)], key=itemgetter(0))
-    return _code(len(core), code), {core[x]: a for a, x in enumerate(p)}
+    code (the relabeling `_least` returns)."""
+    n = len(core)
+    code, p = _least(n, tuple(g.multiplicity(core[a], core[b])
+                              for a, b in _relabelings(n)[0]))
+    return _code(n, code), {core[x]: a for a, x in enumerate(p)}
 
 
 def _from_core(enum: CoverEnumeration, evaluated: int, phi: dict[int, int],
@@ -353,6 +340,11 @@ def _from_core(enum: CoverEnumeration, evaluated: int, phi: dict[int, int],
     """The minimum over a graph's first `evaluated` classes, read off its
     2-core's row: the minimum, its first index, the classes evaluated and
     the LPs solved.
+
+    The 2-core is what `peel(g, 1)` leaves.  A peeled vertex v has one
+    simple edge to the rest, so epsilon*(G, H) = epsilon*(G - v, H - v) for
+    every cover H.  Restriction gives <=; giving v, uniformly, one of the
+    two colors its neighbour's color leaves gives >= (`gadgets.gadget_pendent`).
 
     Index i takes `known[j]`, for the index j that `core_enum.class_index`
     gives `enum.at(i)` carried along `phi`.  A class the core's row left
@@ -470,7 +462,7 @@ def theorem_check(max_vertices: int, max_multiplicity: int, jobs: int = 1,
 
     enums = [CoverEnumeration(g) for _, g, _ in kept]
     limits = [min(enum.count, budget) for enum in enums]
-    cores = [two_core(g) for _, g, _ in kept]
+    cores = [peel(g, 1) for _, g, _ in kept]
     wave = [k for k, (_, g, _) in enumerate(kept) if len(cores[k]) == g.n]
     known = dict(zip(wave, _class_minima([(enums[k], limits[k]) for k in wave],
                                          jobs, False)))

@@ -8,12 +8,11 @@ relabelings, then graph automorphisms) and for graph classes and codes, a
 union-find for connected components, every vertex sequence for the
 inflexible family, every root and every triple of coloring pairs for the
 six-coloring certificate of epsilon* = 1/3.  None of it shares code with
-the implementations under test, except in two places.  The per-index
+the implementations under test, except in one place: the per-index
 worst-cover scan calls the library's `epsilon_star` on every cover index,
 so it checks the search's orbit cut and LP skipping, not the LP.  The
-product scan of graph classes tests every vector against the library's
-relabeling getters, so it checks the pruned scan and the first-row groups,
-not the getters, which `canonical_code_by_permutations` checks.
+product scan of graph classes tests every vector against relabeling
+getters of its own (`relabeling_getters`).
 
 `LinearProgram` keeps only each row's nonzeros.  Tests that write an LP's
 rows in full build it through `dense_lp`, and the LP oracles read every
@@ -25,12 +24,12 @@ import functools
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from operator import itemgetter
 from typing import Iterator
 
 from flexdp.covers import PERMS, Cover
 from flexdp.graphs import Multigraph
 from flexdp.lp import LinearProgram
-from flexdp.search import _relabelings
 
 Q = Fraction
 
@@ -318,6 +317,18 @@ def min_epsilon_every_index(g: Multigraph, limit: int) -> tuple:
     return best, values.index(best)
 
 
+def epsilon_lp(g: Multigraph, cover: Cover) -> LinearProgram:
+    """The epsilon* LP of a colorable cover, written in full: one variable
+    per brute-force coloring, then eps; maximise eps subject to every
+    full-list marginal minus eps >= 0 and total weight 1.  A color no
+    coloring uses keeps its row, so the LP itself finds eps* = 0."""
+    found = colorings_by_brute_force(g, cover, [(0, 1, 2)] * g.n)
+    rows = [([Q(phi[v] == c) for phi in found] + [Q(-1)], ">=", Q(0))
+            for v in range(g.n) for c in range(3)]
+    rows.append(([Q(1)] * len(found) + [Q(0)], "=", Q(1)))
+    return dense_lp([Q(0)] * len(found) + [Q(1)], rows)
+
+
 def uniform_marginals(g: Multigraph, cover: Cover) -> list:
     """Every full-list marginal of the uniform distribution over the
     brute-force colorings; empty when there are none."""
@@ -472,10 +483,24 @@ def _relabeled_edge_list(edges, perm) -> tuple:
 def canonical_code_by_permutations(g: Multigraph) -> str:
     """The smallest multiplicity vector, over pairs in lexicographic order,
     among all n! vertex relabelings, written as `n:m1,m2,...`."""
-    pairs = list(combinations(range(g.n), 2))
-    best = min(tuple(g.multiplicity(p[u], p[v]) for u, v in pairs)
-               for p in permutations(range(g.n)))
+    vec = tuple(g.multiplicity(u, v) for u, v in combinations(range(g.n), 2))
+    best, _ = least_relabeling_by_permutations(g.n, vec)
     return f"{g.n}:{','.join(map(str, best))}"
+
+
+def least_relabeling_by_permutations(n: int, vec: tuple) -> tuple:
+    """The smallest vector any of the n! vertex relabelings p makes of a
+    multiplicity vector over the pairs in lexicographic order (holding at
+    (u, v) the entry of the pair {p[u], p[v]}), and the first p in
+    `permutations` order that attains it."""
+    pairs = list(combinations(range(n), 2))
+    entry = dict(zip(pairs, vec))
+    best = None
+    for p in permutations(range(n)):
+        moved = tuple(entry[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs)
+        if best is None or moved < best[0]:
+            best = (moved, p)
+    return best
 
 
 def connected_multigraph_classes(max_vertices: int, max_mult: int) -> set:
@@ -493,14 +518,27 @@ def connected_multigraph_classes(max_vertices: int, max_mult: int) -> set:
     return classes
 
 
+def relabeling_getters(n: int) -> list:
+    """One itemgetter per vertex relabeling p of n vertices, in
+    `permutations` order, over the pairs in lexicographic order: applied to
+    a multiplicity vector it returns the vector holding at each pair (u, v)
+    the entry of the pair {p[u], p[v]}.  Below 3 vertices every relabeling
+    fixes every pair, so there are none (and no `itemgetter` of one index,
+    which would return a scalar)."""
+    pairs = list(combinations(range(n), 2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    return [itemgetter(*(index[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs))
+            for p in permutations(range(n))] if n >= 3 else []
+
+
 def enumerate_by_product_scan(max_vertices: int,
                               max_multiplicity: int) -> Iterator[Multigraph]:
     """Connected multigraphs up to isomorphism, in (vertex count, code) order,
     by the plain orderly scan: every multiplicity vector in `product` order,
-    kept when no relabeling getter of `search._relabelings` makes it
-    smaller."""
+    kept when no getter of `relabeling_getters` makes it smaller."""
     for n in range(1, max_vertices + 1):
-        pairs, maps, _ = _relabelings(n)
+        pairs = list(combinations(range(n), 2))
+        maps = relabeling_getters(n)
         for vec in product(range(max_multiplicity + 1), repeat=len(pairs)):
             if all(m(vec) >= vec for m in maps):
                 g = Multigraph(n, [(u, v, k) for (u, v), k in zip(pairs, vec) if k])

@@ -19,9 +19,9 @@ from flexdp.graphs import (Multigraph, PotentialAssignment, gen_family, mad,
                            mad_subset_oracle, potential)
 from flexdp.lp import solve
 from flexdp.search import theorem_check
-from oracles import (dense_lp, oracle_solve, random_connected_multigraph,
-                     random_cover, random_2connected_subcubic, random_2lists,
-                     random_tree)
+from oracles import (dense_lp, epsilon_lp, oracle_solve,
+                     random_connected_multigraph, random_cover,
+                     random_2connected_subcubic, random_2lists, random_tree)
 
 JOBS = 8
 
@@ -41,7 +41,7 @@ def test_criterion_01_inflexible_family_epsilon_zero():
         assert colorings, "the cover is colorable, only one color is blocked"
         assert all(phi[2 * m] != 2 for phi in colorings)
         if m <= 2:
-            assert epsilon_star(g, cover, shortcut=False).epsilon_star == 0
+            assert solve(epsilon_lp(g, cover)).value == 0
     elapsed = time.monotonic() - start
     assert elapsed < 10
     report(1, f"I_1..I_3 adversarial covers give epsilon* = 0 exactly and never "

@@ -1,14 +1,18 @@
-"""Source check: the LP kernel computes in exact arithmetic only.
+"""Source check: flexdp computes in exact arithmetic only.
 
-`flexdp.lp` packs integers into slots and divides them exactly; a float
-anywhere in it could round a slot, a ratio or a certificate without a
-trace.  So its source may hold no float constant, no use of the name
-`float` and no true division `/` (on ints it returns a float; every
-division in the kernel is an exact `//` or a Fraction).
+No module of the package may hold a float constant or use the name
+`float`: a float anywhere could round a value, a witness or a certificate
+without a trace.  `flexdp.lp` packs integers into slots and divides them
+exactly, so its source may also hold no true division `/` (on ints it
+returns a float; every division in the kernel is an exact `//` or a
+Fraction).  Elsewhere `/` divides Fractions.
 """
 import ast
 from pathlib import Path
 
+import pytest
+
+import flexdp
 import flexdp.lp
 
 
@@ -42,3 +46,16 @@ def test_inexact_finds_constants_float_and_true_division():
 def test_lp_source_is_exact():
     path = Path(flexdp.lp.__file__)
     assert list(inexact(ast.parse(path.read_text()))) == []
+
+
+MODULES = sorted(Path(flexdp.__file__).parent.glob("*.py"))
+
+
+def test_every_module_is_checked():
+    assert {path.stem for path in MODULES} >= {"lp", "search", "flexibility"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_module_source_holds_no_float(path):
+    assert [(what, line) for what, line in inexact(ast.parse(path.read_text()))
+            if what != "/"] == []

@@ -14,8 +14,9 @@ from flexdp.flexibility import (FlexReport, InadmissibleDistribution,
                                 fractional_packing, framework_feasible,
                                 uniform_floor)
 from flexdp.graphs import Multigraph, PotentialAssignment, gen_family
-from oracles import (drop_matching, random_connected_multigraph, random_cover,
-                     random_tree, uniform_marginals)
+from flexdp.lp import solve
+from oracles import (drop_matching, epsilon_lp, random_connected_multigraph,
+                     random_cover, random_tree, uniform_marginals)
 
 
 def check_worst_request(report: FlexReport, colorings):
@@ -45,7 +46,7 @@ class TestEpsilonStar:
             g, _ = gen_family("im", m)
             cover = tight_cover("im", g)
             assert epsilon_star(g, cover).epsilon_star == 0
-            assert epsilon_star(g, cover, shortcut=False).epsilon_star == 0
+            assert solve(epsilon_lp(g, cover)).value == 0
 
     def test_tight_pendant_family_one_fifth(self):
         for m in (1, 2, 3, 4):
@@ -74,6 +75,8 @@ class TestEpsilonStar:
         assert report.epsilon_star == 0
         assert not report.colorable
         assert report.distribution == ()
+        pairs = [(v, c) for v in range(g.n) for c in range(3)]
+        assert report.worst_request == {**dict.fromkeys(pairs, 0), (0, 0): 1}
 
     def test_solver_status_checked_without_assert(self, monkeypatch):
         """A non-optimal status is a solver fault, raised even under -O."""

@@ -98,7 +98,6 @@ class TestBreadthFirstWalk:
             assert g.components() == comps
             assert [v for v in order if parent[v] < 0] == [c[0] for c in comps]
             assert g.is_connected() == (len(comps) <= 1)
-            assert g.bfs_order() == order
             disconnected += len(comps) > 1
         assert disconnected > 50
 

@@ -13,9 +13,10 @@ from flexdp.graphs import gen_family, mad
 from flexdp.lp import (LinearProgram, LpError, LpInternalError, _Revised,
                        solve, verify_certificate)
 from flexdp.search import enumerate_connected_multigraphs
-from oracles import (bland_simplex, dense_lp, first_negative_column,
-                     list_pivot, oracle_solve, random_2connected_subcubic,
-                     random_cover, reduced_costs, slots_of)
+from oracles import (bland_simplex, dense_lp, epsilon_lp,
+                     first_negative_column, list_pivot, oracle_solve,
+                     random_2connected_subcubic, random_cover, reduced_costs,
+                     slots_of)
 
 
 def lp(objective, rows):
@@ -323,17 +324,16 @@ def _recorded_lps(queries):
 
 
 def _epsilon_star_lps():
-    """The epsilon* LPs of the tight J_1..J_3 covers and of every (4,2)
-    graph with mad < 3 under its first cover class, as `epsilon_star`
-    builds them."""
+    """The epsilon* LPs of the tight J_1..J_3 covers, as `epsilon_star`
+    builds them, and of every (4,2) graph with mad < 3 under its first
+    cover class, as `oracles.epsilon_lp` writes them: `epsilon_star` solves
+    no LP where a color is dead, which some of those classes have."""
     tight = [gen_family("jm", m)[0] for m in (1, 2, 3)]
     graphs = [g for g in enumerate_connected_multigraphs(4, 2) if mad(g) < 3]
     programs = _recorded_lps(
         [lambda g=g: flexibility.epsilon_star(g, tight_cover("jm", g))
-         for g in tight]
-        + [lambda g=g: flexibility.epsilon_star(g, CoverEnumeration(g).at(0),
-                                                shortcut=False)
-           for g in graphs])
+         for g in tight])
+    programs += [epsilon_lp(g, CoverEnumeration(g).at(0)) for g in graphs]
     assert len(programs) == 3 + len(graphs)
     return programs
 

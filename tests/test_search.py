@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as Q
-from itertools import combinations, islice, product
+from itertools import combinations, islice, permutations, product
 from pathlib import Path
 
 import pytest
@@ -14,17 +14,19 @@ import pytest
 from flexdp import search
 from flexdp.covers import Cover, CoverEnumeration, full_lists, straight_cover
 from flexdp.flexibility import epsilon_star, uniform_floor
-from flexdp.graphs import Multigraph, PotentialAssignment, gen_family, mad
+from flexdp.graphs import (Multigraph, PotentialAssignment, gen_family, mad,
+                           peel)
 from flexdp.search import (BudgetExceeded, canonical_code, cover_hash,
                            criticality_check, enumerate_connected_multigraphs,
                            gap_audit, is_flexible, min_epsilon_over_covers,
-                           theorem_check, two_core)
+                           theorem_check)
 from oracles import (canonical_code_by_permutations, carried_cover,
                      colorings_by_brute_force, connected_multigraph_classes,
                      enumerate_by_product_scan,
                      epsilon_every_index, min_epsilon_every_index,
                      random_connected_multigraph, random_cover, random_multigraph,
-                     relabeling_canonical_form, six_colorings_by_brute_force,
+                     least_relabeling_by_permutations, relabeling_canonical_form,
+                     relabeling_getters, six_colorings_by_brute_force,
                      two_core_by_brute_force, with_pendant_trees)
 
 
@@ -104,10 +106,10 @@ class TestCanonicalCode:
         candidates = list(search._orderly_candidates(n, top))
         assert len(candidates) == count
         assert all(a < b for a, b in zip(candidates, candidates[1:]))
-        _, maps, _ = search._relabelings(n)
+        maps = relabeling_getters(n)
         canonical = [vec for vec in product(range(top + 1), repeat=n * (n - 1) // 2)
                      if all(m(vec) >= vec for m in maps)]
-        groups = search._first_row_groups(n)
+        groups = search._relabelings(n)[1]
         assert [vec for vec in candidates
                 if search._is_canonical(vec, groups)] == canonical
 
@@ -138,8 +140,8 @@ class TestCanonicalCode:
         rng = random.Random(78)
         for g in symmetric + lopsided:
             vec = search._own_vector(g)
-            groups = search._first_row_groups(g.n)
-            rows = [sorted(row(vec)) for row, _ in groups]
+            groups = search._relabelings(g.n)[1]
+            rows = [sorted(row(vec)) for row, _, _ in groups]
             tied = [x for x, r in enumerate(rows) if r == min(rows)]
             assert len(tied) == (g.n if g in symmetric else 3)
             minima = {min([m(vec) for m in groups[x][1]] + [vec] * (x == 0))
@@ -161,6 +163,44 @@ class TestCanonicalCode:
             assert canonical_code(g) == f"{g.n}:{own}"
             keys.append((g.n, canonical_code(g)))
         assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+class TestLeastRelabeling:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_groups_partition_the_relabelings(self, n):
+        """Group x holds the relabelings p with p[0] = x, and the groups in
+        vertex order hold every relabeling but the identity, once each, in
+        `permutations` order.  Each getter moves the pairs as the oracle's
+        getter of its p does, and each row getter reads x's row."""
+        pairs, groups = search._relabelings(n)
+        assert pairs == tuple(combinations(range(n), 2)) and len(groups) == n
+        assert [p for _, _, perms in groups for p in perms] == \
+            list(permutations(range(n)))[1:]
+        labels = tuple(range(len(pairs)))
+        assert [m(labels) for _, maps, _ in groups for m in maps] == \
+            [m(labels) for m in relabeling_getters(n)[1:]]
+        for x, (row, maps, perms) in enumerate(groups):
+            assert len(maps) == len(perms) and all(p[0] == x for p in perms)
+            assert row(labels) == tuple(pairs.index((min(x, v), max(x, v)))
+                                        for v in range(n) if v != x)
+
+    def test_least_and_first_permutation_match_brute_force(self):
+        """On a seeded relabeling of every (5,2) and (6,1) graph, of the
+        first 7-vertex (7,1) graphs and of random 7-vertex multigraphs,
+        `_least` returns the least vector over all n! relabelings and the
+        first permutation attaining it, which `_core_row` maps by."""
+        rng = random.Random(86)
+        sevens = islice((g for g in enumerate_connected_multigraphs(7, 1)
+                         if g.n == 7), 12)
+        graphs = (list(enumerate_connected_multigraphs(5, 2))
+                  + list(enumerate_connected_multigraphs(6, 1)) + list(sevens)
+                  + [random_multigraph(rng, max_n=7, max_mult=2) for _ in range(4)])
+        for g in graphs:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            vec = search._own_vector(Multigraph(g.n, [(perm[u], perm[v], m)
+                                                      for u, v, m in g.edge_items()]))
+            assert search._least(g.n, vec) == least_relabeling_by_permutations(g.n, vec)
 
 
 class TestWorstCover:
@@ -477,7 +517,7 @@ class TestTwoCore:
             g = with_pendant_trees(
                 rng, random_connected_multigraph(rng, max_n=4, max_mult=2),
                 rng.randint(0, 3))
-            core, oracle = two_core(g), two_core_by_brute_force(g)
+            core, oracle = peel(g, 1), two_core_by_brute_force(g)
             if len(oracle) == 1:
                 trees += 1
                 assert len(core) == 1
@@ -503,7 +543,7 @@ class TestTwoCore:
             g = with_pendant_trees(
                 rng, random_connected_multigraph(rng, max_n=5, max_mult=2),
                 rng.randint(0, 2))
-            core = two_core(g)
+            core = peel(g, 1)
             code, phi = search._core_row(g, core)
             assert code == canonical_code(g.induced(core))
             row = _graph_of(code)
@@ -521,7 +561,7 @@ def _graph_of(code: str) -> Multigraph:
 
 def _leaf_graphs(max_vertices: int, max_mult: int) -> list[Multigraph]:
     return [g for g in enumerate_connected_multigraphs(max_vertices, max_mult)
-            if mad(g) < 3 and len(two_core(g)) < g.n]
+            if mad(g) < 3 and len(peel(g, 1)) < g.n]
 
 
 class TestLeafRows:
@@ -572,7 +612,7 @@ class TestLeafRows:
         first index of a per-index scan of those classes."""
         for g in _leaf_graphs(4, 2):
             enum = CoverEnumeration(g)
-            code, phi = search._core_row(g, two_core(g))
+            code, phi = search._core_row(g, peel(g, 1))
             core_enum = CoverEnumeration(_graph_of(code))
             for core_limit in range(1, core_enum.count + 1):
                 [(known, _, _)] = search._class_minima([(core_enum, core_limit)],
@@ -591,7 +631,7 @@ class TestLeafRows:
             g = with_pendant_trees(
                 rng, random_connected_multigraph(rng, max_n=4, max_mult=2),
                 rng.randint(1, 3))
-            code, phi = search._core_row(g, two_core(g))
+            code, phi = search._core_row(g, peel(g, 1))
             row = _graph_of(code)
             core_enum = CoverEnumeration(row)
             cover = random_cover(rng, g)
@@ -613,7 +653,7 @@ class TestLeafRows:
                     sum(r.queries for r in report.rows)) == (orbits, queries)
             classes = {r.code: r.classes for r in report.rows}
             for g in _leaf_graphs(max_vertices, max_mult):
-                core = canonical_code(g.induced(two_core(g)))
+                core = canonical_code(g.induced(peel(g, 1)))
                 cases.add((classes[canonical_code(g)] > budget,
                            classes[core] > budget))
         assert {(True, False), (True, True)} <= cases
