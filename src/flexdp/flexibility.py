@@ -121,21 +121,17 @@ def _epsilon_report(colorings: list[Coloring],
 
 def _floor(g: Multigraph, cover: Cover
            ) -> tuple[Fraction, list[Coloring], dict[tuple[int, int], list[int]]]:
-    """`uniform_floor(g, cover)`, with the colorings and `_support` it read."""
+    """The uniform floor, the smallest full-list marginal of the uniform
+    distribution over the cover's colorings (0 when there is none), with
+    the colorings and `_support` it read.
+
+    Any distribution certifies a lower bound on epsilon*, so the floor is
+    one; and since the three marginals at a vertex sum to 1, epsilon* <=
+    1/3, so a floor of 1/3 is epsilon* itself.
+    """
     colorings, where = _marginal_columns(g, cover, full_lists(g.n))
     floor = Q(min(map(len, where.values())), len(colorings)) if colorings else Q(0)
     return floor, colorings, where
-
-
-def uniform_floor(g: Multigraph, cover: Cover) -> Fraction:
-    """Smallest full-list marginal of the uniform distribution over the
-    cover's colorings, 0 when there is none.
-
-    Any distribution certifies a lower bound on epsilon*, so this is one;
-    and since the three marginals at a vertex sum to 1, epsilon* <= 1/3, so
-    a floor of 1/3 is epsilon* itself.
-    """
-    return _floor(g, cover)[0]
 
 
 def _six_colorings(n: int, colorings: Sequence[Coloring]) -> Optional[list[Coloring]]:

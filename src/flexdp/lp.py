@@ -5,7 +5,9 @@ is written as a row).  A row is a {column: coefficient} dict of its
 nonzeros, read in one pass into sparse integer columns, each row scaled by
 its own denominator.  The kernel `_Revised` pivots fraction-free on integers
 packed by Kronecker substitution, a slot per entry, and prices every column
-at once; no float is used anywhere.  Every optimal solve is verified
+at once; no float is used anywhere.  A redundant row, one that phase 1
+leaves with no real column to drive its artificial out, keeps that
+artificial basic at zero.  Every optimal solve is verified
 against the exact optimality certificate (feasibility, complementary
 slackness, strong duality), which compares integers only.
 """
@@ -15,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import isqrt, lcm, prod
+from math import lcm
 from operator import itemgetter, mul
 from struct import calcsize
 from typing import Optional, Union
@@ -117,17 +119,16 @@ class _Revised:
     piv negates B, u and T with the same operations; d becomes |piv|.
 
     The packed arithmetic is exact at any width; only reading a slot needs
-    |slot| < 2**(V-1).  Every entry the kernel meets is a minor of [A | b]
-    of order at most m (d = |det B|; d*B^-1 is the adjugate up to sign, the
-    rest is Cramer's rule), so at most Hadamard's bound H, the product of
-    the m largest column norms.  When H fits a 64-bit slot, V starts at the
-    narrowest width with H < 2**(V-2), `M` = H and no pivot checks
-    anything.  Otherwise `M` bounds every |entry| of d*B^-1 and beta pivot
+    |slot| < 2**(V-1).  `M` bounds every |entry| of d*B^-1 and beta pivot
     by pivot, and cs >= max_j sum_k |A_kj| makes M*cs bound every decoded
-    column.  Before each pivot M' = (|piv|*M + max|f|*max|b|) // d + 1 is
-    checked: M'*cs < 2**(V-2).  When that fails, `refit` reads every column
-    at the current width, sets M to their exact maximum, and doubles V
-    until M'*cs fits V/2 - 2 bits, leaving half of each slot for M to drift.
+    column.  A pivot leaves slot i != p at most (|piv|*M + |f_i|*|b_k|) / d
+    and slot p at b_k, which the first bound misses when |piv| < d; so
+    before each pivot M' = max((|piv|*M + max|f|*max|b|) // d + 1, max|b|)
+    is checked: M'*cs < 2**(V-2).  When that fails, `refit` reads every
+    column at the current width, sets M to their exact maximum, and doubles
+    V until M'*cs fits V/2 - 2 bits, leaving half of each slot for M to
+    drift.  M starts at max(b) (at least the 1 of d*B^-1 = I), and V at the
+    narrowest width with M*cs < 2**(V-2).
 
     Pricing reads the z-row from one integer.  Row k of A is packed as
     `packed[k]` = sum_j A_kj * 2**(W*j), and T = sum_j (u.A_j - d*cost[j])
@@ -150,31 +151,22 @@ class _Revised:
         self.basis = list(range(self.art0, len(cols)))
         self.d = 1
         # max_j |A_kj| (at least the 1 of row k's artificial), then 0 for
-        # u.b, which no reduced cost reads; |A_j|^2
+        # u.b, which no reduced cost reads
         self.amax = amax = [1] * m + [0]
-        lengths = list(map(len, map(itemgetter(0), cols)))
-        squares = lengths[:]
-        for j, (ks, vs) in enumerate(cols):
+        for ks, vs in cols:
             if vs:
-                squares[j] = sum(map(mul, vs, vs))
                 for k, a in zip(ks, map(abs, vs)):
                     if a > amax[k]:
                         amax[k] = a
-        squares.append(sum(map(mul, rhs, rhs)))
-        squares.sort()
-        self.H = isqrt(prod(squares[len(squares) - m:])) + 1
         # the longest column times the largest entry: sum_k |A_kj| <= cs
-        self.cs = cs = max(1, max(lengths, default=0) * max(amax, default=1))
+        longest = max(map(len, map(itemgetter(0), cols)), default=0)
+        self.cs = cs = max(1, longest * max(amax, default=1))
         self.width = 16
         self.packed = _pack(cols, self.width, m)
-        # start from H when it fits a 64-bit slot, else from the entries
         self.M = max(rhs, default=0) or 1
-        need = self.M * cs if self.H >> 62 else self.H
         width = 16
-        while need >> width - 2:
+        while self.M * cs >> width - 2:
             width *= 2
-        if not self.H >> width - 2:  # no pivot can outgrow V, none checks
-            self.M = self.H
         self.slots(width, m)
         self.B = [1 << width * k for k in range(m)] + [self.encode(rhs)]
 
@@ -223,24 +215,20 @@ class _Revised:
         out.append(z - self.d * self.cost[j])
         return out
 
-    def pack(self, width: int, columns: list[list[int]]) -> None:
-        """Pack B again from its decoded columns, at `width` bits a slot."""
-        self.slots(width, len(columns[0]))
-        self.B = list(map(self.encode, columns))
-
-    def refit(self, piv: int, fb: int) -> int:
+    def refit(self, piv: int, fb: int, bmax: int) -> int:
         """Tighten M to the exact max |entry| of d*B^-1 and beta, and double
         V until the bound M' after pivoting on `piv`, with max|f|*max|b| =
-        `fb`, fits V/2 - 2 bits; return M', or H once H fits V."""
+        `fb` and max|b| = `bmax`, fits V/2 - 2 bits; return M'."""
         columns = list(map(self.decode, self.B))
         self.M = max(max(map(abs, c)) for c in columns)
-        bound = (abs(piv) * self.M + fb) // self.d + 1
+        bound = max((abs(piv) * self.M + fb) // self.d + 1, bmax)
         width = self.V
         while bound * self.cs >> width // 2 - 2:
             width *= 2
         if width != self.V:
-            self.pack(width, columns)
-        return bound if self.H >> width - 2 else self.H
+            self.slots(width, len(columns[0]))
+            self.B = list(map(self.encode, columns))
+        return bound
 
     def redundant(self, p: int) -> int:
         """The first real column with a nonzero in basic row p, or -1 when
@@ -251,15 +239,6 @@ class _Revised:
         P = sum(map(mul, compress(rp, rp), compress(self.packed, rp)))
         j = ((P & -P).bit_length() - 1) // self.width
         return j if P and j < self.art0 else -1
-
-    def delete(self, rows: list[int]) -> None:
-        """Drop the basic `rows` (redundant rows of A) in one repack."""
-        columns = list(map(self.decode, self.B))
-        for i in sorted(rows, reverse=True):
-            for c in columns:
-                del c[i]
-            del self.basis[i]
-        self.pack(self.V, columns)
 
     def repack(self, width: int) -> None:
         """Pack A's rows (when `width` is new), the costs, T and `top` at
@@ -294,16 +273,16 @@ class _Revised:
         d, piv, zq = self.d, column[p], column[-1]
         rp = self.row(p)
         X = self.X
-        if self.H >> self.V - 2:  # else no entry can outgrow V
-            f = column[:-1]
-            fb = max(map(abs, f)) * max(map(abs, rp))
-            bound = (abs(piv) * self.M + fb) // d + 1
-            if bound * self.cs >> self.V - 2:
-                width = self.V
-                bound = self.refit(piv, fb)
-                if self.V != width:
-                    X = self.encode(f)
-            self.M = bound
+        f = column[:-1]
+        bmax = max(map(abs, rp))
+        fb = max(map(abs, f)) * bmax
+        bound = max((abs(piv) * self.M + fb) // d + 1, bmax)
+        if bound * self.cs >> self.V - 2:
+            width = self.V
+            bound = self.refit(piv, fb, bmax)
+            if self.V != width:
+                X = self.encode(f)
+        self.M = bound
         B, u, amax = self.B, self.u, self.amax
         Y = X - (d << self.V * p)
         P = sum(map(mul, compress(rp, rp), compress(self.packed, rp)))  # rp.A
@@ -391,17 +370,14 @@ def solve(lp: LinearProgram) -> LpOutcome:
         return LpOutcome(status="infeasible")
 
     # Drive artificials out of the basis.  A redundant row is zero on every
-    # real column, which later pivots keep, so all are dropped at once.
-    redundant = []
+    # real column, which each later pivot keeps (it scales the row by
+    # piv/d), so its artificial stays basic at zero: the ratio test never
+    # picks the row, and its beta stays 0.
     for i in range(m - 1, -1, -1):
         if tab.basis[i] >= art0:
             j = tab.redundant(i)
-            if j < 0:
-                redundant.append(i)
-            else:
+            if j >= 0:
                 tab.pivot(i, j, tab.column(j))
-    if redundant:
-        tab.delete(redundant)
 
     # Phase 2, artificials barred: u = c_B . d B^-1 for the real costs.
     cost, cden = integral(lp.objective)

@@ -17,9 +17,10 @@ relabeling and graph automorphisms (`CoverEnumeration.representatives`),
 since epsilon* with full lists is invariant under both; each orbit is
 represented by its smallest index, so the first index attaining the minimum
 is always evaluated.  Before any LP, a representative's uniform floor
-(`uniform_floor`, an exact lower bound on epsilon*) settles it when the
-floor is 1/3 or 0, which is then epsilon*, or, when only the minimum is
-wanted, when the floor is at least the minimum already found in its chunk;
+(the smallest marginal of the uniform distribution over its colorings, an
+exact lower bound on epsilon*) settles it when the floor is 1/3 or 0,
+which is then epsilon*, or, when only the minimum is wanted, when the
+floor is at least the minimum already found in its chunk;
 six of its colorings that give every marginal exactly 1/3 settle it at
 1/3; every other representative gets an epsilon* LP, built from the
 colorings its floor enumerated (`flexibility.epsilon_below`).  Parallel
@@ -62,6 +63,7 @@ from .rationals import rat_str
 Q = Fraction
 
 DESK_CAP = {0: 7, 1: 7, 2: 5}  # most vertices per max multiplicity
+RELABELING_CAP = 8  # most vertices whose n! relabelings are tabulated
 GAP_AUDIT_CAP = 20  # the audit visits all 2^n - 1 subsets
 DEFAULT_BUDGET = 10 ** 6
 CHUNK = 32
@@ -94,8 +96,12 @@ def _relabelings(n: int) -> tuple[tuple[tuple[int, int], ...], tuple]:
     Below 3 vertices no relabeling moves a pair, so there are no groups;
     that also keeps out `itemgetter` of one index, which returns a scalar.
     Built on first use and kept for the life of the process: n! relabelings,
-    meant for desk-scale n.
+    so above RELABELING_CAP vertices it raises ValueError before building
+    anything.
     """
+    if n > RELABELING_CAP:
+        raise ValueError(f"{n} vertices: relabelings are tabulated for at "
+                         f"most {RELABELING_CAP}")
     pairs = tuple(combinations(range(n), 2))
     index = {pair: i for i, (u, v) in enumerate(pairs) for pair in ((u, v), (v, u))}
     groups = []

@@ -10,9 +10,8 @@ from flexdp.covers import (Cover, CoverError, IDENTITY, ListDistribution,
                            full_lists, tight_cover, straight_cover,
                            trivial_list_distribution)
 from flexdp.flexibility import (FlexReport, InadmissibleDistribution,
-                                box_distribution, epsilon_star,
-                                fractional_packing, framework_feasible,
-                                uniform_floor)
+                                _floor, box_distribution, epsilon_star,
+                                fractional_packing, framework_feasible)
 from flexdp.graphs import Multigraph, PotentialAssignment, gen_family
 from flexdp.lp import solve
 from oracles import (drop_matching, epsilon_lp, random_connected_multigraph,
@@ -265,7 +264,7 @@ class TestUniformFloor:
         for _ in range(120):
             g = random_connected_multigraph(rng, max_n=5, max_mult=2)
             cover = random_cover(rng, g)
-            floor = uniform_floor(g, cover)
+            floor = _floor(g, cover)[0]
             eps = epsilon_star(g, cover).epsilon_star
             assert floor == min(uniform_marginals(g, cover), default=0)
             assert floor <= eps <= Q(1, 3)
@@ -278,11 +277,11 @@ class TestUniformFloor:
 
     def test_uncolorable_cover_has_floor_zero(self):
         g, _ = gen_family("k4")
-        assert uniform_floor(g, straight_cover(g)) == 0
+        assert _floor(g, straight_cover(g))[0] == 0
 
     def test_cover_checked(self):
         with pytest.raises(CoverError):
-            uniform_floor(_ONE_EDGE, _NON_EDGE_COVER)
+            _floor(_ONE_EDGE, _NON_EDGE_COVER)
 
 
 class TestFramework:

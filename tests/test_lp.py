@@ -536,13 +536,39 @@ def test_slot_width_grows_mid_phase(monkeypatch):
     assert all(statuses.values()), statuses
 
 
+def _sparse_wide_lp(seed):
+    """An LP of 2 to 9 variables and 2 to 9 rows drawn from `seed`: about
+    20% of its entries are 0, the others +-Fractions whose numerator and
+    denominator lie in [10**a, 10**(a+b)], a in 1..12 and b in 1..10."""
+    rng = random.Random(seed)
+    a, b = rng.randint(1, 12), rng.randint(1, 10)
+
+    def entry():
+        if rng.random() < 0.2:
+            return 0
+        return Q(rng.choice((-1, 1)) * rng.randint(10**a, 10**(a + b)),
+                 rng.randint(10**a, 10**(a + b)))
+
+    n, m = rng.randint(2, 9), rng.randint(2, 9)
+    return dense_lp([entry() for _ in range(n)], [
+        ([entry() for _ in range(n)], rng.choice(("<=", "=", ">=")), entry())
+        for _ in range(m)])
+
+
+# Seeds below 4,500 whose LPs take a pivot with |piv| < d after which the
+# pivot row's entries, which stay put, exceed (|piv|*M + max|f|*max|b|) // d
+# + 1, the bound on every other slot.
+_SLOT_P_SEEDS = (380, 2650, 3135)
+
+
 def test_column_width_grows_mid_phase(monkeypatch):
     """The pivots of LPs with 30- to 40-digit coefficients outgrow the
     slot width V of the packed columns of d*B^-1: the kernel must read
     them at the old width, double V and repack between pivots, keep M a
-    bound on every entry, and still return the dense oracle's outcome."""
+    bound on every entry, and still return the dense oracle's outcome.
+    M must stay a bound through the pivots of `_SLOT_P_SEEDS` too."""
     phase_pivots, growths = [0], [0]
-    run, pivot, pack = _Revised.run, _Revised.pivot, _Revised.pack
+    run, pivot, refit = _Revised.run, _Revised.pivot, _Revised.refit
 
     def counting_run(tab, ncols):
         phase_pivots[0] = 0
@@ -553,17 +579,20 @@ def test_column_width_grows_mid_phase(monkeypatch):
         phase_pivots[0] += 1
         assert tab.M >= max(abs(a) for c in _columns(tab) for a in c)
 
-    def counting_pack(tab, width, columns):
-        if width > tab.V and phase_pivots[0]:
-            assert width % tab.V == 0
+    def counting_refit(tab, *args):
+        width = tab.V
+        bound = refit(tab, *args)
+        if tab.V > width and phase_pivots[0]:
+            assert tab.V % width == 0
             growths[0] += 1
-        pack(tab, width, columns)
+        return bound
 
     monkeypatch.setattr(_Revised, "run", counting_run)
     monkeypatch.setattr(_Revised, "pivot", checked_pivot)
-    monkeypatch.setattr(_Revised, "pack", counting_pack)
+    monkeypatch.setattr(_Revised, "refit", counting_refit)
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    for program in _wide_lps(20):
+    programs = list(_wide_lps(20)) + list(map(_sparse_wide_lp, _SLOT_P_SEEDS))
+    for program in programs:
         expected = bland_simplex(program)
         assert _outcome(program) == expected
         statuses[expected[0]] += 1
@@ -652,39 +681,50 @@ def _packing_instances():
     return found
 
 
-def test_redundant_rows_dropped_in_one_repack(monkeypatch):
-    """The fractional-packing LPs of `_packing_instances` drop their
-    redundant rows (the three marginal rows of a vertex sum to the same
-    total) after the drive-out, all in one repack of the packed columns:
-    each solve deletes at most once, and that delete packs B exactly once.
-    The counts are those of the kernel that deleted row by row, and the
-    witnesses equal the dense oracle's, which deletes row by row too."""
+def test_redundant_rows_keep_their_artificial_at_zero(monkeypatch):
+    """The fractional-packing LPs of `_packing_instances` have redundant
+    rows (the three marginal rows of a vertex sum to the same total), which
+    the drive-out finds with no real column to pivot on.  Each such row
+    keeps its artificial basic with beta 0 after every later pivot and at
+    the end of phase 2.  The counts are those of the kernel that deleted
+    the rows, and the witnesses equal the dense oracle's, which deletes
+    them row by row."""
     programs = _recorded_lps([
         lambda g=g, cover=cover: flexibility.fractional_packing(g, cover)
         for g, cover in _packing_instances()])
-    delete, pack = _Revised.delete, _Revised.pack
-    packs, drops = [0], []
+    run, pivot, redundant = _Revised.run, _Revised.pivot, _Revised.redundant
+    rows = []
 
-    def counting_pack(tab, width, columns):
-        packs[0] += 1
-        pack(tab, width, columns)
+    def kept(tab):
+        beta = _columns(tab)[-1]
+        assert all(tab.basis[i] >= tab.art0 and beta[i] == 0 for i in rows)
 
-    def counting_delete(tab, rows):
-        before = packs[0]
-        delete(tab, rows)
-        drops.append((len(rows), packs[0] - before))
+    def checked_redundant(tab, p):
+        j = redundant(tab, p)
+        if j < 0:
+            rows.append(p)
+        return j
 
-    monkeypatch.setattr(_Revised, "pack", counting_pack)
-    monkeypatch.setattr(_Revised, "delete", counting_delete)
-    dropped = []
+    def checked_pivot(tab, p, j, column):
+        pivot(tab, p, j, column)
+        kept(tab)
+
+    def checked_run(tab, ncols):
+        status = run(tab, ncols)
+        kept(tab)
+        return status
+
+    monkeypatch.setattr(_Revised, "redundant", checked_redundant)
+    monkeypatch.setattr(_Revised, "pivot", checked_pivot)
+    monkeypatch.setattr(_Revised, "run", checked_run)
+    found = []
     for program in programs:
-        drops.clear()
+        rows.clear()
         assert _outcome(program) == bland_simplex(program)
-        assert len(drops) <= 1 and all(count == 1 for _, count in drops)
-        dropped.append(sum(rows for rows, _ in drops))
-    assert dropped == [7, 7, 0, 0, 0, 0, 0, 0, 0, 0, 7, 0,
-                       0,
-                       4, 6, 3, 3, 5, 5]
+        found.append(len(rows))
+    assert found == [7, 7, 0, 0, 0, 0, 0, 0, 0, 0, 7, 0,
+                     0,
+                     4, 6, 3, 3, 5, 5]
 
 
 def test_redundant_matches_a_column_scan(monkeypatch):

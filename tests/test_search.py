@@ -13,7 +13,7 @@ import pytest
 
 from flexdp import search
 from flexdp.covers import Cover, CoverEnumeration, full_lists, straight_cover
-from flexdp.flexibility import epsilon_star, uniform_floor
+from flexdp.flexibility import _floor, epsilon_star
 from flexdp.graphs import (Multigraph, PotentialAssignment, gen_family, mad,
                            peel)
 from flexdp.search import (BudgetExceeded, canonical_code, cover_hash,
@@ -42,7 +42,8 @@ class TestCanonicalCode:
             assert canonical_code(g) == canonical_code(relabeled)
 
     def test_matches_permutation_oracle(self):
-        """Connected or not, edgeless, one and two vertices included."""
+        """Connected or not, edgeless, one and two vertices included; above
+        the relabeling cap it raises before tabulating any relabeling."""
         rng = random.Random(75)
         for _ in range(120):
             g = random_multigraph(rng, max_n=6, max_mult=2)
@@ -50,6 +51,10 @@ class TestCanonicalCode:
         for g in (Multigraph(1), Multigraph(2), Multigraph(2, [(0, 1, 3)]),
                   Multigraph(3, [(1, 2, 1)])):
             assert canonical_code(g) == canonical_code_by_permutations(g)
+        tables = search._relabelings.cache_info().currsize
+        with pytest.raises(ValueError, match="at most 8"):
+            canonical_code(Multigraph(9, [(v, v + 1, 1) for v in range(8)]))
+        assert search._relabelings.cache_info().currsize == tables
 
     # sha256 of the newline-joined codes, as the n!-permutation scan wrote them
     @pytest.mark.parametrize("max_vertices, max_mult, digest", [
@@ -532,7 +537,7 @@ class TestTwoCore:
                             if u in place and v in place})
                 assert epsilon_star(g, h).epsilon_star == \
                     epsilon_star(k, hk).epsilon_star
-                assert uniform_floor(k, hk) >= uniform_floor(g, h)
+                assert _floor(k, hk)[0] >= _floor(g, h)[0]
                 covers += 1
         assert trees
 
