@@ -4,19 +4,21 @@ Maximization over `int` or `Fraction` data, `x >= 0` only (any other bound
 is written as a row).  A row is a {column: coefficient} dict of its
 nonzeros, read in one pass into sparse integer columns, each row scaled by
 its own denominator.  The kernel `_Revised` pivots fraction-free on integers
-packed by Kronecker substitution, a slot per entry, and prices every column
-at once; no float is used anywhere.  A redundant row, one that phase 1
-leaves with no real column to drive its artificial out, keeps that
-artificial basic at zero.  Every optimal solve is verified
-against the exact optimality certificate (feasibility, complementary
-slackness, strong duality), which compares integers only.
+packed by Kronecker substitution, a slot per entry stored with a bias of
+half its range, so that no stored slot is negative and a slot reads with
+one mask and one shift; it prices every column at once, and no float is
+used anywhere.  A redundant row, one that phase 1 leaves with no real
+column to drive its artificial out, keeps that artificial basic at zero.
+Every optimal solve is verified against the exact optimality certificate
+(feasibility, complementary slackness, strong duality), which compares
+integers only.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import lcm
 from operator import itemgetter, mul
 from struct import calcsize
@@ -99,36 +101,45 @@ class _Revised:
     `cols[j]` is column A_j of the scaled matrix (see `_pack`), `cost[j]`
     its phase cost.  Over the m rows of A and the basic rows i (`basis[i]`
     is row i's basic column), the kernel keeps d*B^-1 and beta = d*B^-1 b
-    as m + 1 packed columns: `B[k]` = sum_i (d*B^-1)_ik * 2**(V*i) for
-    k < m, and `B[m]` = sum_i beta_i * 2**(V*i).  `u` is the z-row
+    as m + 1 packed columns with every slot biased by h = 2**(V-1):
+    `B[k]` = sum_i ((d*B^-1)_ik + h) * 2**(V*i) for k < m, and `B[m]` =
+    sum_i (beta_i + h) * 2**(V*i).  So `B[k]` = s_k + `off`, where s_k is
+    the signed packed column and `off` = sum_i h * 2**(V*i); every stored
+    slot lies in [0, 2**V), `row(p)` reads slot p with one mask and one
+    shift, less h, and `decode` flips each slot's top bit.  `u` is the z-row
     multipliers with u.b appended.  Invariant: the tableau over d has
     (d*B^-1 A_j)_i in row i and u.A_j - d*cost[j] in the z-row, so
-    `column(j)` is X = sum_k A_kj * B[k], decoded once.  The artificials
+    `column(j)` is X = sum_k A_kj * B[k] + (1 - sum_k A_kj) * off, the
+    stored form of sum_k A_kj * s_k, decoded once.  The artificials
     start as the identity, so `B` and `u` are the dense tableau's artificial
     block, right-hand side and z-row, and `pivot` is its exact update
     (Edmonds 1967; Bareiss 1968): every reduced cost and ratio Bland's rule
     reads, and so every basis, is the same.
 
-    A pivot `piv` on row p, entering column X with z entry zq, reads the
-    pivot row b_k (slot p of every B[k]) and sets Y = X - d * 2**(V*p);
-    every B[k] becomes (piv*B[k] - b_k*Y) / d and every u_k (piv*u_k -
-    zq*b_k) / d.  Slot i != p of B[k] takes Bareiss's step (a*piv -
-    f_i*b_k) / d, an integer, and slot p keeps b_k, so the packed division
-    is exact.  When piv == d (most pivots) only the B[k] at the pivot row's
-    nonzeros move, by b_k*Y / d, with no division when d == 1.  A negative
-    piv negates B, u and T with the same operations; d becomes |piv|.
+    A pivot `piv` on row p, entering column X (stored) with z entry zq,
+    reads the pivot row b_k (slot p of every B[k]) and sets the signed Y =
+    X - off - d * 2**(V*p); every s_k becomes (piv*s_k - b_k*Y) / d and
+    every u_k (piv*u_k - zq*b_k) / d.  Slot i != p of s_k takes Bareiss's
+    step (a*piv - f_i*b_k) / d, an integer, and slot p keeps b_k, so the
+    packed division is exact.  When piv == d (most pivots) only the B[k]
+    at the pivot row's nonzeros move, by b_k*Y / d, with no division when
+    d == 1; the bias stays as it is.  Any other pivot writes B[k] as
+    (piv*B[k] - b_k*Y - (piv - d)*off) / d, which is the stored form of
+    the new s_k.  A negative piv negates s, u and T with the same
+    operations (piv, Y and zq change sign, so the bias correction uses
+    |piv|); d becomes |piv|.
 
     The packed arithmetic is exact at any width; only reading a slot needs
-    |slot| < 2**(V-1).  `M` bounds every |entry| of d*B^-1 and beta pivot
-    by pivot, and cs >= max_j sum_k |A_kj| makes M*cs bound every decoded
-    column.  A pivot leaves slot i != p at most (|piv|*M + |f_i|*|b_k|) / d
+    |slot| < 2**(V-1), which keeps its stored form in [0, 2**V).  `M`
+    bounds every |entry| of d*B^-1 and beta pivot by pivot, and cs >=
+    max_j sum_k |A_kj| makes M*cs bound every decoded column.  A pivot leaves slot i != p at most (|piv|*M + |f_i|*|b_k|) / d
     and slot p at b_k, which the first bound misses when |piv| < d; so
     before each pivot M' = max((|piv|*M + max|f|*max|b|) // d + 1, max|b|)
     is checked: M'*cs < 2**(V-2).  When that fails, `refit` reads every
     column at the current width, sets M to their exact maximum, and doubles
     V until M'*cs fits V/2 - 2 bits, leaving half of each slot for M to
     drift.  M starts at max(b) (at least the 1 of d*B^-1 = I), and V at the
-    narrowest width with M*cs < 2**(V-2).
+    narrowest width with M*cs < 2**(V/2-2), the same headroom.
 
     Pricing reads the z-row from one integer.  Row k of A is packed as
     `packed[k]` = sum_j A_kj * 2**(W*j), and T = sum_j (u.A_j - d*cost[j])
@@ -165,14 +176,16 @@ class _Revised:
         self.packed = _pack(cols, self.width, m)
         self.M = max(rhs, default=0) or 1
         width = 16
-        while self.M * cs >> width - 2:
+        while self.M * cs >> width // 2 - 2:
             width *= 2
         self.slots(width, m)
-        self.B = [1 << width * k for k in range(m)] + [self.encode(rhs)]
+        self.B = [self.off + (1 << width * k) for k in range(m)] + [
+            self.encode(rhs)]
 
     def slots(self, width: int, count: int) -> None:
         """Set V = `width` bits a slot over `count` basic rows, and the
-        constants that read them: `off` has bit V-1 set in every slot."""
+        constants that read them: `off` has bit V-1, the bias, set in
+        every slot."""
         self.V, self.half, self.mask = width, 1 << width - 1, (1 << width) - 1
         self.off = int.from_bytes(
             (bytes(width // 8 - 1) + b"\x80") * count, "little")
@@ -180,15 +193,15 @@ class _Revised:
         self.cast = _CASTS.get(width)
 
     def encode(self, values: list[int]) -> int:
-        """sum_i values[i] * 2**(V*i)."""
+        """The stored form sum_i (values[i] + 2**(V-1)) * 2**(V*i)."""
         V = self.V
-        return sum(v << V * i for i, v in enumerate(values) if v)
+        return sum(v << V * i for i, v in enumerate(values) if v) + self.off
 
     def decode(self, x: int) -> list[int]:
-        """The slots of x, each in [-2**(V-1), 2**(V-1)): adding `off`
-        makes every slot nonnegative, with no borrow between slots, and
-        the xor leaves each one's V-bit two's complement."""
-        raw = ((x + self.off) ^ self.off).to_bytes(self.nbytes, "little")
+        """The signed slots of the stored x, each in [-2**(V-1), 2**(V-1)):
+        the xor with `off` flips the top bit of each biased slot, which
+        leaves its V-bit two's complement."""
+        raw = (x ^ self.off).to_bytes(self.nbytes, "little")
         if self.cast:
             return memoryview(raw).cast(self.cast).tolist()
         step = self.V // 8
@@ -196,20 +209,25 @@ class _Revised:
                 for i in range(0, self.nbytes, step)]
 
     def row(self, p: int) -> list[int]:
-        """Slot p of every B[k]: row p of d*B^-1, then beta_p."""
-        off, mask, half, shift = self.off, self.mask, self.half, self.V * p
-        return [((x + off) >> shift & mask) - half for x in self.B]
+        """Slot p of every B[k]: row p of d*B^-1, then beta_p.  Masking
+        before the shift keeps the shifted integer one slot long."""
+        shift = self.V * p
+        mask, half = self.mask << shift, self.half
+        return [((x & mask) >> shift) - half for x in self.B]
 
     def column(self, j: int) -> list[int]:
         """Tableau column j over d: d*B^-1 A_j, then its z entry.  Its
-        packed form X is kept for `pivot`."""
+        packed form X, stored with the bias of one column, is kept for
+        `pivot`."""
         ks, vs = self.cols[j]
         B, u = self.B, self.u
         if vs is None:
-            self.X = X = sum(map(B.__getitem__, ks))
+            self.X = X = (sum(map(B.__getitem__, ks))
+                          + (1 - len(ks)) * self.off)
             z = sum(map(u.__getitem__, ks))
         else:
-            self.X = X = sum(map(mul, map(B.__getitem__, ks), vs))
+            self.X = X = (sum(map(mul, map(B.__getitem__, ks), vs))
+                          + (1 - sum(vs)) * self.off)
             z = sum(map(mul, map(u.__getitem__, ks), vs))
         out = self.decode(X)
         out.append(z - self.d * self.cost[j])
@@ -284,7 +302,7 @@ class _Revised:
                 X = self.encode(f)
         self.M = bound
         B, u, amax = self.B, self.u, self.amax
-        Y = X - (d << self.V * p)
+        Y = X - self.off - (d << self.V * p)
         P = sum(map(mul, compress(rp, rp), compress(self.packed, rp)))  # rp.A
         if piv == d:
             S = self.S
@@ -298,8 +316,9 @@ class _Revised:
         else:
             if piv < 0:  # negate B, u and T with the update
                 piv, Y, zq = -piv, -Y, -zq
-            self.B = [(piv * x - b * Y) // d if b else piv * x // d
-                      for x, b in zip(B, rp)]
+            bias = (piv - d) * self.off
+            self.B = [(piv * x - b * Y - bias) // d if b
+                      else (piv * x - bias) // d for x, b in zip(B, rp)]
             self.u = u = [(piv * a - zq * b) // d for a, b in zip(u, rp)]
             self.S = sum(map(mul, map(abs, u), amax))
             self.T = (piv * self.T - zq * P) // d
@@ -408,9 +427,10 @@ def verify_certificate(lp: LinearProgram, out: LpOutcome) -> None:
     """Exact optimality check: raises LpInternalError on any violation.
 
     Every check compares integers: primal, dual and objective are each
-    scaled to integers over one denominator, and the nonzeros a sum reads
-    of a row (those on the primal's support, or all of a row with a nonzero
-    dual) over the row's own.  A Fraction is built only for a message.
+    scaled to integers over one denominator, every row's entries on the
+    primal's support over one more, in one pass, and the nonzeros of each
+    row with a nonzero dual over the row's own.  A Fraction is built only
+    for a message.
     """
     if out.status != "optimal":
         return
@@ -420,9 +440,13 @@ def verify_certificate(lp: LinearProgram, out: LpOutcome) -> None:
     support = [j for j, v in enumerate(xs) if v]
     xsup, zeros = [xs[j] for j in support], [0] * len(support)
     ys, yden = integral(out.dual)
+    # Every row's entries on the support, row after row, over one den; the
+    # sum below reads xsup first, so it stops before the next row's entries.
+    nums, den = integral([*chain.from_iterable(
+        map(coeffs.get, support, zeros) for coeffs, _, _ in lp.rows)])
+    nums = iter(nums)
     for i, ((coeffs, rel, b), w) in enumerate(zip(lp.rows, ys)):
-        nums, den = integral(list(map(coeffs.get, support, zeros)))
-        lhs = sum(map(mul, nums, xsup))     # over den * xden
+        lhs = sum(map(mul, xsup, nums))     # over den * xden
         gap = lhs * b.denominator - b.numerator * den * xden  # sign of lhs - b
         if gap and (rel == EQUAL or (gap > 0) == (rel == LESS)):
             raise LpInternalError(

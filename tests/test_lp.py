@@ -417,8 +417,9 @@ def test_packed_pricing_picks_the_first_negative_column(monkeypatch):
 
 
 def _columns(tab) -> list:
-    """The kernel's packed columns of d*B^-1 and beta, read by the oracle."""
-    return [slots_of(x, tab.V, len(tab.basis)) for x in tab.B]
+    """The kernel's packed columns of d*B^-1 and beta, read by the oracle
+    through the bias of their stored slots."""
+    return [slots_of(x - tab.off, tab.V, len(tab.basis)) for x in tab.B]
 
 
 def test_packed_columns_match_list_pivot(monkeypatch):
@@ -473,7 +474,7 @@ def test_slots_read_back(width, native):
     if not native:
         tab.cast = None
     tab.B = [tab.encode(c) for c in columns]
-    assert [slots_of(x, width, count) for x in tab.B] == columns
+    assert [slots_of(x - tab.off, width, count) for x in tab.B] == columns
     assert [tab.decode(x) for x in tab.B] == columns
     for p in range(count):
         assert tab.row(p) == [c[p] for c in columns]
@@ -598,6 +599,64 @@ def test_column_width_grows_mid_phase(monkeypatch):
         statuses[expected[0]] += 1
     assert growths[0] >= 1
     assert all(statuses.values()), statuses
+
+
+def test_stored_slots_are_biased_and_read_back(monkeypatch):
+    """Every stored slot of every packed column lies in [0, 2**V) and is
+    the signed slot plus 2**(V-1): after every pivot, the base-2**V digits
+    of each B[k] minus 2**(V-1) are the oracle's signed slots of B[k] -
+    off, and `row(p)` is slot p of those signed columns for every p.
+    Before every pivot the kept entering column X, less the bias of one
+    column, is sum_k A_kj * (B[k] - off).  Over the J_5 epsilon* LP, 200
+    random LPs, the LPs with 30- to 40-digit entries and `_SLOT_P_SEEDS`;
+    unit, full and negative pivots and refits after a phase's first pivot
+    all occur."""
+    rng = random.Random(20251020)
+    programs = ([_j5_lp()] + [_random_lp(rng) for _ in range(200)]
+                + list(_wide_lps(20)) + list(map(_sparse_wide_lp,
+                                                 _SLOT_P_SEEDS)))
+    counts = dict.fromkeys(("unit", "full", "negative", "mid-phase refit"), 0)
+    phase_pivots = [0]
+    run, pivot, refit = _Revised.run, _Revised.pivot, _Revised.refit
+
+    def counting_run(tab, ncols):
+        phase_pivots[0] = 0
+        return run(tab, ncols)
+
+    def counting_refit(tab, *args):
+        counts["mid-phase refit"] += phase_pivots[0] > 0
+        return refit(tab, *args)
+
+    def checked_pivot(tab, p, j, column):
+        V, m = tab.V, len(tab.basis)
+        off = sum(1 << V * i + V - 1 for i in range(m))
+        ks, vs = tab.cols[j]
+        entries = (1,) * len(ks) if vs is None else vs
+        assert tab.X - off == sum(a * (tab.B[k] - off)
+                                  for k, a in zip(ks, entries))
+        counts["unit" if column[p] == tab.d else "full"] += 1
+        counts["negative"] += column[p] < 0
+        pivot(tab, p, j, column)
+        phase_pivots[0] += 1
+        V, m = tab.V, len(tab.basis)
+        off = sum(1 << V * i + V - 1 for i in range(m))
+        assert tab.off == off
+        columns = []
+        for x in tab.B:
+            assert 0 <= x < 1 << V * m
+            signed = slots_of(x - off, V, m)
+            assert [(x >> V * i) % (1 << V) - (1 << V - 1)
+                    for i in range(m)] == signed
+            columns.append(signed)
+        for i in range(m):
+            assert tab.row(i) == [c[i] for c in columns]
+
+    monkeypatch.setattr(_Revised, "run", counting_run)
+    monkeypatch.setattr(_Revised, "refit", counting_refit)
+    monkeypatch.setattr(_Revised, "pivot", checked_pivot)
+    for program in programs:
+        solve(program)
+    assert all(counts.values()), counts
 
 
 def test_j5_pivot_counts_pinned(monkeypatch):
