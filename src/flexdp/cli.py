@@ -359,8 +359,7 @@ def run(argv) -> int:
     except BrokenPipeError:
         _stdout_to_devnull()
         return 2
-    except (UsageError, GraphError, GraphFormatError, CoverError,
-            ValueError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .graphs import GraphError, GraphFormatError, Multigraph, gen_family
 
@@ -186,6 +186,17 @@ def _choices(k: int, pinned: bool) -> tuple[int, ...]:
     return tuple(sum(1 << q for q in c) for c in combinations(range(6), k))
 
 
+@cache
+def _digits(choices: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """For each relabeling (a, b) of a pair's ends, at a * 6 + b, the
+    position in `choices`, one of the `_choices` tuples, of the pair's
+    `mask` once twisted, or -1 when the twisted mask is no choice there."""
+    position = {choice: d for d, choice in enumerate(choices)}
+    twists = [_TWIST[q] for q in range(6) if mask >> q & 1]
+    return tuple(position.get(sum(1 << twist[ab] for twist in twists), -1)
+                 for ab in range(36))
+
+
 def _automorphism_generators(g: Multigraph) -> list[tuple[int, ...]]:
     """Generators of Aut(G), found without listing the group.
 
@@ -271,9 +282,10 @@ class CoverEnumeration:
     that group (epsilon* with full lists) need only be asked there.
     `class_index` sends any full cover, carried along a vertex map onto
     this graph, to an index of its S3^n class, so a question already
-    answered per orbit can be looked up for any cover.  Both move covers by
-    one rule (`_carried`) and search through `_relabeled_indices`, whose
-    tables are built on first use, not by the constructor.
+    answered per orbit can be looked up for any cover.  Both carry covers
+    and look their classes up through one helper (`_carried_index`).  The
+    search reads the process-wide digit tables of `_digits` and a pinning
+    plan built on first use; an enumeration is plain data.
     """
 
     def __init__(self, g: Multigraph):
@@ -293,6 +305,7 @@ class CoverEnumeration:
             self._weights.append(self.count)
             self.count *= len(opts)
         self._weights.reverse()
+        self._steps: Optional[list[tuple]] = None   # `_pinning_steps`, on first use
 
     def _masks(self, index: int) -> list[int]:
         """The cover at `index`, as each pair's mask."""
@@ -343,32 +356,32 @@ class CoverEnumeration:
         for c in classes:
             cover = list(zip(self.pairs, self._masks(c)))
             for phi in generators:
-                found = self._relabeled_indices(self._carried(cover, phi), limit,
-                                                first=True)
-                if found:
-                    a, b = find(c), find(rep_of[found.pop()])
+                found = self._carried_index(cover, phi, limit)
+                if found >= 0:
+                    a, b = find(c), find(rep_of[found])
                     root[max(a, b)] = min(a, b)
         return [c for c in classes if find(c) == c], [find(r) for r in rep_of]
 
     def class_index(self, cover: Cover, phi: Optional[dict[int, int]] = None) -> int:
         """An index of the S3^n class of the cover, carried along the vertex
-        map phi onto this graph when given (`_carried`): one found by
-        `_relabeled_indices` below `count`, not always the class's smallest.
-        The carried cover must have exactly the enumeration's slot count on
-        every pair, as full covers of this graph, or of a graph whose 2-core
-        phi maps onto it, have; any other raises CoverError."""
+        map phi onto this graph when given (`_carried_index`): one found
+        below `count`, not always the class's smallest.  The carried cover
+        must have exactly the enumeration's slot count on every pair, as
+        full covers of this graph, or of a graph whose 2-core phi maps onto
+        it, have; any other raises CoverError."""
         masks = [(pair, sum(1 << _PERM_ID[p] for p in perms))
                  for pair, perms in cover.matchings.items()]
-        found = self._relabeled_indices(
-            self._carried(masks, phi or {v: v for v in range(self.g.n)}),
-            self.count, first=True)
-        if not found:
+        found = self._carried_index(masks, phi or {v: v for v in range(self.g.n)},
+                                    self.count)
+        if found < 0:
             raise CoverError("cover is in no class of this enumeration")
-        return found.pop()
+        return found
 
-    def _carried(self, masks: Iterable[tuple[tuple[int, int], int]], phi: dict) -> list[int]:
-        """(pair, mask) items of some graph, carried along phi onto this
-        graph's pairs, in their order: a pair with an end outside phi is
+    def _carried_index(self, masks: Iterable[tuple[tuple[int, int], int]],
+                       phi: dict, limit: int) -> int:
+        """One index below `limit` of the S3^n class of a cover, or -1 when
+        none is.  The cover's (pair, mask) items, of some graph, are carried
+        along phi onto this graph's pairs: a pair with an end outside phi is
         dropped, and one whose ends swap order takes the inverse perms.
         Raises CoverError unless the pairs land on exactly this graph's."""
         image = {}
@@ -381,32 +394,8 @@ class CoverEnumeration:
         carried = [image.get(pair) for pair in self.pairs]
         if len(image) != len(carried) or None in carried:
             raise CoverError("cover pairs differ from the graph's")
-        return carried
-
-    @cached_property
-    def _gauge(self) -> tuple[list[tuple], Callable]:
-        """Built on first use and kept: the `_pinning_steps`, and
-        `table(t, mask)`, the index contribution of pair t for its ends'
-        relabelings (a, b) at a * 6 + b.  A pairing the enumeration lacks
-        contributes `count`, which pushes the index past every limit."""
-        digit_of = [{mask: d for d, mask in enumerate(opts)} for opts in self.choices]
-        tables: dict[tuple[int, int], tuple[int, ...]] = {}
-
-        def table(t: int, mask: int) -> tuple[int, ...]:
-            if (t, mask) not in tables:
-                twists = [_TWIST[q] for q in range(6) if mask >> q & 1]
-                row = []
-                for ab in range(36):
-                    d = digit_of[t].get(sum(1 << twist[ab] for twist in twists))
-                    row.append(self.count if d is None else d * self._weights[t])
-                tables[t, mask] = tuple(row)
-            return tables[t, mask]
-
-        return self._pinning_steps(), table
-
-    def __getstate__(self) -> dict:
-        """Without `_gauge`, which holds a closure; a copy builds its own."""
-        return {k: v for k, v in self.__dict__.items() if k != "_gauge"}
+        found = self._relabeled_indices(carried, limit, first=True)
+        return found.pop() if found else -1
 
     def _pinning_steps(self) -> list[tuple]:
         """The plan `_relabeled_indices` follows: one step per BFS tree edge.
@@ -449,17 +438,21 @@ class CoverEnumeration:
         `cover` gives each pair's matchings as a bit mask of perm ids.  The
         root's list takes each of the 6 relabelings, and down the tree each
         child's relabeling follows from which slot of its tree pair becomes
-        the identity.  The search is depth-first over states (step, index
-        so far, frontier relabelings); it visits each state once and drops
-        any whose index so far already reaches `limit` (digits only add),
-        so its cost is bounded by the distinct states, not by the
+        the identity; each pair read then adds its `_digits` digit times its
+        weight, and a pairing the enumeration lacks (digit -1) drops the
+        state.  The search is depth-first over states (step, index so far,
+        frontier relabelings); it visits each state once and drops any
+        whose index so far already reaches `limit` (digits only add), so
+        its cost is bounded by the distinct states, not by the
         6 * product(tree slot counts) relabelings they stand for.
         """
-        steps, table = self._gauge
+        if self._steps is None:
+            self._steps = self._pinning_steps()
         work = [(x_at, [_INVERSE[q] if down else q
                         for q in range(6) if cover[tree_pair] >> q & 1],
-                 [(table(t, cover[t]), u_at, v_at) for t, u_at, v_at in reads], keep)
-                for x_at, tree_pair, down, reads, keep in steps]
+                 [(_digits(self.choices[t], cover[t]), self._weights[t], u_at, v_at)
+                  for t, u_at, v_at in reads], keep)
+                for x_at, tree_pair, down, reads, keep in self._steps]
         stack = [(0, 0, r) for r in range(6)] if work else [(0, 0)]
         seen, found = set(), set()
         while stack:
@@ -478,8 +471,9 @@ class CoverEnumeration:
             for pin in pins:
                 frontier = gauge + [_COMPOSE[parent][pin]]
                 total = index
-                for row, u_at, v_at in rows:
-                    total += row[frontier[u_at] * 6 + frontier[v_at]]
+                for digits, weight, u_at, v_at in rows:
+                    digit = digits[frontier[u_at] * 6 + frontier[v_at]]
+                    total += digit * weight if digit >= 0 else limit
                 if total < limit:
                     stack.append((k + 1, total, *(frontier[i] for i in keep)))
         return found

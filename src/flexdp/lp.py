@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
-from math import lcm
+from math import isqrt, lcm, prod
 from operator import itemgetter, mul
 from struct import calcsize
 from typing import Optional, Union
@@ -157,7 +157,7 @@ class _Revised:
     def __init__(self, cols: list, rhs: list[int], u: list[int],
                  cost: list[int]):
         m = len(rhs)
-        self.cols, self.u, self.cost = cols, u, cost
+        self.cols, self.rhs, self.u, self.cost = cols, rhs, u, cost
         self.art0 = len(cols) - m
         self.basis = list(range(self.art0, len(cols)))
         self.d = 1
@@ -236,7 +236,13 @@ class _Revised:
     def refit(self, piv: int, fb: int, bmax: int) -> int:
         """Tighten M to the exact max |entry| of d*B^-1 and beta, and double
         V until the bound M' after pivoting on `piv`, with max|f|*max|b| =
-        `fb` and max|b| = `bmax`, fits V/2 - 2 bits; return M'."""
+        `fb` and max|b| = `bmax`, fits V/2 - 2 bits; return M'.
+
+        Every |piv|, M, |f| and |b| is a minor of the scaled [A | b] of
+        order at most m, so at most Hadamard's bound H, the product of the
+        m largest column norms, and d >= 1: M' <= 2*H*H + 1.  A V wider
+        than that bound needs, with the same headroom, can only come from a
+        kernel defect, and raises LpInternalError instead of growing."""
         columns = list(map(self.decode, self.B))
         self.M = max(max(map(abs, c)) for c in columns)
         bound = max((abs(piv) * self.M + fb) // self.d + 1, bmax)
@@ -244,7 +250,18 @@ class _Revised:
         while bound * self.cs >> width // 2 - 2:
             width *= 2
         if width != self.V:
-            self.slots(width, len(columns[0]))
+            m = len(self.rhs)
+            squares = sorted([len(ks) if vs is None else sum(map(mul, vs, vs))
+                              for ks, vs in self.cols]
+                             + [sum(map(mul, self.rhs, self.rhs))])
+            H = isqrt(prod(squares[len(squares) - m:])) + 1
+            ceiling = 16
+            while (2 * H * H + 1) * self.cs >> ceiling // 2 - 2:
+                ceiling *= 2
+            if width > ceiling:
+                raise LpInternalError(f"slot width {width} exceeds the Hadamard "
+                                      f"ceiling {ceiling}")
+            self.slots(width, m)
             self.B = list(map(self.encode, columns))
         return bound
 

@@ -48,7 +48,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, islice, permutations
+from itertools import chain, combinations, islice, permutations, product
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -244,7 +244,7 @@ def _eps_chunk(task: tuple) -> tuple[list[Optional[Fraction]], int]:
     the minimum found so far in this chunk, so a skipped class (None) has
     an earlier index attaining a value no larger: neither the minimum nor
     its first index can change.  The task carries the graph's enumeration
-    itself; a pool pickles it without its cached gauge tables.
+    itself, which a pool pickles as plain data.
     """
     enum, indices, keep = task
     values: list[Optional[Fraction]] = []
@@ -507,11 +507,17 @@ def theorem_check(max_vertices: int, max_multiplicity: int, jobs: int = 1,
 
 def is_flexible(g: Multigraph, pa: PotentialAssignment, eps: Fraction,
                 budget: int = DEFAULT_BUDGET) -> bool:
-    """Whether every cover class admits an eps-distribution (empty lists).
+    """Whether every cover admits an eps-distribution (empty lists).
 
     Only defined when no vertex has rho = 3: the empty list distribution is
     not an h-list distribution otherwise.  Disconnected graphs are handled
-    component by component.  A budget below 1 raises ValueError.
+    component by component.  Each tree-pinned cover of `CoverEnumeration`
+    is checked at every basepoint placement of the rho = 4 vertices,
+    3^|pi_4| LPs per index: relabeling a cover's lists moves only those
+    basepoints (full lists and the rho = 6 rows are symmetric), so this
+    covers every relabeling, and the answer never depends on
+    `pa.basepoint`.  The budget bounds the indices; below 1 it raises
+    ValueError.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -528,8 +534,10 @@ def is_flexible(g: Multigraph, pa: PotentialAssignment, eps: Fraction,
             raise BudgetExceeded(
                 f"component with {enum.count} cover classes exceeds {budget}")
         dist = trivial_list_distribution(sub.n)
-        if not all(framework_feasible(sub, sub_pa, enum.at(i), dist, eps)
-                   is not None for i in range(enum.count)):
+        placements = [PotentialAssignment(sub_pa.rho, basepoint) for basepoint in
+                      product(*(range(3) if r == 4 else (0,) for r in sub_pa.rho))]
+        if not all(framework_feasible(sub, placed, cover, dist, eps) is not None
+                   for cover in map(enum.at, range(enum.count)) for placed in placements):
             return False
     return True
 

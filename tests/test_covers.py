@@ -8,7 +8,8 @@ import pytest
 from flexdp.covers import (IDENTITY, PERMS, SWAP01, Cover, CoverEnumeration,
                            CoverError, ListDistribution, tight_cover,
                            parse_cover, serialize_cover, straight_cover,
-                           validate, _automorphism_generators)
+                           validate, _automorphism_generators, _choices,
+                           _digits)
 from flexdp.graphs import Multigraph, gen_family, mad
 from flexdp.search import enumerate_connected_multigraphs
 from oracles import all_full_covers, automorphisms, cover_form, \
@@ -130,6 +131,23 @@ class TestEnumeration:
         g = Multigraph(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
         assert CoverEnumeration(g).count == 6
 
+    def test_digits_against_composed_perms(self):
+        """For every slot count, pinning and set of k perms: relabeling the
+        ends by (a, b) turns each perm q into b q a^-1, composed here as
+        tuples, and the digit is that set's place among the pair's choices
+        (those holding the identity when pinned), or -1 when none."""
+        for k, pinned in product(range(1, 7), (False, True)):
+            options = [c for c in combinations(PERMS, k) if not pinned or IDENTITY in c]
+            for perms in combinations(PERMS, k):
+                mask = sum(1 << PERMS.index(q) for q in perms)
+                expected = []
+                for a, b in product(PERMS, repeat=2):
+                    a_inv = tuple(a.index(i) for i in range(3))
+                    twisted = tuple(sorted(tuple(b[q[a_inv[i]]] for i in range(3))
+                                           for q in perms))
+                    expected.append(options.index(twisted) if twisted in options else -1)
+                assert _digits(_choices(k, pinned), mask) == tuple(expected)
+
     def test_every_enumerated_cover_validates(self):
         rng = random.Random(11)
         for _ in range(25):
@@ -220,16 +238,19 @@ class TestClassIndex:
                 enum.class_index(cover)
 
     def test_pickles_with_its_gauge_built(self):
-        """Pool tasks carry enumerations whose lookup tables are built."""
+        """Pool tasks carry enumerations that have already searched: the
+        enumeration holds plain data only, and a pickled copy gives the
+        same answers."""
         g = Multigraph(4, [(0, 1, 2), (1, 2, 1), (2, 3, 1), (0, 3, 1), (0, 2, 1)])
         enum = CoverEnumeration(g)
         enum.representatives(enum.count)
-        assert "_gauge" in vars(enum)
+        assert not any(map(callable, vars(enum).values()))
         copy = pickle.loads(pickle.dumps(enum))
-        assert "_gauge" not in vars(copy)
         assert all(copy.at(i) == enum.at(i) for i in range(enum.count))
         for count in (1, 17, enum.count):
             assert copy.representatives(count) == enum.representatives(count)
+        assert all(copy.class_index(enum.at(i)) == enum.class_index(enum.at(i))
+                   for i in range(enum.count))
 
 
 class TestRepresentatives:

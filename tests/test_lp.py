@@ -537,6 +537,26 @@ def test_slot_width_grows_mid_phase(monkeypatch):
     assert all(statuses.values()), statuses
 
 
+def test_misread_slots_raise_instead_of_widening(monkeypatch):
+    """A kernel defect that reads every slot 2**(V-1) too low fails the
+    bound check of every pivot: `refit` must stop at the Hadamard ceiling
+    with LpInternalError instead of doubling V without end (the guard on
+    `slots` fails the test, well before memory runs out, if it does not)."""
+    row, slots = _Revised.row, _Revised.slots
+
+    def misread(tab, p):
+        return [b - tab.half for b in row(tab, p)]
+
+    def guarded(tab, width, count):
+        assert width <= 4096, f"a 2-row LP widened its slots to {width} bits"
+        slots(tab, width, count)
+
+    monkeypatch.setattr(_Revised, "row", misread)
+    monkeypatch.setattr(_Revised, "slots", guarded)
+    with pytest.raises(LpInternalError, match="Hadamard ceiling"):
+        solve(lp([1, 1], [((1, 2), "<=", 4), ((3, 1), "<=", 6)]))
+
+
 def _sparse_wide_lp(seed):
     """An LP of 2 to 9 variables and 2 to 9 rows drawn from `seed`: about
     20% of its entries are 0, the others +-Fractions whose numerator and

@@ -12,15 +12,16 @@ from pathlib import Path
 import pytest
 
 from flexdp import search
-from flexdp.covers import Cover, CoverEnumeration, full_lists, straight_cover
-from flexdp.flexibility import _floor, epsilon_star
+from flexdp.covers import (Cover, CoverEnumeration, full_lists, straight_cover,
+                           trivial_list_distribution)
+from flexdp.flexibility import _floor, epsilon_star, framework_feasible
 from flexdp.graphs import (Multigraph, PotentialAssignment, gen_family, mad,
                            peel)
 from flexdp.search import (BudgetExceeded, canonical_code, cover_hash,
                            criticality_check, enumerate_connected_multigraphs,
                            gap_audit, is_flexible, min_epsilon_over_covers,
                            theorem_check)
-from oracles import (canonical_code_by_permutations, carried_cover,
+from oracles import (all_full_covers, canonical_code_by_permutations, carried_cover,
                      colorings_by_brute_force, connected_multigraph_classes,
                      enumerate_by_product_scan,
                      epsilon_every_index, min_epsilon_every_index,
@@ -759,6 +760,52 @@ class TestCriticality:
         g, pa = gen_family("k4")
         with pytest.raises(BudgetExceeded):
             is_flexible(g, pa, Q(1, 5), budget=10)
+
+    def test_is_flexible_checks_every_full_cover(self):
+        """Random connected graphs on at most 4 vertices with at most 216
+        full covers and some rho = 4 vertex: `is_flexible` is True exactly
+        when every full cover is feasible, at the drawn basepoints and with
+        each of them moved by one color."""
+        rng = random.Random(7)
+        cases = 0
+        while cases < 40:
+            g = random_connected_multigraph(rng, max_n=4, max_mult=2)
+            rho = tuple(rng.choice((4, 6)) for _ in range(g.n))
+            basepoint = tuple(rng.randrange(3) for _ in range(g.n))
+            eps = Q(rng.randint(1, 8), rng.randint(9, 40))
+            covers = list(islice(all_full_covers(g), 217))
+            if 4 not in rho or len(covers) > 216:
+                continue
+            cases += 1
+            dist = trivial_list_distribution(g.n)
+            expected = all(framework_feasible(g, PotentialAssignment(rho, basepoint),
+                                              c, dist, eps) is not None for c in covers)
+            moved = tuple((b + 1) % 3 for b in basepoint)
+            for placed in (basepoint, moved):
+                assert is_flexible(g, PotentialAssignment(rho, placed), eps) == expected
+
+    @pytest.mark.parametrize("edges, basepoint, eps, failing", [
+        ([(0, 1, 1), (1, 2, 1), (0, 2, 1)], (2, 1, 2), Q(2, 9), 24),
+        ([(0, 2, 1), (1, 2, 2)], (1, 1, 0), Q(6, 37), 12),
+    ], ids=["triangle", "doubled-path"])
+    def test_rho_four_basepoints_do_not_hide_a_failing_cover(self, edges, basepoint,
+                                                             eps, failing):
+        """With rho = (4, 4, 6), `failing` of the full covers admit no
+        eps-distribution, at these basepoints as at (0, 0, 0), and the
+        graph is critical; the tree-pinned covers alone all admit one at
+        these basepoints."""
+        g = Multigraph(3, edges)
+        dist = trivial_list_distribution(3)
+        for placed in (basepoint, (0, 0, 0)):
+            pa = PotentialAssignment((4, 4, 6), placed)
+            assert sum(framework_feasible(g, pa, c, dist, eps) is None
+                       for c in all_full_covers(g)) == failing
+            assert not is_flexible(g, pa, eps)
+            assert criticality_check(g, pa, eps) == "critical"
+        enum = CoverEnumeration(g)
+        pa = PotentialAssignment((4, 4, 6), basepoint)
+        assert all(framework_feasible(g, pa, enum.at(i), dist, eps) is not None
+                   for i in range(enum.count))
 
     def test_exceptional_doubled_edge_critical_above_one_sixth(self):
         g, pa = gen_family("c2")
