@@ -16,15 +16,17 @@ The worst-cover search evaluates one cover per orbit under per-vertex list
 relabeling and graph automorphisms (`CoverEnumeration.representatives`),
 since epsilon* with full lists is invariant under both; each orbit is
 represented by its smallest index, so the first index attaining the minimum
-is always evaluated.  Before any LP, a representative's uniform floor
-(the smallest marginal of the uniform distribution over its colorings, an
-exact lower bound on epsilon*) settles it when the floor is 1/3 or 0,
-which is then epsilon*, or, when only the minimum is wanted, when the
-floor is at least the minimum already found in its chunk;
-six of its colorings that give every marginal exactly 1/3 settle it at
-1/3; every other representative gets an epsilon* LP, built from the
-colorings its floor enumerated (`flexibility.epsilon_below`).  Parallel
-runs split the representatives into chunks; a chunk carries the graph's
+is always evaluated.  Before any LP, a representative's uniform floor (the
+smallest marginal of the uniform distribution over its colorings, an exact
+lower bound on epsilon*) settles it when the floor is 1/3 or 0, which is
+then epsilon*, or, when only the minimum is wanted, when the floor is at
+least the minimum already found in its chunk; six of its colorings that give
+every marginal exactly 1/3 settle it at 1/3; when that minimum is 1/k with
+k >= 4, at most k of its colorings that together use every (vertex, color)
+pair skip it, since uniform weight on them gives every marginal at least
+1/k; every other representative gets an epsilon* LP, built from the
+colorings its floor enumerated (`flexibility.epsilon_below`).  Parallel runs
+split the representatives into chunks; a chunk carries the graph's
 enumeration and returns its values in order, the merge gives each index its
 representative's value, and `_first_minimum` reads off the minimum and its
 first index.  Chunks depend only on the graph, so output and LP count are
@@ -264,16 +266,17 @@ def _class_minima(enums: Sequence[tuple[CoverEnumeration, int]], jobs: int,
     """Epsilon* over the first `evaluated` cover classes of each graph.
 
     Only the representatives from `CoverEnumeration.representatives` are
-    evaluated, and only those that `epsilon_below` settles neither by
-    their uniform floor nor by six colorings get an epsilon* LP.  Returns,
-    per (enumeration, evaluated) pair, each index's representative's value
-    (None where it was skipped; with `keep` none is), the number of
+    evaluated, and only those that `epsilon_below` settles neither by their
+    uniform floor, nor by six colorings, nor by k colorings that use every
+    pair when the chunk's minimum is 1/k, get an epsilon* LP.  Returns, per
+    (enumeration, evaluated) pair, each index's representative's value (None
+    where it was skipped; with `keep` none is), the number of
     representatives (orbits) and of LPs solved (queries).  The
     representatives are cut into chunks of CHUNK that run in a process pool
     when jobs > 1 (the pool's module is imported only then); chunk results
-    are merged in task order, and the chunks do not depend on the job
-    count, so neither does the output.  A budget or job count below 1
-    raises ValueError.
+    are merged in task order, and the chunks do not depend on the job count,
+    so neither does the output.  A budget or job count below 1 raises
+    ValueError.
     """
     if any(evaluated < 1 for _, evaluated in enums):
         raise ValueError("budget must be at least 1")
@@ -355,8 +358,10 @@ def _from_core(enum: CoverEnumeration, evaluated: int, phi: dict[int, int],
     Index i takes `known[j]`, for the index j that `core_enum.class_index`
     gives `enum.at(i)` carried along `phi`.  A class the core's row left
     unknown (skipped, or j past its budget) goes through `epsilon_below` at
-    `core_enum.at(j)`, whose S3^n class, and so floor, six colorings and
-    epsilon*, it shares, with the minimum found so far as `best`.  The scan
+    `core_enum.at(j)`, whose S3^n class, and so floor, colorings and
+    epsilon*, it shares, with the minimum found so far as `best`; the core's
+    row holds a None wherever its chunk's minimum was 1/k and k colorings
+    used every pair, so such a class is evaluated here.  The scan
     stops once the minimum reaches a lower bound: the core's minimum when
     `known` covers all `core_enum.count` indices, else 0.
     """

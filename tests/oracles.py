@@ -7,12 +7,13 @@ colorings, explicit relabeling orbits for cover classes (per-vertex color
 relabelings, then graph automorphisms) and for graph classes and codes, a
 union-find for connected components, every vertex sequence for the
 inflexible family, every root and every triple of coloring pairs for the
-six-coloring certificate of epsilon* = 1/3.  None of it shares code with
-the implementations under test, except in one place: the per-index
-worst-cover scan calls the library's `epsilon_star` on every cover index,
-so it checks the search's orbit cut and LP skipping, not the LP.  The
-product scan of graph classes tests every vector against relabeling
-getters of its own (`relabeling_getters`).
+six-coloring certificate of epsilon* = 1/3, every set of at most k colorings
+for the k-coloring cover that certifies epsilon* >= 1/k.  None of it shares
+code with the implementations under test, except in one place: the per-index
+worst-cover scan calls the library's `epsilon_star` on every cover index, so
+it checks the search's orbit cut and LP skipping, not the LP.  The product
+scan of graph classes tests every vector against relabeling getters of its
+own (`relabeling_getters`).
 
 `LinearProgram` keeps only each row's nonzeros.  Tests that write an LP's
 rows in full build it through `dense_lp`, and the LP oracles read every
@@ -354,6 +355,15 @@ def six_colorings_by_brute_force(n: int, colorings) -> bool:
                    for v in range(n) for c in range(3)):
                 return True
     return False
+
+
+def k_cover_by_brute_force(n: int, colorings, k: int) -> bool:
+    """Whether some at most k of the colorings together use all 3n
+    (vertex, color) pairs.  Every combination of each size is tried, on the
+    sets of pairs the coloring tuples use."""
+    used = [frozenset(enumerate(phi)) for phi in colorings]
+    return any(len(frozenset().union(*chosen)) == 3 * n
+               for size in range(1, k + 1) for chosen in combinations(used, size))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from oracles import (all_full_covers, canonical_code_by_permutations, carried_co
                      epsilon_every_index, min_epsilon_every_index,
                      random_connected_multigraph, random_cover, random_multigraph,
                      least_relabeling_by_permutations, relabeling_canonical_form,
-                     relabeling_getters, six_colorings_by_brute_force,
+                     k_cover_by_brute_force, relabeling_getters,
+                     six_colorings_by_brute_force,
                      two_core_by_brute_force, with_pendant_trees)
 
 
@@ -390,13 +391,14 @@ class TestLpSkip:
             assert report.queries <= per_class.queries <= report.orbits
 
     @pytest.mark.parametrize("max_vertices, max_mult, solves, queries",
-                             [(4, 2, 10, 10), (5, 1, 4, 4), (5, 2, 128, 128),
-                              (6, 1, 6, 6)])
+                             [(4, 2, 6, 6), (5, 1, 1, 1), (5, 2, 31, 31),
+                              (6, 1, 3, 3)])
     def test_lp_count(self, monkeypatch, max_vertices, max_mult, solves, queries):
         """(4,2) and (5,1) took 73 and 157 LPs before the skip, 25 and 81
-        before the rows with a leaf were read off their cores, and 16 and 66
-        (200 at (5,2), 321 at (6,1)) before the six-coloring certificate;
-        queries count the LPs solved."""
+        before the rows with a leaf were read off their cores, 16 and 66
+        (200 at (5,2), 321 at (6,1)) before the six-coloring certificate,
+        and 10 and 4 (128 at (5,2), 6 at (6,1)) before the k-coloring
+        cover; queries count the LPs solved."""
         from flexdp import flexibility
         solved = []
         original = flexibility.solve
@@ -448,29 +450,37 @@ class TestLpSkip:
         assert len(report.rows) == len(built) == kept
 
 
+def _searches(monkeypatch, name, *runs):
+    """(g, cover, the search's arguments after n, its answer) of every call
+    to `flexibility.<name>` that the theorem checks of `runs` make."""
+    from flexdp import flexibility
+    below, searched = search.epsilon_below, getattr(flexibility, name)
+    current, seen = [], []
+
+    def recording_below(g, cover, best):
+        current[:] = [g, cover]
+        return below(g, cover, best)
+
+    def recording(n, *args):
+        found = searched(n, *args)
+        seen.append((*current, *args, found))
+        return found
+
+    monkeypatch.setattr(search, "epsilon_below", recording_below)
+    monkeypatch.setattr(flexibility, name, recording)
+    for max_vertices, max_mult in runs:
+        theorem_check(max_vertices, max_mult)
+    monkeypatch.undo()
+    return seen
+
+
 class TestSixColorings:
     def test_certificate_matches_oracle(self, monkeypatch):
         """Every orbit that reaches the six-coloring search at (4,2) and
         (5,1): the search finds six colorings exactly when the brute-force
         oracle does, every cover either certifies has epsilon* = 1/3 by the
         LP, and so no cover below 1/3 is certified."""
-        from flexdp import flexibility
-        below, six = search.epsilon_below, flexibility._six_colorings
-        current, seen = [], []
-
-        def recording_below(g, cover, best):
-            current[:] = [g, cover]
-            return below(g, cover, best)
-
-        def recording_six(n, colorings):
-            found = six(n, colorings)
-            seen.append((*current, colorings, found))
-            return found
-
-        monkeypatch.setattr(search, "epsilon_below", recording_below)
-        monkeypatch.setattr(flexibility, "_six_colorings", recording_six)
-        theorem_check(4, 2)
-        theorem_check(5, 1)
+        seen = _searches(monkeypatch, "_six_colorings", (4, 2), (5, 1))
         assert len(seen) == 16 + 66
         certified = 0
         for g, cover, colorings, found in seen:
@@ -510,6 +520,90 @@ class TestSixColorings:
                             lambda n, colorings: [colorings[0]] * 6)
         with pytest.raises(LpInternalError):
             flexibility.epsilon_below(g, cover, Q(1, 3))
+
+
+class TestKCover:
+    @staticmethod
+    def check(n, colorings, k, found):
+        """A cover the search returns is at most k of the colorings that
+        use every pair, and it returns one exactly when the oracle finds one."""
+        assert (found is not None) == k_cover_by_brute_force(n, colorings, k)
+        if found is not None:
+            assert len(found) <= k and set(found) <= set(colorings)
+            assert {(v, c) for phi in found for v, c in enumerate(phi)} == \
+                set(product(range(n), range(3)))
+
+    def test_theorem_check_searches_match_oracle(self, monkeypatch):
+        """Every search at (4,2) and (5,1) (best = 1/4 in each): the oracle's
+        answer, and epsilon* >= 1/k by the LP wherever a cover is found."""
+        seen = _searches(monkeypatch, "_k_cover", (4, 2), (5, 1))
+        assert [k for *_, k, _ in seen] == [4] * (5 + 3)
+        for g, cover, colorings, _, k, found in seen:
+            self.check(g.n, colorings, k, found)
+            if found is not None:
+                assert epsilon_star(g, cover).epsilon_star >= Q(1, k)
+        assert sum(found is not None for *_, found in seen) == 4 + 3
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_random_covers_match_oracle(self, k):
+        from flexdp.flexibility import _k_cover
+        rng = random.Random(27 + k)
+        found = missed = 0
+        for _ in range(150):
+            g = random_connected_multigraph(rng, max_n=4, max_mult=2)
+            _, colorings, where = _floor(g, random_cover(rng, g))
+            cover = _k_cover(g.n, colorings, where, k)
+            self.check(g.n, colorings, k, cover)
+            found += cover is not None
+            missed += cover is None and bool(colorings)
+        assert found and missed
+
+    def test_cover_missing_a_pair_raises(self, monkeypatch):
+        """A search that returns colorings leaving one pair unused, or more
+        than k of them, is a bug, not a reason to solve the LP."""
+        from flexdp import flexibility
+        from flexdp.lp import LpInternalError
+        k_cover = flexibility._k_cover
+        g, cover, *_, k, _ = next(call for call in _searches(monkeypatch, "_k_cover",
+                                                              (4, 2))
+                                  if call[-1] is not None)
+        assert flexibility.epsilon_below(g, cover, Q(1, k)) == (None, 0)
+        mutants = [
+            lambda n, colorings, where, k: [
+                phi for phi in k_cover(n, colorings, where, k) if phi[0] != 0],
+            lambda n, colorings, where, k: list(colorings)]
+        for mutant in mutants:
+            monkeypatch.setattr(flexibility, "_k_cover", mutant)
+            with pytest.raises(LpInternalError):
+                flexibility.epsilon_below(g, cover, Q(1, k))
+
+    def test_never_none_at_a_third(self, monkeypatch):
+        """At best = 1/3, `_eps_chunk`'s start and `--per-class`'s value, no
+        earlier index holds best, so every cover with a floor in (0, 1/3)
+        gets its epsilon*, and the cover search is not asked."""
+        from flexdp import flexibility
+        monkeypatch.setattr(flexibility, "_k_cover",
+                            lambda n, colorings, where, k: pytest.fail("searched"))
+        rng = random.Random(29)
+        checked = 0
+        for _ in range(200):
+            g = random_connected_multigraph(rng, max_n=4, max_mult=2)
+            cover = random_cover(rng, g)
+            if 0 < _floor(g, cover)[0] < Q(1, 3):
+                assert flexibility.epsilon_below(g, cover, Q(1, 3))[0] == \
+                    epsilon_star(g, cover).epsilon_star
+                checked += 1
+        assert checked
+
+    def test_node_cap_zero_is_the_lp_path(self, monkeypatch):
+        """With no node to visit every search fails, and the theorem check
+        solves the LPs it solved before the cover search, with the same TSV."""
+        from flexdp import flexibility
+        monkeypatch.setattr(flexibility, "COVER_NODE_CAP", 0)
+        report = theorem_check(4, 2)
+        assert sum(r.queries for r in report.rows) == 10
+        assert hashlib.sha256(report.to_tsv().encode()).hexdigest() == \
+            "b24cd72fb9ef2bafa55b475c1997e9e055513c1ffcace3171bd7b42fed246edb"
 
 
 class TestTwoCore:
@@ -596,19 +690,21 @@ class TestLeafRows:
     # (max vertices, max multiplicity, budget, classes evaluated and LPs
     # solved over all rows, sha256 of the TSV); the (4,2), (5,1) and (5,2)
     # budget 20 TSVs are those from before leaf rows were read off their
-    # cores
+    # cores.  Before the k-coloring cover the LPs were 12, 12, 2, 78, 112
+    # and 124, and (5,2) evaluated 190 and 431 classes at budgets 5 and 20:
+    # a core row now holds more Nones, which its leaf rows evaluate.
     BUDGET_CUTS = [
-        (4, 2, 2, 21, 12,
+        (4, 2, 2, 21, 10,
          "fc494268b1ad46f77d2862d68781fc688dc88c556f17ff592abd5f1dbaa8141a"),
-        (4, 2, 7, 37, 12,
+        (4, 2, 7, 37, 8,
          "36d0a34a170649af7fc2c1e160ab8c5dc48dc1aa6d76f51b2db5846b634d6511"),
-        (5, 1, 10, 62, 2,
+        (5, 1, 10, 62, 1,
          "ef1df3056695f51b6409e4cdfeff2974888a0bfbcce8e96573d353c2407ad5b2"),
-        (5, 2, 5, 190, 78,
+        (5, 2, 5, 191, 47,
          "496524ca198f4c29339a5649ca9a76e28309ace383bc39c47d75c8f5a141fa5f"),
-        (5, 2, 20, 431, 112,
+        (5, 2, 20, 451, 31,
          "be169c4695382aaf9c61252a488e1b19604327ea7f3522ab56310887b0fb3944"),
-        (5, 2, 50, 396, 124,
+        (5, 2, 50, 396, 31,
          "c74c63a4b7f27e8bada4c2314fe42f7837a534f8a4d97a1b9b8ad941c388b0d2"),
     ]
 
