@@ -1,7 +1,11 @@
 """Quantification over covers and graphs: worst cover, desk-scale theorem
 check, criticality, and the potential gap audit.
 
-Graphs are enumerated up to isomorphism by orderly generation (Read 1978):
+Graphs are enumerated up to isomorphism in two ways.  The theorem check's
+graphs, those with mad < 3, are grown one vertex at a time from the kept
+graphs one vertex smaller (`enumerate_sparse_multigraphs`), and `_least`
+codes each candidate.  Every connected graph, mad >= 3 included, comes from
+orderly generation (Read 1978, `enumerate_connected_multigraphs`):
 multiplicity vectors are scanned in lexicographic order, and only those that
 no vertex relabeling makes smaller are kept.  The scan skips every vector
 that swapping two tied vertices makes smaller (`_orderly_candidates`), so
@@ -32,17 +36,17 @@ representative's value, and `_first_minimum` reads off the minimum and its
 first index.  Chunks depend only on the graph, so output and LP count are
 identical for any job count.
 
-The theorem check reuses these answers for every graph with a leaf.  A
-pendant vertex changes no cover's epsilon* (`_from_core`), so such a
-graph's values are those of its 2-core (`graphs.peel`), which is an earlier
-row: connected, with fewer vertices, the same multiplicity cap and mad no
-larger.  The graphs without a leaf are searched first, as above, in one
-wave; then each graph with a leaf scans its own indices in order and reads
-each cover's value off its core's row, at the index
-`CoverEnumeration.class_index` gives the cover carried along a vertex map
-(`_core_row`) onto the row's graph.  It builds no representatives, and only
-a class its core's row left unknown (skipped, or past the budget) is
-evaluated.
+The theorem check searches its grown graphs so, and reuses the answers
+for every graph with a leaf.  A pendant vertex changes no cover's epsilon*
+(`_from_core`), so such a graph's values are those of its 2-core
+(`graphs.peel`), which is an earlier row: connected, with fewer vertices,
+the same multiplicity cap and mad no larger.  The graphs without a leaf
+are searched first, as above, in one wave; then each graph with a leaf
+scans its own indices in order and reads each cover's value off its core's
+row, at the index `CoverEnumeration.class_index` gives the cover carried
+along a vertex map (`_core_row`) onto the row's graph.  It builds no
+representatives, and only a class its core's row left unknown (skipped, or
+past the budget) is evaluated.
 """
 from __future__ import annotations
 
@@ -64,7 +68,7 @@ from .rationals import rat_str
 
 Q = Fraction
 
-DESK_CAP = {0: 7, 1: 7, 2: 5}  # most vertices per max multiplicity
+DESK_CAP = {0: 7, 1: 7, 2: 7}  # most vertices per max multiplicity
 RELABELING_CAP = 8  # most vertices whose n! relabelings are tabulated
 GAP_AUDIT_CAP = 20  # the audit visits all 2^n - 1 subsets
 DEFAULT_BUDGET = 10 ** 6
@@ -220,6 +224,46 @@ def enumerate_connected_multigraphs(max_vertices: int,
                 g = Multigraph(n, [(u, v, k) for (u, v), k in zip(pairs, vec) if k])
                 if g.is_connected():
                     yield g
+
+
+def enumerate_sparse_multigraphs(max_vertices: int, max_multiplicity: int
+                                 ) -> Iterator[tuple[str, Multigraph, Fraction]]:
+    """Connected multigraphs with mad < 3 up to isomorphism, with their codes
+    and mad, in (vertex count, code) order: each class once, as the graph
+    whose own multiplicity vector is its code.
+
+    Grown by vertex extension (McKay 1998): each kept graph on n - 1
+    vertices gets a new vertex, joined to the old ones by every nonzero
+    multiplicity vector with entries at most `max_multiplicity`.  Only a
+    candidate with 2|E| < 3n can have mad < 3; its code is `_least`'s, and
+    `mad` runs once per new code.  Nothing is missed: mad never grows when
+    a vertex is deleted, and every connected graph loses a vertex (a leaf
+    of a spanning tree) without losing connectivity.
+    """
+    level: list[tuple[int, ...]] = [()]   # the kept codes on n - 1 vertices
+    # (at n = 1 the one empty code, which the empty row extends)
+    for n in range(1, max_vertices + 1):
+        pairs = _relabelings(n)[0]
+        # a kept vector, then the new vertex's row: their entries in pair order
+        old = {pair: i for i, pair in enumerate(combinations(range(n - 1), 2))}
+        place = [old[u, v] if v < n - 1 else len(old) + u for u, v in pairs]
+        rows = [(sum(r), r) for r in product(range(max_multiplicity + 1),
+                                             repeat=n - 1) if any(r) or n == 1]
+        seen, found = set(), []
+        for vec in level:
+            room = (3 * n - 1) // 2 - sum(vec)   # most edges the new row may add
+            for joined in (vec + r for s, r in rows if s <= room):
+                code = _least(n, tuple(joined[i] for i in place))[0]
+                if code not in seen:
+                    seen.add(code)
+                    g = Multigraph(n, [(u, v, k) for (u, v), k in zip(pairs, code) if k])
+                    density = mad(g)
+                    if density < 3:
+                        found.append((code, g, density))
+        found.sort(key=itemgetter(0))
+        level = [code for code, _, _ in found]
+        for code, g, density in found:
+            yield _code(n, code), g, density
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +489,14 @@ def theorem_check(max_vertices: int, max_multiplicity: int, jobs: int = 1,
                   budget: int = DEFAULT_BUDGET) -> TheoremReport:
     """Check every small sparse multigraph against the 1/5 threshold.
 
-    Enumerates connected multigraphs up to isomorphism, keeps those with
-    mad < 3, and asserts min-over-covers epsilon* >= 1/5 except for graphs
-    containing a member of the inflexible family, which are only flagged.
+    Takes the connected multigraphs with mad < 3 up to isomorphism and
+    asserts min-over-covers epsilon* >= 1/5 except for graphs containing a
+    member of the inflexible family, which are only flagged.
     Graphs whose cover count exceeds the budget are reported as skipped,
     never silently passed.  Rows come in (vertex count, code) order; each
-    graph comes from `enumerate_connected_multigraphs`, so its own
-    multiplicity vector is its code.  The vertex cap is DESK_CAP at the
-    given multiplicity.
+    graph comes from `enumerate_sparse_multigraphs`, which grows them one
+    vertex at a time, so its own multiplicity vector is its code.  The
+    vertex cap is DESK_CAP at the given multiplicity.
 
     Graphs without a leaf are searched first, in the pool when jobs > 1.
     Each graph with a leaf is then answered in this process from its
@@ -465,11 +509,7 @@ def theorem_check(max_vertices: int, max_multiplicity: int, jobs: int = 1,
     if not 1 <= max_vertices <= cap:
         raise ValueError(f"max_vertices {max_vertices} outside 1..{cap} at "
                          f"max_multiplicity {max_multiplicity}")
-    kept: list[tuple[str, Multigraph, Fraction]] = []
-    for g in enumerate_connected_multigraphs(max_vertices, max_multiplicity):
-        density = mad(g)
-        if density < 3:
-            kept.append((_code(g.n, _own_vector(g)), g, density))
+    kept = list(enumerate_sparse_multigraphs(max_vertices, max_multiplicity))
 
     enums = [CoverEnumeration(g) for _, g, _ in kept]
     limits = [min(enum.count, budget) for enum in enums]

@@ -115,7 +115,8 @@ def test_criterion_06_desk_scale_theorem_check():
     # the next scale: the TSVs of the runs that first checked it
     for (max_vertices, max_mult), digest in [
             ((5, 2), "5bcd9205426ecd9af20e4ad3aed03f25609b373c6ff63700c52d7d2acbd73b71"),
-            ((6, 1), "b4428832cb0e11dbe294feb9cf5ff0afdebb34958a922ce51c7fc8b3d7143d92")]:
+            ((6, 1), "b4428832cb0e11dbe294feb9cf5ff0afdebb34958a922ce51c7fc8b3d7143d92"),
+            ((6, 2), "d866af6e799a8d8984816f28356296e888d846929a323ff41428b78634bbb9b6")]:
         larger = theorem_check(max_vertices, max_mult, jobs=JOBS)
         assert not larger.counterexamples and not larger.skipped
         assert hashlib.sha256(larger.to_tsv().encode()).hexdigest() == digest
@@ -123,7 +124,8 @@ def test_criterion_06_desk_scale_theorem_check():
     elapsed = time.monotonic() - start
     assert elapsed < 1800
     report(6, f"{graphs} sparse graphs checked (<=4 vertices mult<=2, "
-              f"5-vertex simple, then <=5 mult<=2 and <=6 simple): "
+              f"5-vertex simple, then <=5 mult<=2, <=6 simple and "
+              f"<=6 mult<=2): "
               f"no counterexamples, {flagged} flagged "
               f"inflexible-family graphs all at epsilon_min = 0, none "
               f"skipped ({elapsed:.0f}s, jobs={JOBS})")

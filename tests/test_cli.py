@@ -283,7 +283,7 @@ def test_theorem_check_zero_budget_is_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("max_vertices, max_mult, cap", [("8", "1", 7),
-                                                         ("6", "2", 5)])
+                                                         ("8", "2", 7)])
 def test_theorem_check_desk_cap_is_usage_error(capsys, max_vertices, max_mult, cap):
     code, out, err = invoke(capsys, "theorem-check", "--max-vertices",
                             max_vertices, "--max-mult", max_mult)

@@ -210,6 +210,39 @@ class TestLeastRelabeling:
             assert search._least(g.n, vec) == least_relabeling_by_permutations(g.n, vec)
 
 
+class TestSparseExtension:
+    @pytest.mark.parametrize("max_vertices, max_mult",
+                             [(v, m) for v in range(1, 6) for m in range(3)] + [(6, 1)])
+    def test_matches_the_scans_sparse_subsequence(self, max_vertices, max_mult):
+        """The same codes, edge sets, mad values and order as the orderly
+        scan's graphs with mad < 3; each graph's own vector is its code."""
+        def own(g):
+            return f"{g.n}:" + ",".join(str(g.multiplicity(u, v))
+                                        for u, v in combinations(range(g.n), 2))
+
+        scan = [(own(g), sorted(g.edge_items()), mad(g))
+                for g in enumerate_connected_multigraphs(max_vertices, max_mult)]
+        grown = [(code, sorted(g.edge_items()), density) for code, g, density
+                 in search.enumerate_sparse_multigraphs(max_vertices, max_mult)
+                 if code == own(g)]
+        assert grown == [row for row in scan if row[2] < 3]
+
+    @pytest.mark.parametrize("max_vertices, mads, leasts", [(4, 23, 68), (5, 116, 462)])
+    def test_mad_and_code_calls_pinned(self, monkeypatch, max_vertices, mads, leasts):
+        """`theorem_check(n, 2)` runs `mad` once per new code that passes
+        2|E| < 3n (the orderly scan ran it on 63 graphs at n = 4 and 775 at
+        n = 5) and `_least` once per extension candidate and per 2-core
+        lookup (13 at n = 4, 47 at n = 5)."""
+        calls = {"mad": 0, "_least": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(search, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(search, name, counted)
+        theorem_check(max_vertices, 2)
+        assert calls == {"mad": mads, "_least": leasts}
+
+
 class TestWorstCover:
     def test_k4_hits_zero(self):
         g, _ = gen_family("k4")
@@ -795,8 +828,8 @@ class TestTheoremCheck:
                    if r.classes > 3)
 
     def test_desk_cap_enforced(self):
-        """7 vertices at multiplicity at most 1, 5 at multiplicity 2."""
-        for max_vertices, max_mult in ((8, 1), (8, 0), (6, 2)):
+        """7 vertices at every multiplicity."""
+        for max_vertices, max_mult in ((8, 1), (8, 0), (8, 2)):
             with pytest.raises(ValueError,
                                match=rf"outside 1\.\.{max_vertices - 1} "):
                 theorem_check(max_vertices, max_mult)
