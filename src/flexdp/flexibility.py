@@ -7,13 +7,19 @@ the marginal constraints are reported as the worst weighted request
 certifying the optimum.  Only `epsilon_below`, the worst-cover search's
 query, settles most covers without an LP, by exact bounds and
 certificates of its own: the uniform floor, six colorings that give every
-marginal exactly 1/3, and k colorings that together use every pair, which
-give every marginal at least 1/k.
+marginal exactly 1/3, k colorings that together use every pair, which give
+every marginal at least 1/k, and j pairs that no coloring uses two of, which
+bound epsilon* by 1/j.  The last two are the integral cover and packing
+sides of the duality behind epsilon* (Lovasz 1975, "On the ratio of optimal
+integral and fractional covers", Discrete Math. 13), and epsilon* is 1/j
+exactly where they, or the floor, meet.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Optional, Sequence
 
 from .colorings import (Coloring, ColoringDistribution, _colorings_of_valid_cover,
@@ -178,8 +184,9 @@ def _six_colorings(n: int, colorings: Sequence[Coloring]) -> Optional[list[Color
     return None
 
 
-# Most nodes one `_k_cover` search visits.  The covers found at (6,2) and
-# (7,1) took at most 937 and 1,888 nodes; a failed search stops in about
+# Most nodes one `_k_cover` or `_exclusive_pairs` search visits.  The covers
+# found at (6,2) and (7,1) took at most 937 and 1,888 nodes, the largest
+# exclusive sets at most 101 and 127; a failed cover search stops in about
 # 0.7 ms (2-core Xeon, Python 3.11), less than the small LP it falls back to.
 COVER_NODE_CAP = 2000
 
@@ -215,21 +222,71 @@ def _k_cover(n: int, colorings: Sequence[Coloring],
     return None
 
 
+def _exclusive_pairs(n: int, colorings: Sequence[Coloring],
+                     where: dict[tuple[int, int], list[int]]) -> int:
+    """The largest set S of full-list (vertex, color) pairs that no coloring
+    uses two of, as a mask over `_masks`' bits; 0 when the search visits
+    no node.
+
+    With weight 1/|S| on each pair of S no coloring collects more than
+    1/|S|, so epsilon* <= 1/|S|: the uniform, integral case of the worst
+    request that bounds epsilon* from above.  A pair's co-use mask is the OR of the masks
+    of the colorings that use it, and S is a maximum independent set of the
+    graph those masks give.  A depth-first search on an explicit stack
+    branches on the lowest allowed pair, taking it or dropping it, and
+    prunes a node whose chosen and allowed pairs together cannot beat the
+    best set found.  It stops after COVER_NODE_CAP nodes with the best set
+    found so far, which is pairwise exclusive, so the bound holds anyway.
+    """
+    masks = _masks(colorings)
+    co_use = [reduce(or_, map(masks.__getitem__, users), 0)
+              for users in where.values()]     # bit 3v + c is pair (v, c)
+    best = 0
+    stack = [((1 << 3 * n) - 1, 0)]              # (allowed, chosen)
+    for _ in range(COVER_NODE_CAP):
+        if not stack:
+            break
+        allowed, chosen = stack.pop()
+        if chosen.bit_count() + allowed.bit_count() <= best.bit_count():
+            continue
+        if not allowed:
+            best = chosen
+            continue
+        low = allowed & -allowed
+        stack += [(allowed ^ low, chosen),
+                  ((allowed ^ low) & ~co_use[low.bit_length() - 1], chosen | low)]
+    return best
+
+
+def _covered(n: int, colorings: Sequence[Coloring],
+             where: dict[tuple[int, int], list[int]], k: int) -> bool:
+    """Whether `_k_cover` finds at most k colorings that use every pair,
+    so that epsilon* >= 1/k; a cover that fails its exact check raises."""
+    chosen = _k_cover(n, colorings, where, k)
+    if chosen is not None and (len(chosen) > k or any(
+            all(phi[v] != c for phi in chosen) for v, c in where)):
+        raise LpInternalError("k colorings failed their cover check")
+    return chosen is not None
+
+
 def epsilon_below(g: Multigraph, cover: Cover, best: Fraction
                   ) -> tuple[Optional[Fraction], int]:
     """`epsilon_star(g, cover).epsilon_star`, or None when it cannot fall
     below `best`, and the number of LPs solved (0 or 1).
 
     Each call enumerates the colorings once, for the uniform floor, and
-    settles the cover without an LP in four ways.  A floor of 1/3 or 0 is
+    settles the cover without an LP in five ways.  A floor of 1/3 or 0 is
     epsilon*: epsilon* lies between the floor and 1/3, and a floor of 0 is
     a listed color no coloring uses.  A floor of at least `best` gives
     None.  Six colorings from `_six_colorings` give epsilon* = 1/3, after
     their marginals are checked exactly.  When `best` = 1/k with k >= 4, at
     most k colorings from `_k_cover` that use every pair, checked exactly,
     give epsilon* >= best and so None.  Never at `best` = 1/3: that is the
-    value a caller starts from, so no earlier cover holds it.  Otherwise
-    one LP is solved over the floor's colorings.
+    value a caller starts from, so no earlier cover holds it.  Then j
+    pairs from `_exclusive_pairs` that no coloring uses two of, checked
+    exactly, give epsilon* <= 1/j; that is epsilon* itself when the floor
+    is 1/j, or when at most j colorings use every pair, and the value is
+    returned.  Otherwise one LP is solved over the floor's colorings.
     """
     floor, colorings, where = _floor(g, cover)
     if not 0 < floor < THIRD:
@@ -241,13 +298,16 @@ def epsilon_below(g: Multigraph, cover: Cover, best: Fraction
         if any(sum(phi[v] == c for phi in six) != 2 for v, c in where):
             raise LpInternalError("six colorings failed their marginal check")
         return THIRD, 0
-    if best < THIRD and best.numerator == 1:    # best = 1/k with k >= 4
-        chosen = _k_cover(g.n, colorings, where, best.denominator)
-        if chosen is not None:
-            if len(chosen) > best.denominator or any(
-                    all(phi[v] != c for phi in chosen) for v, c in where):
-                raise LpInternalError("k colorings failed their cover check")
-            return None, 0
+    if best < THIRD and best.numerator == 1 and _covered(   # best = 1/k, k >= 4
+            g.n, colorings, where, best.denominator):
+        return None, 0
+    exclusive = _exclusive_pairs(g.n, colorings, where)
+    j = exclusive.bit_count()
+    if j:
+        if any((mask & exclusive).bit_count() > 1 for mask in _masks(colorings)):
+            raise LpInternalError("exclusive pairs failed their check")
+        if floor == Q(1, j) or _covered(g.n, colorings, where, j):
+            return Q(1, j), 0
     return _epsilon_report(colorings, where).epsilon_star, 1
 
 

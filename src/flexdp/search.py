@@ -28,8 +28,10 @@ least the minimum already found in its chunk; six of its colorings that give
 every marginal exactly 1/3 settle it at 1/3; when that minimum is 1/k with
 k >= 4, at most k of its colorings that together use every (vertex, color)
 pair skip it, since uniform weight on them gives every marginal at least
-1/k; every other representative gets an epsilon* LP, built from the
-colorings its floor enumerated (`flexibility.epsilon_below`).  Parallel runs
+1/k; j pairs that no coloring uses two of bound epsilon* by 1/j, which is
+then its value when the floor is 1/j or at most j colorings use every pair;
+every other representative gets an epsilon* LP, built from the colorings
+its floor enumerated (`flexibility.epsilon_below`).  Parallel runs
 split the representatives into chunks; a chunk carries the graph's
 enumeration and returns its values in order, the merge gives each index its
 representative's value, and `_first_minimum` reads off the minimum and its
@@ -312,7 +314,8 @@ def _class_minima(enums: Sequence[tuple[CoverEnumeration, int]], jobs: int,
     Only the representatives from `CoverEnumeration.representatives` are
     evaluated, and only those that `epsilon_below` settles neither by their
     uniform floor, nor by six colorings, nor by k colorings that use every
-    pair when the chunk's minimum is 1/k, get an epsilon* LP.  Returns, per
+    pair when the chunk's minimum is 1/k, nor by j exclusive pairs that the
+    floor or j colorings meet, get an epsilon* LP.  Returns, per
     (enumeration, evaluated) pair, each index's representative's value (None
     where it was skipped; with `keep` none is), the number of
     representatives (orbits) and of LPs solved (queries).  The

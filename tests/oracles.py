@@ -8,7 +8,8 @@ relabelings, then graph automorphisms) and for graph classes and codes, a
 union-find for connected components, every vertex sequence for the
 inflexible family, every root and every triple of coloring pairs for the
 six-coloring certificate of epsilon* = 1/3, every set of at most k colorings
-for the k-coloring cover that certifies epsilon* >= 1/k.  None of it shares
+for the k-coloring cover that certifies epsilon* >= 1/k, every set of pairs
+for the exclusive pairs that certify epsilon* <= 1/j.  None of it shares
 code with the implementations under test, except in one place: the per-index
 worst-cover scan calls the library's `epsilon_star` on every cover index, so
 it checks the search's orbit cut and LP skipping, not the LP.  The product
@@ -364,6 +365,21 @@ def k_cover_by_brute_force(n: int, colorings, k: int) -> bool:
     used = [frozenset(enumerate(phi)) for phi in colorings]
     return any(len(frozenset().union(*chosen)) == 3 * n
                for size in range(1, k + 1) for chosen in combinations(used, size))
+
+
+def exclusive_pairs_by_brute_force(n: int, colorings) -> int:
+    """The size of the largest set of (vertex, color) pairs that no coloring
+    uses two of.  Every combination of each size is tried, growing the size
+    until none is exclusive, against the pairs of pairs the coloring tuples
+    use together."""
+    together = {frozenset(two) for phi in colorings
+                for two in combinations(enumerate(phi), 2)}
+    pairs = list(product(range(n), range(3)))
+    size = 0
+    while any(all(frozenset(two) not in together for two in combinations(chosen, 2))
+              for chosen in combinations(pairs, size + 1)):
+        size += 1
+    return size
 
 
 # ---------------------------------------------------------------------------

@@ -368,13 +368,15 @@ def test_worst_reports_queries_in_text_only(tmp_path, capsys, jobs):
     """The first K4 orbit's uniform floor is 0, which is its epsilon* and
     settles every later orbit; with --per-class the two orbits whose floor
     is 0 and the four whose floor is 1/3 are settled, one of the other
-    five by six colorings, and four take an LP: queries count LPs solved."""
+    five by six colorings, and four by four exclusive pairs, one whose
+    floor is 1/4 and three that four colorings cover, so none takes an LP:
+    queries count LPs solved."""
     graph = tmp_path / "k4.txt"
     run(["gen", "k4", "--out", str(graph)])
     _, out, _ = invoke(capsys, "worst", str(graph), "--jobs", jobs)
     assert "orbits = 11\nqueries = 0\nwitness_cover" in out
     _, out, _ = invoke(capsys, "worst", str(graph), "--jobs", jobs, "--per-class")
-    assert "orbits = 11\nqueries = 4\n" in out
+    assert "orbits = 11\nqueries = 0\n" in out
     _, out, _ = invoke(capsys, "worst", str(graph), "--jobs", jobs, "--json")
     assert "queries" not in json.loads(out)
 

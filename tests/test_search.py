@@ -27,7 +27,8 @@ from oracles import (all_full_covers, canonical_code_by_permutations, carried_co
                      epsilon_every_index, min_epsilon_every_index,
                      random_connected_multigraph, random_cover, random_multigraph,
                      least_relabeling_by_permutations, relabeling_canonical_form,
-                     k_cover_by_brute_force, relabeling_getters,
+                     exclusive_pairs_by_brute_force, k_cover_by_brute_force,
+                     relabeling_getters,
                      six_colorings_by_brute_force,
                      two_core_by_brute_force, with_pendant_trees)
 
@@ -424,14 +425,15 @@ class TestLpSkip:
             assert report.queries <= per_class.queries <= report.orbits
 
     @pytest.mark.parametrize("max_vertices, max_mult, solves, queries",
-                             [(4, 2, 6, 6), (5, 1, 1, 1), (5, 2, 31, 31),
-                              (6, 1, 3, 3)])
+                             [(4, 2, 0, 0), (5, 1, 0, 0), (5, 2, 1, 1),
+                              (6, 1, 2, 2)])
     def test_lp_count(self, monkeypatch, max_vertices, max_mult, solves, queries):
         """(4,2) and (5,1) took 73 and 157 LPs before the skip, 25 and 81
         before the rows with a leaf were read off their cores, 16 and 66
         (200 at (5,2), 321 at (6,1)) before the six-coloring certificate,
-        and 10 and 4 (128 at (5,2), 6 at (6,1)) before the k-coloring
-        cover; queries count the LPs solved."""
+        10 and 4 (128 at (5,2), 6 at (6,1)) before the k-coloring cover, and
+        6 and 1 (31 at (5,2), 3 at (6,1)) before the exclusive pairs;
+        queries count the LPs solved."""
         from flexdp import flexibility
         solved = []
         original = flexibility.solve
@@ -567,15 +569,16 @@ class TestKCover:
                 set(product(range(n), range(3)))
 
     def test_theorem_check_searches_match_oracle(self, monkeypatch):
-        """Every search at (4,2) and (5,1) (best = 1/4 in each): the oracle's
-        answer, and epsilon* >= 1/k by the LP wherever a cover is found."""
+        """Every search at (4,2) and (5,1): the oracle's answer, and epsilon*
+        >= 1/k by the LP wherever a cover is found.  Each asks for k = 4:
+        5 and 3 at best = 1/4, and 2 more at (4,2) for 4 exclusive pairs."""
         seen = _searches(monkeypatch, "_k_cover", (4, 2), (5, 1))
-        assert [k for *_, k, _ in seen] == [4] * (5 + 3)
+        assert [k for *_, k, _ in seen] == [4] * (7 + 3)
         for g, cover, colorings, _, k, found in seen:
             self.check(g.n, colorings, k, found)
             if found is not None:
                 assert epsilon_star(g, cover).epsilon_star >= Q(1, k)
-        assert sum(found is not None for *_, found in seen) == 4 + 3
+        assert sum(found is not None for *_, found in seen) == 6 + 3
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_random_covers_match_oracle(self, k):
@@ -613,10 +616,17 @@ class TestKCover:
     def test_never_none_at_a_third(self, monkeypatch):
         """At best = 1/3, `_eps_chunk`'s start and `--per-class`'s value, no
         earlier index holds best, so every cover with a floor in (0, 1/3)
-        gets its epsilon*, and the cover search is not asked."""
+        gets its epsilon*, and the cover search is asked only for as many
+        colorings as `_exclusive_pairs` found pairs, never for best's 3."""
         from flexdp import flexibility
+        k_cover, pairs = flexibility._k_cover, flexibility._exclusive_pairs
+        found, asked = [], []
+        monkeypatch.setattr(flexibility, "_exclusive_pairs",
+                            lambda *args: found.append(pairs(*args)) or found[-1])
         monkeypatch.setattr(flexibility, "_k_cover",
-                            lambda n, colorings, where, k: pytest.fail("searched"))
+                            lambda n, colorings, where, k: asked.append(
+                                (k, found[-1].bit_count()))
+                            or k_cover(n, colorings, where, k))
         rng = random.Random(29)
         checked = 0
         for _ in range(200):
@@ -626,7 +636,8 @@ class TestKCover:
                 assert flexibility.epsilon_below(g, cover, Q(1, 3))[0] == \
                     epsilon_star(g, cover).epsilon_star
                 checked += 1
-        assert checked
+        assert checked and asked
+        assert all(k == j for k, j in asked)
 
     def test_node_cap_zero_is_the_lp_path(self, monkeypatch):
         """With no node to visit every search fails, and the theorem check
@@ -637,6 +648,82 @@ class TestKCover:
         assert sum(r.queries for r in report.rows) == 10
         assert hashlib.sha256(report.to_tsv().encode()).hexdigest() == \
             "b24cd72fb9ef2bafa55b475c1997e9e055513c1ffcace3171bd7b42fed246edb"
+
+
+class TestExclusivePairs:
+    def test_theorem_check_settles_match_oracle(self, monkeypatch):
+        """Every search at (4,2), (5,1) and (5,2): as many pairs as the
+        brute-force oracle finds, and every cover the rule settles has the
+        value it returns, 1/j, as its epsilon* by the LP."""
+        from flexdp import flexibility
+        below, pairs = search.epsilon_below, flexibility._exclusive_pairs
+        seen = []
+
+        def recording_pairs(n, colorings, where):
+            found = pairs(n, colorings, where)
+            seen.append([colorings, found])
+            return found
+
+        def recording_below(g, cover, best):
+            searches = len(seen)
+            answer = below(g, cover, best)
+            if len(seen) > searches:
+                seen[-1] += [g, cover, answer]
+            return answer
+
+        monkeypatch.setattr(search, "epsilon_below", recording_below)
+        monkeypatch.setattr(flexibility, "_exclusive_pairs", recording_pairs)
+        for max_vertices, max_mult in (4, 2), (5, 1), (5, 2):
+            theorem_check(max_vertices, max_mult)
+        monkeypatch.undo()
+        settled = 0
+        for colorings, found, g, cover, (value, lps) in seen:
+            assert found.bit_count() == exclusive_pairs_by_brute_force(g.n, colorings)
+            if not lps:
+                settled += 1
+                assert value == Q(1, found.bit_count()) == \
+                    epsilon_star(g, cover).epsilon_star
+        assert (len(seen), settled) == (6 + 1 + 31, 6 + 1 + 30)
+
+    def test_random_covers_match_oracle(self):
+        from flexdp.flexibility import _exclusive_pairs
+        rng = random.Random(31)
+        sizes = set()
+        for _ in range(300):
+            g = random_connected_multigraph(rng, max_n=4, max_mult=2)
+            _, colorings, where = _floor(g, random_cover(rng, g))
+            found = _exclusive_pairs(g.n, colorings, where)
+            assert found.bit_count() == exclusive_pairs_by_brute_force(g.n, colorings)
+            sizes.add(found.bit_count())
+        assert len(sizes) > 2
+
+    def test_failed_certificates_raise(self, monkeypatch):
+        """Pairs that one coloring uses two of, and a cover by j colorings
+        that leaves a pair unused or holds more than j, are bugs, not
+        reasons to solve the LP.  At best = 1/3 only the rule searches."""
+        from flexdp import flexibility
+        from flexdp.lp import LpInternalError
+        k_cover = flexibility._k_cover
+        settled = [(g, cover, k, colorings[0])
+                   for g, cover, colorings, _, k, found in _searches(
+                       monkeypatch, "_k_cover", (4, 2))
+                   if found is not None and _floor(g, cover)[0] != Q(1, k)
+                   and flexibility.epsilon_below(g, cover, Q(1, 3)) == (Q(1, k), 0)]
+        g, cover, k, phi = settled[0]
+        used = sum(1 << 3 * v + c for v, c in enumerate(phi))
+        monkeypatch.setattr(flexibility, "_exclusive_pairs",
+                            lambda n, colorings, where: used)
+        with pytest.raises(LpInternalError, match="exclusive pairs"):
+            flexibility.epsilon_below(g, cover, Q(1, 3))
+        monkeypatch.undo()
+        mutants = [
+            lambda n, colorings, where, k: [
+                phi for phi in k_cover(n, colorings, where, k) if phi[0] != 0],
+            lambda n, colorings, where, k: list(colorings)]
+        for mutant in mutants:
+            monkeypatch.setattr(flexibility, "_k_cover", mutant)
+            with pytest.raises(LpInternalError, match="cover check"):
+                flexibility.epsilon_below(g, cover, Q(1, 3))
 
 
 class TestTwoCore:
@@ -725,19 +812,20 @@ class TestLeafRows:
     # budget 20 TSVs are those from before leaf rows were read off their
     # cores.  Before the k-coloring cover the LPs were 12, 12, 2, 78, 112
     # and 124, and (5,2) evaluated 190 and 431 classes at budgets 5 and 20:
-    # a core row now holds more Nones, which its leaf rows evaluate.
+    # a core row now holds more Nones, which its leaf rows evaluate.  Before
+    # the exclusive pairs the LPs were 10, 8, 1, 47, 31 and 31.
     BUDGET_CUTS = [
-        (4, 2, 2, 21, 10,
+        (4, 2, 2, 21, 0,
          "fc494268b1ad46f77d2862d68781fc688dc88c556f17ff592abd5f1dbaa8141a"),
-        (4, 2, 7, 37, 8,
+        (4, 2, 7, 37, 0,
          "36d0a34a170649af7fc2c1e160ab8c5dc48dc1aa6d76f51b2db5846b634d6511"),
-        (5, 1, 10, 62, 1,
+        (5, 1, 10, 62, 0,
          "ef1df3056695f51b6409e4cdfeff2974888a0bfbcce8e96573d353c2407ad5b2"),
-        (5, 2, 5, 191, 47,
+        (5, 2, 5, 191, 0,
          "496524ca198f4c29339a5649ca9a76e28309ace383bc39c47d75c8f5a141fa5f"),
-        (5, 2, 20, 451, 31,
+        (5, 2, 20, 451, 1,
          "be169c4695382aaf9c61252a488e1b19604327ea7f3522ab56310887b0fb3944"),
-        (5, 2, 50, 396, 31,
+        (5, 2, 50, 396, 1,
          "c74c63a4b7f27e8bada4c2314fe42f7837a534f8a4d97a1b9b8ad941c388b0d2"),
     ]
 
