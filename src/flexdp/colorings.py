@@ -1,7 +1,11 @@
 """Enumeration of cover colorings, tree packings, and multiset conversion.
 
 A coloring is a tuple of absolute color indices (0..2), one per vertex,
-whose chosen colors avoid every matching slot of the cover.
+whose chosen colors avoid every matching slot of the cover.  The
+worst-cover search reads full-list colorings as 3n-bit masks instead
+(`coloring_masks`): bit 3(n - 1 - v) + 2 - c is set when the coloring gives
+v the color c, so masks in descending order are tuples in lexicographic
+order, and the smallest (vertex, color) pair is the highest bit.
 """
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional, Sequence
 
-from .covers import Cover, ListAssignment, assert_valid, full_lists
+from .covers import PERMS, Cover, ListAssignment, assert_valid, assert_valid_masks, full_lists
 from .graphs import Multigraph
 from .rationals import integral
 
@@ -113,6 +117,112 @@ def _colorings_of_valid_cover(g: Multigraph, cover: Cover,
         stack += choices[k][forbidden]
     result.sort()
     return result
+
+
+@cache
+def _banned(mask: int, down: bool) -> tuple[int, ...]:
+    """For a pair whose matchings are the perm ids of `mask`, indexed by the
+    color of the end placed first as a 3-bit group (4, 2, 1 for colors 0,
+    1, 2), the colors the other end may not take, as such a group; `down`
+    when the end placed first is the pair's smaller end."""
+    banned = [0] * 8
+    for p in (p for q, p in enumerate(PERMS) if mask >> q & 1):
+        for c in range(3):
+            if down:
+                banned[4 >> c] |= 4 >> p[c]
+            else:
+                banned[4 >> p[c]] |= 4 >> c
+    return tuple(banned)
+
+
+@cache
+def _pushes(k: int, low: int, width: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each group f of forbidden colors, a (k, bit, unit) for each color
+    outside f: the entries `coloring_masks` pushes for the k-th vertex
+    placed, whose colors sit at bits low + 2 .. low; the unit is the bit's
+    slot of the packed count."""
+    return tuple(tuple((k, 1 << low + b, 1 << width * (low + b))
+                       for b in range(3) if not f >> b & 1) for f in range(8))
+
+
+def coloring_masks(g: Multigraph, masks: Sequence[tuple[tuple[int, int], int]]
+                   ) -> tuple[list[int], list[int]]:
+    """The full-list colorings of the cover given as (pair, perm-id mask)
+    items, as masks in descending order (`enumerate_colorings`' order), and
+    for each (vertex, color), in that order, how many colorings use it.
+
+    The masks are checked first (`assert_valid_masks`).  Backtracking runs
+    along the BFS order on an explicit stack, as in `enumerate_colorings`;
+    a partial coloring's mask gives each later vertex its placed
+    neighbours' colors, which index the process-wide `_banned` tables.  The
+    counts come from one Kronecker-packed sum (Harvey 2009, "Faster
+    polynomial multiplication via multipoint Kronecker substitution", J.
+    Symb. Comput. 44): each coloring also carries its pairs one per slot,
+    wide enough for the most colorings there can be, and the slots of the
+    sum over the colorings are the counts.  More than ENUMERATION_CAP
+    entries (colorings times vertices) raise ColoringError.
+    """
+    assert_valid_masks(g, masks)
+    n = g.n
+    if n == 0:
+        return [0], []
+    most = ENUMERATION_CAP // n
+    width = min(3 ** n, most + 1).bit_length()
+    order = g.bfs()[0]
+    place = [0] * n
+    for k, v in enumerate(order):
+        place[v] = k
+    tables: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]
+    for (a, b), mask in masks:
+        early, late = (a, b) if place[a] < place[b] else (b, a)
+        tables[place[late]].append((3 * (n - 1 - early), _banned(mask, early < late)))
+    pushes = [_pushes(k, 3 * (n - 1 - v), width) for k, v in enumerate(order)]
+    found: list[int] = []
+    total = 0
+    prefix = [0] * n        # per k: the mask, then the packed pairs, of order[:k]
+    packed = [0] * n
+    last = n - 1
+    # Popping (k, bit, unit) colors order[k] and pushes the choices left
+    # for order[k + 1], which are all popped before anything below them;
+    # the choices for order[last] are the colorings, added at once.  The
+    # first entry colors no vertex: k = -1 reads prefix[last] and
+    # packed[last], which stay 0.
+    stack = [(-1, 0, 0)]
+    while stack:
+        k, bit, unit = stack.pop()
+        mask = prefix[k] | bit
+        unit += packed[k]
+        k += 1
+        forbidden = 0
+        for shift, banned in tables[k]:
+            forbidden |= banned[mask >> shift & 7]
+        if k < last:
+            prefix[k], packed[k] = mask, unit
+            stack += pushes[k][forbidden]
+            continue
+        for _, bit, leaf in pushes[k][forbidden]:
+            found.append(mask | bit)
+            total += unit + leaf
+        if len(found) > most:
+            raise ColoringError(f"more than {most} colorings of {n} "
+                                f"vertices: input too large to enumerate")
+    found.sort(reverse=True)
+    slot = (1 << width) - 1
+    return found, [total >> width * b & slot for b in reversed(range(3 * n))]
+
+
+def pair_bit(n: int, v: int, c: int) -> int:
+    """The bit of the (vertex, color) pair (v, c) in an n-vertex coloring mask."""
+    return 1 << 3 * (n - 1 - v) + 2 - c
+
+
+_COLOR_OF = (-1, 2, 1, -1, 0)      # a vertex's 3-bit group -> its color
+
+
+def colorings_of_masks(n: int, masks: Sequence[int]) -> list[Coloring]:
+    """The colorings `coloring_masks` gives, as tuples, in the same order."""
+    shifts = [3 * (n - 1 - v) for v in range(n)]
+    return [tuple(_COLOR_OF[m >> s & 7] for s in shifts) for m in masks]
 
 
 # ---------------------------------------------------------------------------

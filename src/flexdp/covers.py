@@ -55,6 +55,23 @@ class Cover:
         key = (u, v) if u < v else (v, u)
         return self.matchings.get(key, ())
 
+    def masks(self) -> list[tuple[tuple[int, int], int]]:
+        """Each pair with its matchings as a bit mask of perm ids (bit q for
+        PERMS[q]).  A mask cannot hold a matching that is no permutation of
+        (0,1,2) or one listed twice, so either raises CoverError."""
+        items = []
+        for pair, perms in self.matchings.items():
+            mask = 0
+            for p in perms:
+                q = _PERM_ID.get(p)
+                if q is None:
+                    raise CoverError(f"{pair}: matching {p} is not a permutation of (0,1,2)")
+                if mask >> q & 1:
+                    raise CoverError(f"{pair}: duplicate matching {p}")
+                mask |= 1 << q
+            items.append((pair, mask))
+        return items
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Cover) and self.matchings == other.matchings
 
@@ -93,6 +110,25 @@ def assert_valid(g: Multigraph, cover: Cover) -> None:
     problems = validate(g, cover)
     if problems:
         raise CoverError("; ".join(f"{pair}: {msg}" for pair, msg in problems))
+
+
+def assert_valid_masks(g: Multigraph, masks: Iterable[tuple[tuple[int, int], int]]) -> None:
+    """`assert_valid` for a cover given as (pair, perm-id mask) items, as
+    `Cover.masks` and `CoverEnumeration` hold them: every pair an edge,
+    ordered min, max, with at most its multiplicity of perms.  The mask
+    holds distinct permutations by construction."""
+    problems = []
+    for (u, v), mask in masks:
+        mult = g.multiplicity(u, v) if 0 <= u < v < g.n else 0
+        if mult == 0:
+            problems.append(f"{(u, v)}: pair is not an edge of the graph")
+        elif not 0 <= mask < 64:
+            problems.append(f"{(u, v)}: {mask} is not a mask of perm ids")
+        elif mask.bit_count() > mult:
+            problems.append(f"{(u, v)}: {mask.bit_count()} matchings exceed "
+                            f"multiplicity {mult}")
+    if problems:
+        raise CoverError("; ".join(problems))
 
 
 def straight_cover(g: Multigraph) -> Cover:
@@ -186,15 +222,35 @@ def _choices(k: int, pinned: bool) -> tuple[int, ...]:
     return tuple(sum(1 << q for q in c) for c in combinations(range(6), k))
 
 
+# `_digit_row`s per pair kind 2k + pinned (k slots) and mask, kept from first use
+_DIGIT_ROWS: list[list[Optional[tuple[int, ...]]]] = [[None] * 64 for _ in range(14)]
+
+
+def _digit_row(kind: int, mask: int) -> tuple[int, ...]:
+    """For each relabeling (a, b) of the ends of a pair of kind 2k + pinned,
+    at a * 6 + b, the position in `_choices(k, pinned)` of the pair's `mask`
+    once twisted, or -1 when the twisted mask is no choice there."""
+    row = _DIGIT_ROWS[kind][mask]
+    if row is None:
+        choices = _choices(kind >> 1, bool(kind & 1))
+        position = {choice: d for d, choice in enumerate(choices)}
+        twists = [_TWIST[q] for q in range(6) if mask >> q & 1]
+        row = _DIGIT_ROWS[kind][mask] = tuple(
+            position.get(sum(1 << twist[ab] for twist in twists), -1) for ab in range(36))
+    return row
+
+
 @cache
-def _digits(choices: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    """For each relabeling (a, b) of a pair's ends, at a * 6 + b, the
-    position in `choices`, one of the `_choices` tuples, of the pair's
-    `mask` once twisted, or -1 when the twisted mask is no choice there."""
+def _conjugates(choices: tuple[int, ...], width: int) -> tuple[int, ...]:
+    """For each choice of a `_choices` tuple, the positions there of its six
+    conjugates r q r^-1, r = 0..5, packed one per slot of `width` bits.
+    Relabeling every list by r conjugates every matching, so a pair whose
+    digit is d when the root keeps its labels has, when the root takes r,
+    the digit in slot r of `_conjugates(choices, width)[d]`."""
     position = {choice: d for d, choice in enumerate(choices)}
-    twists = [_TWIST[q] for q in range(6) if mask >> q & 1]
-    return tuple(position.get(sum(1 << twist[ab] for twist in twists), -1)
-                 for ab in range(36))
+    return tuple(sum(position[sum(1 << _TWIST[q][7 * r] for q in range(6) if choice >> q & 1)]
+                     << width * r for r in range(6))
+                 for choice in choices)
 
 
 def _automorphism_generators(g: Multigraph) -> list[tuple[int, ...]]:
@@ -283,9 +339,15 @@ class CoverEnumeration:
     `class_index` sends any full cover, carried along a vertex map onto
     this graph, to an index of its S3^n class, so a question already
     answered per orbit can be looked up for any cover.  Both carry covers
-    and look their classes up through one helper (`_carried_index`).  The
-    search reads the process-wide digit tables of `_digits` and a pinning
-    plan built on first use; an enumeration is plain data.
+    as (pair, mask) items and look their classes up through one helper
+    (`_carried_index`), which the theorem check also feeds straight from
+    another enumeration's masks; `_masks` gives the cover at an index in
+    that form, which is what the worst-cover search evaluates, and `at`
+    the same cover as a `Cover`.  The class search fixes the root's labels
+    and carries the other five root relabelings as conjugates, one packed
+    index per root (`_relabeled_indices`).  It reads process-wide digit
+    rows, filled per pair kind and mask on first use (`_digit_row`), and a
+    pinning plan built on first use; an enumeration is plain data.
     """
 
     def __init__(self, g: Multigraph):
@@ -305,7 +367,7 @@ class CoverEnumeration:
             self._weights.append(self.count)
             self.count *= len(opts)
         self._weights.reverse()
-        self._steps: Optional[list[tuple]] = None   # `_pinning_steps`, on first use
+        self._plan: Optional[tuple[list[tuple], int, int]] = None   # `_pinning_plan`
 
     def _masks(self, index: int) -> list[int]:
         """The cover at `index`, as each pair's mask."""
@@ -369,13 +431,8 @@ class CoverEnumeration:
         must have exactly the enumeration's slot count on every pair, as
         full covers of this graph, or of a graph whose 2-core phi maps onto
         it, have; any other raises CoverError."""
-        masks = [(pair, sum(1 << _PERM_ID[p] for p in perms))
-                 for pair, perms in cover.matchings.items()]
-        found = self._carried_index(masks, phi or {v: v for v in range(self.g.n)},
-                                    self.count)
-        if found < 0:
-            raise CoverError("cover is in no class of this enumeration")
-        return found
+        return self._carried_index(cover.masks(), phi or {v: v for v in range(self.g.n)},
+                                   self.count)
 
     def _carried_index(self, masks: Iterable[tuple[tuple[int, int], int]],
                        phi: dict, limit: int) -> int:
@@ -383,7 +440,8 @@ class CoverEnumeration:
         none is.  The cover's (pair, mask) items, of some graph, are carried
         along phi onto this graph's pairs: a pair with an end outside phi is
         dropped, and one whose ends swap order takes the inverse perms.
-        Raises CoverError unless the pairs land on exactly this graph's."""
+        Raises CoverError unless the pairs land on exactly this graph's, or
+        when no index at all is in the class (a slot count differs)."""
         image = {}
         for (u, v), mask in masks:
             if u in phi and v in phi:
@@ -395,26 +453,39 @@ class CoverEnumeration:
         if len(image) != len(carried) or None in carried:
             raise CoverError("cover pairs differ from the graph's")
         found = self._relabeled_indices(carried, limit, first=True)
-        return found.pop() if found else -1
+        if found:
+            return found.pop()
+        if limit < self.count:
+            return -1
+        raise CoverError("cover is in no class of this enumeration")
 
-    def _pinning_steps(self) -> list[tuple]:
-        """The plan `_relabeled_indices` follows: one step per BFS tree edge.
+    def _pinning_plan(self) -> tuple[list[tuple], int, int]:
+        """The plan `_relabeled_indices` follows, one step per BFS tree
+        edge, the slot width of its packed indices and a 1 in each slot.
 
         Vertices get their relabeling in BFS order.  A pair with more than
         one choice is read when its later end is relabeled; a vertex's
         relabeling is kept (in the frontier) while a read or a tree child
         still needs it.  A step is (x's place in the frontier, the tree
-        pair, whether x is its smaller end, the reads as (pair, place of u,
-        place of v) in the frontier extended by the child, the places kept).
+        pair, whether x is its smaller end, the reads, the places kept).  A
+        read is (pair, its kind for `_digit_row`, the place of u, the place
+        of v in the frontier extended by the child, and per digit d the
+        pair's weight times d's packed `_conjugates`).  No slot overflows:
+        each holds a partial index, below `count`.
         """
         order = [0] + [y for _, y in self.tree]
         rank = {v: k for k, v in enumerate(order)}
+        tree = {(min(x, y), max(x, y)) for x, y in self.tree}
+        width = self.count.bit_length() + 1
         needed = [0] * self.g.n
-        reads: list[list[tuple[int, int, int]]] = [[] for _ in order]
-        for t, (u, v) in enumerate(self.pairs):
-            if len(self.choices[t]) > 1:
+        reads: list[list[tuple]] = [[] for _ in order]
+        for t, ((u, v), choices, weight) in enumerate(zip(self.pairs, self.choices,
+                                                          self._weights)):
+            if len(choices) > 1:
                 k = max(rank[u], rank[v])
-                reads[k].append((t, u, v))
+                packed = tuple(six * weight for six in _conjugates(choices, width))
+                reads[k].append((t, u, v, 2 * min(self.g.multiplicity(u, v), 6)
+                                 + ((u, v) in tree), packed))
                 needed[u] = max(needed[u], k)
                 needed[v] = max(needed[v], k)
         for k, (x, _) in enumerate(self.tree, 1):
@@ -426,56 +497,85 @@ class CoverEnumeration:
             place = {v: i for i, v in enumerate(extended)}
             frontier = [v for v in extended if needed[v] > k]
             steps.append((place[x], position[min(x, y), max(x, y)], x < y,
-                          tuple((t, place[u], place[v]) for t, u, v in reads[k]),
+                          tuple((t, kind, place[u], place[v], packed)
+                                for t, u, v, kind, packed in reads[k]),
                           tuple(place[v] for v in frontier)))
-        return steps
+        return steps, width, sum(1 << width * r for r in range(6))
 
     def _relabeled_indices(self, cover: list[int], limit: int,
                            first: bool = False) -> set[int]:
         """Indices below `limit` of the tree-pinned relabelings of a cover:
-        all of them, or with `first` any one.
+        all of them, or with `first` one.
 
         `cover` gives each pair's matchings as a bit mask of perm ids.  The
-        root's list takes each of the 6 relabelings, and down the tree each
-        child's relabeling follows from which slot of its tree pair becomes
-        the identity; each pair read then adds its `_digits` digit times its
-        weight, and a pairing the enumeration lacks (digit -1) drops the
-        state.  The search is depth-first over states (step, index so far,
-        frontier relabelings); it visits each state once and drops any
-        whose index so far already reaches `limit` (digits only add), so
-        its cost is bounded by the distinct states, not by the
-        6 * product(tree slot counts) relabelings they stand for.
+        root keeps its labels, and down the tree each child's relabeling
+        follows from which slot of its tree pair becomes the identity; each
+        pair read then adds its `_digit_row` digit times its weight, and a
+        pairing the enumeration lacks (digit -1) drops the state.  The five
+        other relabelings of the root relabel every list by the same
+        permutation, which conjugates every matching and so maps each
+        pair's digit to another of its digits (`_conjugates`).  Each state
+        therefore carries all six roots' partial indices, packed one per
+        slot of `width` bits, and a read adds one packed integer.  The
+        search is depth-first over states (step, packed indices, frontier
+        relabelings); it visits each state once and drops one whose six
+        indices so far all reach `limit` (digits only add), so it visits at
+        most as many states as six searches with the root fixed at each
+        relabeling, and its cost is bounded by the distinct states, not by
+        the 6 * product(tree slot counts) relabelings they stand for.  With
+        `first` it returns the index of the highest root that has one,
+        taking that root's first in depth-first order, and stops searching
+        the roots at or below the best found.
         """
-        if self._steps is None:
-            self._steps = self._pinning_steps()
+        if self._plan is None:
+            self._plan = self._pinning_plan()
+        steps, width, ones = self._plan
+        limit = min(limit, self.count)
         work = [(x_at, [_INVERSE[q] if down else q
                         for q in range(6) if cover[tree_pair] >> q & 1],
-                 [(_digits(self.choices[t], cover[t]), self._weights[t], u_at, v_at)
-                  for t, u_at, v_at in reads], keep)
-                for x_at, tree_pair, down, reads, keep in self._steps]
-        stack = [(0, 0, r) for r in range(6)] if work else [(0, 0)]
+                 [(_digit_row(kind, cover[t]), packed, u_at, v_at)
+                  for t, kind, u_at, v_at, packed in reads], keep)
+                for x_at, tree_pair, down, reads, keep in steps]
+        # a slot holds less than 2^(width - 1); adding `bias` sets its top
+        # bit exactly when it reaches the limit
+        top, slot = 1 << width - 1, (1 << width) - 1
+        roots = list(range(5, -1, -1))      # the roots still searched
+        wanted, bias = top * ones, (top - limit) * ones
+        stack = [(0, 0, 0)] if work else [(0, 0)]
         seen, found = set(), set()
         while stack:
             state = stack.pop()
             if state in seen:
                 continue
             seen.add(state)
-            k, index, *gauge = state
+            k, packed, *gauge = state
             if k == len(work):
-                found.add(index)
-                if first:
+                for r in roots:
+                    index = packed >> width * r & slot
+                    if index < limit:
+                        if not first:
+                            found.add(index)
+                            continue
+                        found = {index}
+                        roots = roots[:roots.index(r)]
+                        wanted = top * ones >> width * (r + 1) << width * (r + 1)
+                        break
+                if not roots:
                     break
                 continue
             x_at, pins, rows, keep = work[k]
             parent = gauge[x_at]
             for pin in pins:
                 frontier = gauge + [_COMPOSE[parent][pin]]
-                total = index
-                for digits, weight, u_at, v_at in rows:
+                total = packed
+                for digits, weights, u_at, v_at in rows:
                     digit = digits[frontier[u_at] * 6 + frontier[v_at]]
-                    total += digit * weight if digit >= 0 else limit
-                if total < limit:
-                    stack.append((k + 1, total, *(frontier[i] for i in keep)))
+                    if digit < 0:
+                        break
+                    total += weights[digit]
+                else:
+                    if (total + bias) & wanted != wanted:
+                        stack.append((k + 1, total, *(frontier[i] for i in keep)))
         return found
 
 

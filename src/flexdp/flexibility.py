@@ -12,7 +12,11 @@ every marginal at least 1/k, and j pairs that no coloring uses two of, which
 bound epsilon* by 1/j.  The last two are the integral cover and packing
 sides of the duality behind epsilon* (Lovasz 1975, "On the ratio of optimal
 integral and fractional covers", Discrete Math. 13), and epsilon* is 1/j
-exactly where they, or the floor, meet.
+exactly where they, or the floor, meet.  `epsilon_below` takes its cover as
+the enumeration's (pair, perm-id mask) items and works on the colorings as
+masks (`colorings.coloring_masks`): the floor's counts, the certificates and
+their exact checks.  Tuples and `_support` are built only for a cover that
+reaches the LP.
 """
 from __future__ import annotations
 
@@ -23,7 +27,8 @@ from operator import or_
 from typing import Optional, Sequence
 
 from .colorings import (Coloring, ColoringDistribution, _colorings_of_valid_cover,
-                        enumerate_colorings)
+                        coloring_masks, colorings_of_masks, enumerate_colorings,
+                        pair_bit)
 from .covers import (Cover, ListAssignment, ListDistribution, assert_valid,
                      full_lists)
 from .graphs import Multigraph, PotentialAssignment
@@ -127,51 +132,44 @@ def _epsilon_report(colorings: list[Coloring],
     return FlexReport(outcome.value, True, dist, request)
 
 
-def _floor(g: Multigraph, cover: Cover
-           ) -> tuple[Fraction, list[Coloring], dict[tuple[int, int], list[int]]]:
-    """The uniform floor, the smallest full-list marginal of the uniform
-    distribution over the cover's colorings (0 when there is none), with
-    the colorings and `_support` it read.
+def _floor(g: Multigraph, masks: Sequence[tuple[tuple[int, int], int]]
+           ) -> tuple[Fraction, list[int]]:
+    """The uniform floor of the cover given as (pair, perm-id mask) items,
+    the smallest full-list marginal of the uniform distribution over its
+    colorings (0 when there is none), with the colorings as
+    `coloring_masks` gives them.
 
     Any distribution certifies a lower bound on epsilon*, so the floor is
     one; and since the three marginals at a vertex sum to 1, epsilon* <=
     1/3, so a floor of 1/3 is epsilon* itself.
     """
-    colorings, where = _marginal_columns(g, cover, full_lists(g.n))
-    floor = Q(min(map(len, where.values())), len(colorings)) if colorings else Q(0)
-    return floor, colorings, where
+    _require_vertices(g)
+    colorings, counts = coloring_masks(g, masks)
+    return (Q(min(counts), len(colorings)) if colorings else Q(0)), colorings
 
 
-def _masks(colorings: Sequence[Coloring]) -> list[int]:
-    """Each coloring as a bit mask over the 3n (vertex, color) pairs: bit
-    3v + c is set when it gives v the color c."""
-    return [sum(1 << 3 * v + c for v, c in enumerate(phi)) for phi in colorings]
-
-
-def _six_colorings(n: int, colorings: Sequence[Coloring]) -> Optional[list[Coloring]]:
-    """Six of the colorings that, with weight 1/6 each, give every
+def _six_colorings(n: int, colorings: Sequence[int]) -> Optional[list[int]]:
+    """Six of the coloring masks that, with weight 1/6 each, give every
     (vertex, color) marginal exactly 1/3; None when the search finds none.
 
     For a root r and each color c it looks for two colorings that give r
     the color c and differ at every other vertex v, so miss one color
     m_c(v) there.  When m_0(v), m_1(v) and m_2(v) differ at every v != r,
-    every color at v is used by exactly two of the six.  On `_masks`,
-    "differ off r" is one AND and m_2 is looked up as the complement of
-    m_0 | m_1.
+    every color at v is used by exactly two of the six.  "Differ off r" is
+    one AND, and m_2 is looked up as the complement of m_0 | m_1.
     """
-    masks = _masks(colorings)
     full = (1 << 3 * n) - 1
     for r in range(n):
-        off_r = full & ~(7 << 3 * r)
+        at_r = [pair_bit(n, r, c) for c in range(3)]
+        off_r = full & ~sum(at_r)
         missed: list[dict[int, tuple[int, int]]] = []   # m_c -> one pair
-        for c in range(3):
-            group = [i for i, phi in enumerate(colorings) if phi[r] == c]
+        for bit in at_r:
+            group = [a for a in colorings if a & bit]
             pairs: dict[int, tuple[int, int]] = {}
-            for x, i in enumerate(group):
-                a = masks[i]
-                for j in group[x + 1:]:
-                    if not a & masks[j] & off_r:
-                        pairs.setdefault(off_r & ~(a | masks[j]), (i, j))
+            for x, a in enumerate(group):
+                for b in group[x + 1:]:
+                    if not a & b & off_r:
+                        pairs.setdefault(off_r & ~(a | b), (a, b))
             if not pairs:
                 break
             missed.append(pairs)
@@ -180,7 +178,7 @@ def _six_colorings(n: int, colorings: Sequence[Coloring]) -> Optional[list[Color
                 for m1, second in missed[1].items():
                     third = None if m0 & m1 else missed[2].get(off_r & ~(m0 | m1))
                     if third is not None:
-                        return [colorings[i] for i in first + second + third]
+                        return [*first, *second, *third]
     return None
 
 
@@ -191,58 +189,55 @@ def _six_colorings(n: int, colorings: Sequence[Coloring]) -> Optional[list[Color
 COVER_NODE_CAP = 2000
 
 
-def _k_cover(n: int, colorings: Sequence[Coloring],
-             where: dict[tuple[int, int], list[int]], k: int
-             ) -> Optional[list[Coloring]]:
-    """At most k of the colorings whose union uses every full-list
+def _k_cover(n: int, colorings: Sequence[int], k: int) -> Optional[list[int]]:
+    """At most k of the coloring masks whose union uses every full-list
     (vertex, color) pair; None when the search finds none.
 
     With weight 1/j on j <= k such colorings every marginal is at least
     1/k, so epsilon* >= 1/k: the uniform, integral case of the fractional
-    packing that epsilon* is.  A depth-first search over `_masks` on an
-    explicit stack: it branches on the lowest uncovered pair, over the
-    colorings `where` lists for it, and prunes a node when more pairs are
-    uncovered than n times the colorings left (each coloring uses n
-    pairs).  It gives up after COVER_NODE_CAP nodes, so a failed search
-    stays cheap and its answer does not depend on time.
+    packing that epsilon* is.  A depth-first search on an explicit stack:
+    it branches on the lowest uncovered pair (the highest bit), over the
+    colorings that use it in their order, and prunes a node when more
+    pairs are uncovered than n times the colorings left (each coloring
+    uses n pairs).  It gives up after COVER_NODE_CAP nodes, so a failed
+    search stays cheap and its answer does not depend on time.
     """
-    masks = _masks(colorings)
-    users = list(where.values())        # bit 3v + c is pair (v, c)
+    users: dict[int, list[int]] = {}    # per pair's bit, the colorings using it
     stack: list[tuple[int, tuple[int, ...]]] = [((1 << 3 * n) - 1, ())]
     for _ in range(COVER_NODE_CAP):
         if not stack:
             break
         uncovered, chosen = stack.pop()
         if not uncovered:
-            return [colorings[i] for i in chosen]
+            return list(chosen)
         if uncovered.bit_count() > n * (k - len(chosen)):
             continue
-        low = (uncovered & -uncovered).bit_length() - 1
-        stack += [(uncovered & ~masks[i], chosen + (i,)) for i in reversed(users[low])]
+        top = 1 << uncovered.bit_length() - 1
+        if top not in users:
+            users[top] = [m for m in colorings if m & top]
+        stack += [(uncovered & ~m, chosen + (m,)) for m in reversed(users[top])]
     return None
 
 
-def _exclusive_pairs(n: int, colorings: Sequence[Coloring],
-                     where: dict[tuple[int, int], list[int]]) -> int:
+def _exclusive_pairs(n: int, colorings: Sequence[int]) -> int:
     """The largest set S of full-list (vertex, color) pairs that no coloring
-    uses two of, as a mask over `_masks`' bits; 0 when the search visits
-    no node.
+    uses two of, as a mask over the colorings' bits; 0 when the search
+    visits no node.
 
     With weight 1/|S| on each pair of S no coloring collects more than
     1/|S|, so epsilon* <= 1/|S|: the uniform, integral case of the worst
-    request that bounds epsilon* from above.  A pair's co-use mask is the OR of the masks
-    of the colorings that use it, and S is a maximum independent set of the
-    graph those masks give.  A depth-first search on an explicit stack
-    branches on the lowest allowed pair, taking it or dropping it, and
-    prunes a node whose chosen and allowed pairs together cannot beat the
-    best set found.  It stops after COVER_NODE_CAP nodes with the best set
-    found so far, which is pairwise exclusive, so the bound holds anyway.
+    request that bounds epsilon* from above.  A pair's co-use mask is the
+    OR of the colorings that use it, and S is a maximum independent set of
+    the graph those masks give.  A depth-first search on an explicit stack
+    branches on the lowest allowed pair (the highest bit), taking it or
+    dropping it, and prunes a node whose chosen and allowed pairs together
+    cannot beat the best set found.  It stops after COVER_NODE_CAP nodes
+    with the best set found so far, which is pairwise exclusive, so the
+    bound holds anyway.
     """
-    masks = _masks(colorings)
-    co_use = [reduce(or_, map(masks.__getitem__, users), 0)
-              for users in where.values()]     # bit 3v + c is pair (v, c)
+    co_use: dict[int, int] = {}         # per pair's bit, filled on first use
     best = 0
-    stack = [((1 << 3 * n) - 1, 0)]              # (allowed, chosen)
+    stack = [((1 << 3 * n) - 1, 0)]     # (allowed, chosen)
     for _ in range(COVER_NODE_CAP):
         if not stack:
             break
@@ -252,63 +247,69 @@ def _exclusive_pairs(n: int, colorings: Sequence[Coloring],
         if not allowed:
             best = chosen
             continue
-        low = allowed & -allowed
-        stack += [(allowed ^ low, chosen),
-                  ((allowed ^ low) & ~co_use[low.bit_length() - 1], chosen | low)]
+        top = 1 << allowed.bit_length() - 1
+        if top not in co_use:
+            co_use[top] = reduce(or_, [m for m in colorings if m & top], 0)
+        stack += [(allowed ^ top, chosen),
+                  ((allowed ^ top) & ~co_use[top], chosen | top)]
     return best
 
 
-def _covered(n: int, colorings: Sequence[Coloring],
-             where: dict[tuple[int, int], list[int]], k: int) -> bool:
+def _covered(n: int, colorings: Sequence[int], k: int) -> bool:
     """Whether `_k_cover` finds at most k colorings that use every pair,
     so that epsilon* >= 1/k; a cover that fails its exact check raises."""
-    chosen = _k_cover(n, colorings, where, k)
-    if chosen is not None and (len(chosen) > k or any(
-            all(phi[v] != c for phi in chosen) for v, c in where)):
+    chosen = _k_cover(n, colorings, k)
+    if chosen is not None and (len(chosen) > k
+                               or reduce(or_, chosen, 0) != (1 << 3 * n) - 1):
         raise LpInternalError("k colorings failed their cover check")
     return chosen is not None
 
 
-def epsilon_below(g: Multigraph, cover: Cover, best: Fraction
-                  ) -> tuple[Optional[Fraction], int]:
-    """`epsilon_star(g, cover).epsilon_star`, or None when it cannot fall
-    below `best`, and the number of LPs solved (0 or 1).
+def epsilon_below(g: Multigraph, masks: Sequence[tuple[tuple[int, int], int]],
+                  best: Fraction) -> tuple[Optional[Fraction], int]:
+    """`epsilon_star(g, cover).epsilon_star` for the full cover given as
+    (pair, perm-id mask) items, as `CoverEnumeration` holds it, or None
+    when it cannot fall below `best`; and the number of LPs solved (0 or 1).
 
-    Each call enumerates the colorings once, for the uniform floor, and
-    settles the cover without an LP in five ways.  A floor of 1/3 or 0 is
-    epsilon*: epsilon* lies between the floor and 1/3, and a floor of 0 is
-    a listed color no coloring uses.  A floor of at least `best` gives
-    None.  Six colorings from `_six_colorings` give epsilon* = 1/3, after
-    their marginals are checked exactly.  When `best` = 1/k with k >= 4, at
-    most k colorings from `_k_cover` that use every pair, checked exactly,
-    give epsilon* >= best and so None.  Never at `best` = 1/3: that is the
-    value a caller starts from, so no earlier cover holds it.  Then j
-    pairs from `_exclusive_pairs` that no coloring uses two of, checked
-    exactly, give epsilon* <= 1/j; that is epsilon* itself when the floor
-    is 1/j, or when at most j colorings use every pair, and the value is
-    returned.  Otherwise one LP is solved over the floor's colorings.
+    Each call checks the masks against g and enumerates the colorings
+    once, as masks, for the uniform floor (`_floor`), and settles the
+    cover without an LP in five ways, all on those masks.  A floor of 1/3
+    or 0 is epsilon*: epsilon* lies between the floor and 1/3, and a floor
+    of 0 is a listed color no coloring uses.  A floor of at least `best`
+    gives None.  Six colorings from `_six_colorings` give epsilon* = 1/3,
+    after their marginals are checked exactly.  When `best` = 1/k with k >=
+    4, at most k colorings from `_k_cover` that use every pair, checked
+    exactly, give epsilon* >= best and so None.  Never at `best` = 1/3:
+    that is the value a caller starts from, so no earlier cover holds it.
+    Then j pairs from `_exclusive_pairs` that no coloring uses two of,
+    checked exactly, give epsilon* <= 1/j; that is epsilon* itself when the
+    floor is 1/j, or when at most j colorings use every pair, and the value
+    is returned.  Otherwise the colorings become tuples, with their
+    `_support`, and one LP is solved over them.
     """
-    floor, colorings, where = _floor(g, cover)
+    floor, colorings = _floor(g, masks)
     if not 0 < floor < THIRD:
         return floor, 0
     if floor >= best:
         return None, 0
-    six = _six_colorings(g.n, colorings)
+    n = g.n
+    six = _six_colorings(n, colorings)
     if six is not None:     # at weight 1/6 each, a marginal of 1/3 is two of six
-        if any(sum(phi[v] == c for phi in six) != 2 for v, c in where):
+        if any(sum(m >> b & 1 for m in six) != 2 for b in range(3 * n)):
             raise LpInternalError("six colorings failed their marginal check")
         return THIRD, 0
     if best < THIRD and best.numerator == 1 and _covered(   # best = 1/k, k >= 4
-            g.n, colorings, where, best.denominator):
+            n, colorings, best.denominator):
         return None, 0
-    exclusive = _exclusive_pairs(g.n, colorings, where)
+    exclusive = _exclusive_pairs(n, colorings)
     j = exclusive.bit_count()
     if j:
-        if any((mask & exclusive).bit_count() > 1 for mask in _masks(colorings)):
+        if any((m & exclusive).bit_count() > 1 for m in colorings):
             raise LpInternalError("exclusive pairs failed their check")
-        if floor == Q(1, j) or _covered(g.n, colorings, where, j):
+        if floor == Q(1, j) or _covered(n, colorings, j):
             return Q(1, j), 0
-    return _epsilon_report(colorings, where).epsilon_star, 1
+    tuples = colorings_of_masks(n, colorings)
+    return _epsilon_report(tuples, _support(tuples, full_lists(n))).epsilon_star, 1
 
 
 def fractional_packing(g: Multigraph, cover: Cover) -> Optional[ColoringDistribution]:

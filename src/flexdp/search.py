@@ -31,8 +31,11 @@ pair skip it, since uniform weight on them gives every marginal at least
 1/k; j pairs that no coloring uses two of bound epsilon* by 1/j, which is
 then its value when the floor is 1/j or at most j colorings use every pair;
 every other representative gets an epsilon* LP, built from the colorings
-its floor enumerated (`flexibility.epsilon_below`).  Parallel runs
-split the representatives into chunks; a chunk carries the graph's
+its floor enumerated (`flexibility.epsilon_below`).  A representative goes
+to `epsilon_below` as its enumeration's pair masks, never as a `Cover`, and
+its colorings are enumerated as masks; only the covers a report shows (a
+witness, `--per-class` rows) become `Cover`s.  Parallel runs split the
+representatives into chunks; a chunk carries the graph's
 enumeration and returns its values in order, the merge gives each index its
 representative's value, and `_first_minimum` reads off the minimum and its
 first index.  Chunks depend only on the graph, so output and LP count are
@@ -45,8 +48,9 @@ for every graph with a leaf.  A pendant vertex changes no cover's epsilon*
 the same multiplicity cap and mad no larger.  The graphs without a leaf
 are searched first, as above, in one wave; then each graph with a leaf
 scans its own indices in order and reads each cover's value off its core's
-row, at the index `CoverEnumeration.class_index` gives the cover carried
-along a vertex map (`_core_row`) onto the row's graph.  It builds no
+row, at the index of the class of the cover carried along a vertex map
+(`_core_row`) onto the row's graph, which the core's enumeration finds from
+the cover's masks (`CoverEnumeration._carried_index`).  It builds no
 representatives, and only a class its core's row left unknown (skipped, or
 past the budget) is evaluated.
 """
@@ -299,7 +303,8 @@ def _eps_chunk(task: tuple) -> tuple[list[Optional[Fraction]], int]:
     best = THIRD                    # the smallest value found so far, if lower
     queries = 0
     for i in indices:
-        value, query = epsilon_below(enum.g, enum.at(i), THIRD if keep else best)
+        value, query = epsilon_below(enum.g, list(zip(enum.pairs, enum._masks(i))),
+                                     THIRD if keep else best)
         queries += query
         if value is not None:
             best = min(best, value)
@@ -402,11 +407,13 @@ def _from_core(enum: CoverEnumeration, evaluated: int, phi: dict[int, int],
     every cover H.  Restriction gives <=; giving v, uniformly, one of the
     two colors its neighbour's color leaves gives >= (`gadgets.gadget_pendent`).
 
-    Index i takes `known[j]`, for the index j that `core_enum.class_index`
-    gives `enum.at(i)` carried along `phi`.  A class the core's row left
-    unknown (skipped, or j past its budget) goes through `epsilon_below` at
-    `core_enum.at(j)`, whose S3^n class, and so floor, colorings and
-    epsilon*, it shares, with the minimum found so far as `best`; the core's
+    Index i takes `known[j]`, for the index j of the S3^n class of cover i
+    carried along `phi`, which `core_enum._carried_index` finds from the
+    cover's masks (as `class_index` does for a `Cover`).  A class the
+    core's row left unknown (skipped, or j past its budget) goes through
+    `epsilon_below` at core index j, whose S3^n class, and so floor,
+    colorings and epsilon*, it shares, with the minimum found so far as
+    `best`; the core's
     row holds a None wherever its chunk's minimum was 1/k and k colorings
     used every pair, so such a class is evaluated here.  The scan
     stops once the minimum reaches a lower bound: the core's minimum when
@@ -416,10 +423,12 @@ def _from_core(enum: CoverEnumeration, evaluated: int, phi: dict[int, int],
     values: list[Optional[Fraction]] = []
     best, orbits, queries = Fraction(1), 0, 0
     for i in range(evaluated):
-        j = core_enum.class_index(enum.at(i), phi)
+        j = core_enum._carried_index(zip(enum.pairs, enum._masks(i)), phi,
+                                     core_enum.count)
         value = known[j] if j < len(known) else None
         if value is None:
-            value, query = epsilon_below(core_enum.g, core_enum.at(j), best)
+            value, query = epsilon_below(
+                core_enum.g, list(zip(core_enum.pairs, core_enum._masks(j))), best)
             orbits, queries = orbits + 1, queries + query
         values.append(value)
         if value is not None and value < best:

@@ -9,7 +9,9 @@ union-find for connected components, every vertex sequence for the
 inflexible family, every root and every triple of coloring pairs for the
 six-coloring certificate of epsilon* = 1/3, every set of at most k colorings
 for the k-coloring cover that certifies epsilon* >= 1/k, every set of pairs
-for the exclusive pairs that certify epsilon* <= 1/j.  None of it shares
+for the exclusive pairs that certify epsilon* <= 1/j, every tree-pinned
+gauge vector applied one by one for the cover-class search, and coloring
+masks read back bit by bit.  None of it shares
 code with the implementations under test, except in one place: the per-index
 worst-cover scan calls the library's `epsilon_star` on every cover index, so
 it checks the search's orbit cut and LP skipping, not the LP.  The product
@@ -339,6 +341,30 @@ def uniform_marginals(g: Multigraph, cover: Cover) -> list:
             for v in range(g.n) for c in range(3)] if found else []
 
 
+def coloring_of_mask(n: int, mask: int) -> tuple:
+    """The coloring a 3n-bit coloring mask stands for, bit 3(n - 1 - v) +
+    2 - c set when v has the color c, read bit by bit; a mask without
+    exactly one color per vertex fails an assertion."""
+    assert 0 <= mask < 1 << 3 * n
+    colors = []
+    for v in range(n):
+        held = [c for c in range(3) if mask >> 3 * (n - 1 - v) + 2 - c & 1]
+        assert len(held) == 1, (mask, v)
+        colors.append(held[0])
+    return tuple(colors)
+
+
+def colorings_of_masks_oracle(n: int, masks) -> list:
+    return [coloring_of_mask(n, m) for m in masks]
+
+
+def cover_of_masks(masks) -> Cover:
+    """The cover whose pairs hold the perms of the (pair, perm-id mask)
+    items, bit q standing for PERMS[q]."""
+    return Cover({pair: tuple(p for q, p in enumerate(PERMS) if mask >> q & 1)
+                  for pair, mask in masks})
+
+
 def six_colorings_by_brute_force(n: int, colorings) -> bool:
     """Whether some root r and three pairs of the colorings, one pair per
     color at r, each pair differing at every vertex but r, give all 3n
@@ -438,6 +464,50 @@ def carried_cover(cover: Cover, phi: dict) -> Cover:
             perms = tuple(tuple(p.index(c) for c in range(3)) for p in perms)
         matchings[(a, b)] = perms
     return Cover(matchings)
+
+
+def pinned_relabeling_indices(g: Multigraph, cover: Cover) -> list:
+    """The enumeration index of every tree-pinned relabeling of a full
+    cover, one per gauge vector, in the order `CoverEnumeration`'s class
+    search meets them: root relabeling PERMS[5] first, down to PERMS[0],
+    and for each root the children's choices in depth-first order, the last
+    perm of each tree pair first.
+
+    Every vertex's relabeling is a perm tuple.  The root takes each of the
+    6; down the BFS tree each child takes, for each perm q of its tree pair
+    in PERMS order, the relabeling that turns q into the identity.  All 6 *
+    product(tree slot counts) gauge vectors are applied to the cover
+    directly (`_apply_relabeling`), and each relabeled cover's index is its
+    mixed-radix position in `combinations` order, last pair fastest, a tree
+    pair's options being those that hold the identity."""
+    order, parent = g.bfs()
+    tree = [(parent[y], y) for y in order[1:]]
+    pinned = {(min(x, y), max(x, y)) for x, y in tree}
+    pairs = list(g.pairs())
+    options = []
+    for u, v in pairs:
+        k = min(g.multiplicity(u, v), 6)
+        options.append([(PERMS[0],) + c for c in combinations(PERMS[1:], k - 1)]
+                       if (u, v) in pinned else list(combinations(PERMS, k)))
+    inverse = {p: tuple(p.index(i) for i in range(3)) for p in PERMS}
+    indices = []
+    for root in reversed(PERMS):
+        for picks in product(*(sorted(cover.slots(x, y), reverse=True)
+                               for x, y in tree)):
+            sigma = [None] * g.n
+            sigma[0] = root
+            for (x, y), q in zip(tree, picks):
+                # x < y: q runs x -> y, and sigma_y q sigma_x^-1 = id;
+                # x > y: q runs y -> x, and sigma_x q sigma_y^-1 = id
+                q = inverse[q] if x < y else q
+                sigma[y] = tuple(sigma[x][q[i]] for i in range(3))
+            relabeled = dict(_apply_relabeling(cover, sigma))
+            index = 0
+            for pair, opts in zip(pairs, options):
+                index = index * len(opts) + opts.index(relabeled[pair])
+            indices.append(index)
+    return indices
+
 
 
 def automorphisms(g: Multigraph) -> set:

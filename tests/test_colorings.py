@@ -6,13 +6,18 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flexdp.colorings import (ColoringError, distribution_to_multiset,
-                              enumerate_colorings, marginal, tree_pack_2cover)
-from flexdp.covers import Cover, IDENTITY, full_lists, tight_cover, straight_cover
+from flexdp import colorings
+from flexdp.colorings import (ColoringError, coloring_masks, colorings_of_masks,
+                              distribution_to_multiset, enumerate_colorings,
+                              marginal, tree_pack_2cover)
+from flexdp.covers import (Cover, CoverError, IDENTITY, full_lists, tight_cover,
+                           straight_cover)
+from flexdp.flexibility import _support
 from flexdp.graphs import Multigraph, gen_family
-from oracles import (colorings_by_brute_force, count_proper_3_colorings,
+from oracles import (colorings_by_brute_force, colorings_of_masks_oracle,
+                     count_proper_3_colorings, drop_matching,
                      random_connected_multigraph, random_cover, random_2lists,
-                     random_tree)
+                     random_multigraph, random_tree)
 
 
 class TestEnumerate:
@@ -70,6 +75,47 @@ class TestEnumerate:
             seen += 1
             assert len(enumerate_colorings(g, straight_cover(g))) == \
                 count_proper_3_colorings(g)
+
+
+class TestColoringMasks:
+    def test_match_brute_force_in_enumeration_order(self):
+        """On random covers of random multigraphs, disconnected ones and
+        covers with dropped matchings among them: the masks read bit by bit
+        are the brute-force colorings in `enumerate_colorings`' order, and
+        the packed counts are the sizes of `_support`."""
+        rng = random.Random(33)
+        for _ in range(200):
+            g = random_multigraph(rng, max_n=5, max_mult=3)
+            cover = random_cover(rng, g)
+            for u, v in g.pairs():
+                if rng.random() < 0.3:
+                    cover = drop_matching(cover, u, v, rng.randrange(
+                        len(cover.slots(u, v))))
+            masks, counts = coloring_masks(g, cover.masks())
+            tuples = colorings_of_masks_oracle(g.n, masks)
+            assert tuples == sorted(colorings_by_brute_force(g, cover, full_lists(g.n)))
+            assert tuples == enumerate_colorings(g, cover)
+            assert colorings_of_masks(g.n, masks) == tuples
+            assert counts == [len(users) for users in
+                              _support(tuples, full_lists(g.n)).values()]
+
+    def test_masks_checked_before_enumerating(self):
+        g = Multigraph(3, [(0, 1, 1)])
+        with pytest.raises(CoverError, match=r"\(1, 2\): pair is not an edge"):
+            coloring_masks(g, [((0, 1), 1), ((1, 2), 1)])
+        with pytest.raises(CoverError, match="exceed multiplicity 1"):
+            coloring_masks(g, [((0, 1), 3)])
+
+    def test_cap_raises(self, monkeypatch):
+        """A 12-vertex path has 3 * 2^11 colorings: over a cap of 10^4
+        entries, the mask enumeration stops as the tuple one does."""
+        g = Multigraph(12, [(i, i + 1, 1) for i in range(11)])
+        assert len(coloring_masks(g, straight_cover(g).masks())[0]) == 3 * 2 ** 11
+        monkeypatch.setattr(colorings, "ENUMERATION_CAP", 10 ** 4)
+        with pytest.raises(ColoringError, match="more than 833 colorings"):
+            coloring_masks(g, straight_cover(g).masks())
+        with pytest.raises(ColoringError, match="more than 833 colorings"):
+            enumerate_colorings(g, straight_cover(g))
 
 
 class TestTreePacking:

@@ -8,13 +8,12 @@ import pytest
 from flexdp.covers import (IDENTITY, PERMS, SWAP01, Cover, CoverEnumeration,
                            CoverError, ListDistribution, tight_cover,
                            parse_cover, serialize_cover, straight_cover,
-                           validate, _automorphism_generators, _choices,
-                           _digits)
+                           validate, _automorphism_generators, _digit_row)
 from flexdp.graphs import Multigraph, gen_family, mad
 from flexdp.search import enumerate_connected_multigraphs
 from oracles import all_full_covers, automorphisms, cover_form, \
-    orbit_canonical_form, random_connected_multigraph, random_cover, \
-    relabeling_canonical_form, relabeling_orbit
+    orbit_canonical_form, pinned_relabeling_indices, random_connected_multigraph, \
+    random_cover, relabeling_canonical_form, relabeling_orbit
 
 from fractions import Fraction as Q
 
@@ -146,7 +145,7 @@ class TestEnumeration:
                     twisted = tuple(sorted(tuple(b[q[a_inv[i]]] for i in range(3))
                                            for q in perms))
                     expected.append(options.index(twisted) if twisted in options else -1)
-                assert _digits(_choices(k, pinned), mask) == tuple(expected)
+                assert _digit_row(2 * k + pinned, mask) == tuple(expected)
 
     def test_every_enumerated_cover_validates(self):
         rng = random.Random(11)
@@ -251,6 +250,39 @@ class TestClassIndex:
             assert copy.representatives(count) == enum.representatives(count)
         assert all(copy.class_index(enum.at(i)) == enum.class_index(enum.at(i))
                    for i in range(enum.count))
+
+
+class TestClassSearch:
+    @staticmethod
+    def check(g: Multigraph, cover: Cover) -> None:
+        """At the full limit and at cut ones: marking finds exactly the
+        indices below the limit among those of every tree-pinned gauge
+        vector, and `first` the first of them in the oracle's order (root
+        PERMS[5] first, then depth first)."""
+        enum = CoverEnumeration(g)
+        held = dict(cover.masks())
+        masks = [held[pair] for pair in enum.pairs]
+        met = pinned_relabeling_indices(g, cover)
+        least = min(met)
+        for limit in {1, least, least + 1, enum.count // 2 + 1, max(met), enum.count}:
+            limit = min(limit, enum.count)
+            below = [i for i in met if i < limit]
+            assert enum._relabeled_indices(masks, limit) == set(below)
+            assert enum._relabeled_indices(masks, limit, first=True) == set(below[:1])
+
+    @pytest.mark.parametrize("max_vertices, max_mult", [(4, 2), (5, 1)])
+    def test_every_index_matches_the_gauge_oracle(self, max_vertices, max_mult):
+        for g in enumerate_connected_multigraphs(max_vertices, max_mult):
+            if mad(g) < 3:
+                enum = CoverEnumeration(g)
+                for i in range(enum.count):
+                    self.check(g, enum.at(i))
+
+    def test_random_covers_match_the_gauge_oracle(self):
+        rng = random.Random(86)
+        for _ in range(150):
+            g = random_connected_multigraph(rng, max_n=5, max_mult=3)
+            self.check(g, random_cover(rng, g))
 
 
 class TestRepresentatives:

@@ -264,7 +264,7 @@ class TestUniformFloor:
         for _ in range(120):
             g = random_connected_multigraph(rng, max_n=5, max_mult=2)
             cover = random_cover(rng, g)
-            floor = _floor(g, cover)[0]
+            floor = _floor(g, cover.masks())[0]
             eps = epsilon_star(g, cover).epsilon_star
             assert floor == min(uniform_marginals(g, cover), default=0)
             assert floor <= eps <= Q(1, 3)
@@ -277,11 +277,16 @@ class TestUniformFloor:
 
     def test_uncolorable_cover_has_floor_zero(self):
         g, _ = gen_family("k4")
-        assert _floor(g, straight_cover(g))[0] == 0
+        assert _floor(g, straight_cover(g).masks())[0] == 0
 
     def test_cover_checked(self):
-        with pytest.raises(CoverError):
-            _floor(_ONE_EDGE, _NON_EDGE_COVER)
+        with pytest.raises(CoverError, match=r"\(1, 2\): pair is not an edge"):
+            _floor(_ONE_EDGE, _NON_EDGE_COVER.masks())
+        with pytest.raises(CoverError, match="exceed multiplicity 1"):
+            _floor(_ONE_EDGE, [((0, 1), 3)])
+        for perms in ((IDENTITY, IDENTITY), ((0, 0, 1),)):
+            with pytest.raises(CoverError, match="duplicate|not a permutation"):
+                Cover({(0, 1): perms}).masks()
 
 
 class TestFramework:

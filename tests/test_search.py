@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from flexdp import search
+from flexdp.colorings import pair_bit
 from flexdp.covers import (Cover, CoverEnumeration, full_lists, straight_cover,
                            trivial_list_distribution)
 from flexdp.flexibility import _floor, epsilon_star, framework_feasible
@@ -28,7 +29,7 @@ from oracles import (all_full_covers, canonical_code_by_permutations, carried_co
                      random_connected_multigraph, random_cover, random_multigraph,
                      least_relabeling_by_permutations, relabeling_canonical_form,
                      exclusive_pairs_by_brute_force, k_cover_by_brute_force,
-                     relabeling_getters,
+                     relabeling_getters, colorings_of_masks_oracle, cover_of_masks,
                      six_colorings_by_brute_force,
                      two_core_by_brute_force, with_pendant_trees)
 
@@ -452,20 +453,20 @@ class TestLpSkip:
     def test_one_enumeration_per_orbit(self, monkeypatch, max_vertices,
                                        max_mult, orbits):
         """A query builds its LP from the colorings its uniform floor
-        enumerated: one enumeration per evaluated class, not one more per
-        query.  Rows with a leaf evaluate none here."""
+        enumerated: one enumeration per evaluated class, as masks, not one
+        more per query, and none as tuples.  Rows with a leaf evaluate none
+        here."""
         from flexdp import flexibility
-        calls = []
-        original = flexibility.enumerate_colorings
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(flexibility, "enumerate_colorings", counting)
+        calls = {"coloring_masks": [], "enumerate_colorings": []}
+        for name, found in calls.items():
+            def counting(*args, original=getattr(flexibility, name), found=found):
+                found.append(args)
+                return original(*args)
+            monkeypatch.setattr(flexibility, name, counting)
         report = theorem_check(max_vertices, max_mult)
         assert sum(r.orbits for r in report.rows) == orbits
-        assert len(calls) == orbits
+        assert len(calls["coloring_masks"]) == orbits
+        assert calls["enumerate_colorings"] == []
 
     @pytest.mark.parametrize("max_vertices, max_mult, kept",
                              [(4, 2, 23), (5, 1, 25)])
@@ -487,14 +488,15 @@ class TestLpSkip:
 
 def _searches(monkeypatch, name, *runs):
     """(g, cover, the search's arguments after n, its answer) of every call
-    to `flexibility.<name>` that the theorem checks of `runs` make."""
+    to `flexibility.<name>` that the theorem checks of `runs` make; the
+    cover is the one whose masks `epsilon_below` was given."""
     from flexdp import flexibility
     below, searched = search.epsilon_below, getattr(flexibility, name)
     current, seen = [], []
 
-    def recording_below(g, cover, best):
-        current[:] = [g, cover]
-        return below(g, cover, best)
+    def recording_below(g, masks, best):
+        current[:] = [g, cover_of_masks(masks)]
+        return below(g, masks, best)
 
     def recording(n, *args):
         found = searched(n, *args)
@@ -519,10 +521,12 @@ class TestSixColorings:
         assert len(seen) == 16 + 66
         certified = 0
         for g, cover, colorings, found in seen:
-            assert (found is not None) == six_colorings_by_brute_force(g.n, colorings)
+            tuples = colorings_of_masks_oracle(g.n, colorings)
+            assert tuples == colorings_by_brute_force(g, cover, full_lists(g.n))
+            assert (found is not None) == six_colorings_by_brute_force(g.n, tuples)
             if found is not None:
                 certified += 1
-                assert set(found) <= set(colorings)
+                assert len(found) == 6 and set(found) <= set(colorings)
                 assert epsilon_star(g, cover).epsilon_star == Q(1, 3)
         assert certified == 6 + 62
 
@@ -530,15 +534,15 @@ class TestSixColorings:
         """On random small covers with colorings: the same answer as the
         oracle, and a certificate only where the LP gives 1/3."""
         from flexdp.flexibility import _six_colorings
-        from flexdp.colorings import enumerate_colorings
         rng = random.Random(16)
         found = 0
         for _ in range(300):
             g = random_connected_multigraph(rng, max_n=4, max_mult=2)
             cover = random_cover(rng, g)
-            colorings = enumerate_colorings(g, cover)
+            _, colorings = _floor(g, cover.masks())
             six = _six_colorings(g.n, colorings)
-            assert (six is not None) == six_colorings_by_brute_force(g.n, colorings)
+            assert (six is not None) == six_colorings_by_brute_force(
+                g.n, colorings_of_masks_oracle(g.n, colorings))
             if six is not None:
                 found += 1
                 assert epsilon_star(g, cover).epsilon_star == Q(1, 3)
@@ -554,19 +558,21 @@ class TestSixColorings:
         monkeypatch.setattr(flexibility, "_six_colorings",
                             lambda n, colorings: [colorings[0]] * 6)
         with pytest.raises(LpInternalError):
-            flexibility.epsilon_below(g, cover, Q(1, 3))
+            flexibility.epsilon_below(g, cover.masks(), Q(1, 3))
 
 
 class TestKCover:
     @staticmethod
     def check(n, colorings, k, found):
-        """A cover the search returns is at most k of the colorings that
-        use every pair, and it returns one exactly when the oracle finds one."""
-        assert (found is not None) == k_cover_by_brute_force(n, colorings, k)
+        """A cover the search returns is at most k of the coloring masks
+        that use every pair, and it returns one exactly when the oracle
+        finds one."""
+        tuples = colorings_of_masks_oracle(n, colorings)
+        assert (found is not None) == k_cover_by_brute_force(n, tuples, k)
         if found is not None:
             assert len(found) <= k and set(found) <= set(colorings)
-            assert {(v, c) for phi in found for v, c in enumerate(phi)} == \
-                set(product(range(n), range(3)))
+            assert {(v, c) for phi in colorings_of_masks_oracle(n, found)
+                    for v, c in enumerate(phi)} == set(product(range(n), range(3)))
 
     def test_theorem_check_searches_match_oracle(self, monkeypatch):
         """Every search at (4,2) and (5,1): the oracle's answer, and epsilon*
@@ -574,7 +580,9 @@ class TestKCover:
         5 and 3 at best = 1/4, and 2 more at (4,2) for 4 exclusive pairs."""
         seen = _searches(monkeypatch, "_k_cover", (4, 2), (5, 1))
         assert [k for *_, k, _ in seen] == [4] * (7 + 3)
-        for g, cover, colorings, _, k, found in seen:
+        for g, cover, colorings, k, found in seen:
+            assert colorings_of_masks_oracle(g.n, colorings) == \
+                colorings_by_brute_force(g, cover, full_lists(g.n))
             self.check(g.n, colorings, k, found)
             if found is not None:
                 assert epsilon_star(g, cover).epsilon_star >= Q(1, k)
@@ -587,8 +595,8 @@ class TestKCover:
         found = missed = 0
         for _ in range(150):
             g = random_connected_multigraph(rng, max_n=4, max_mult=2)
-            _, colorings, where = _floor(g, random_cover(rng, g))
-            cover = _k_cover(g.n, colorings, where, k)
+            _, colorings = _floor(g, random_cover(rng, g).masks())
+            cover = _k_cover(g.n, colorings, k)
             self.check(g.n, colorings, k, cover)
             found += cover is not None
             missed += cover is None and bool(colorings)
@@ -603,15 +611,15 @@ class TestKCover:
         g, cover, *_, k, _ = next(call for call in _searches(monkeypatch, "_k_cover",
                                                               (4, 2))
                                   if call[-1] is not None)
-        assert flexibility.epsilon_below(g, cover, Q(1, k)) == (None, 0)
-        mutants = [
-            lambda n, colorings, where, k: [
-                phi for phi in k_cover(n, colorings, where, k) if phi[0] != 0],
-            lambda n, colorings, where, k: list(colorings)]
+        assert flexibility.epsilon_below(g, cover.masks(), Q(1, k)) == (None, 0)
+        mutants = [     # drop the colorings giving vertex 0 color 0
+            lambda n, colorings, k: [
+                m for m in k_cover(n, colorings, k) if not m & pair_bit(n, 0, 0)],
+            lambda n, colorings, k: list(colorings)]
         for mutant in mutants:
             monkeypatch.setattr(flexibility, "_k_cover", mutant)
             with pytest.raises(LpInternalError):
-                flexibility.epsilon_below(g, cover, Q(1, k))
+                flexibility.epsilon_below(g, cover.masks(), Q(1, k))
 
     def test_never_none_at_a_third(self, monkeypatch):
         """At best = 1/3, `_eps_chunk`'s start and `--per-class`'s value, no
@@ -624,16 +632,16 @@ class TestKCover:
         monkeypatch.setattr(flexibility, "_exclusive_pairs",
                             lambda *args: found.append(pairs(*args)) or found[-1])
         monkeypatch.setattr(flexibility, "_k_cover",
-                            lambda n, colorings, where, k: asked.append(
+                            lambda n, colorings, k: asked.append(
                                 (k, found[-1].bit_count()))
-                            or k_cover(n, colorings, where, k))
+                            or k_cover(n, colorings, k))
         rng = random.Random(29)
         checked = 0
         for _ in range(200):
             g = random_connected_multigraph(rng, max_n=4, max_mult=2)
             cover = random_cover(rng, g)
-            if 0 < _floor(g, cover)[0] < Q(1, 3):
-                assert flexibility.epsilon_below(g, cover, Q(1, 3))[0] == \
+            if 0 < _floor(g, cover.masks())[0] < Q(1, 3):
+                assert flexibility.epsilon_below(g, cover.masks(), Q(1, 3))[0] == \
                     epsilon_star(g, cover).epsilon_star
                 checked += 1
         assert checked and asked
@@ -659,16 +667,16 @@ class TestExclusivePairs:
         below, pairs = search.epsilon_below, flexibility._exclusive_pairs
         seen = []
 
-        def recording_pairs(n, colorings, where):
-            found = pairs(n, colorings, where)
+        def recording_pairs(n, colorings):
+            found = pairs(n, colorings)
             seen.append([colorings, found])
             return found
 
-        def recording_below(g, cover, best):
+        def recording_below(g, masks, best):
             searches = len(seen)
-            answer = below(g, cover, best)
+            answer = below(g, masks, best)
             if len(seen) > searches:
-                seen[-1] += [g, cover, answer]
+                seen[-1] += [g, cover_of_masks(masks), answer]
             return answer
 
         monkeypatch.setattr(search, "epsilon_below", recording_below)
@@ -678,7 +686,10 @@ class TestExclusivePairs:
         monkeypatch.undo()
         settled = 0
         for colorings, found, g, cover, (value, lps) in seen:
-            assert found.bit_count() == exclusive_pairs_by_brute_force(g.n, colorings)
+            tuples = colorings_of_masks_oracle(g.n, colorings)
+            assert tuples == colorings_by_brute_force(g, cover, full_lists(g.n))
+            assert found.bit_count() == exclusive_pairs_by_brute_force(g.n, tuples)
+            assert not any((m & found).bit_count() > 1 for m in colorings)
             if not lps:
                 settled += 1
                 assert value == Q(1, found.bit_count()) == \
@@ -691,9 +702,10 @@ class TestExclusivePairs:
         sizes = set()
         for _ in range(300):
             g = random_connected_multigraph(rng, max_n=4, max_mult=2)
-            _, colorings, where = _floor(g, random_cover(rng, g))
-            found = _exclusive_pairs(g.n, colorings, where)
-            assert found.bit_count() == exclusive_pairs_by_brute_force(g.n, colorings)
+            _, colorings = _floor(g, random_cover(rng, g).masks())
+            found = _exclusive_pairs(g.n, colorings)
+            assert found.bit_count() == exclusive_pairs_by_brute_force(
+                g.n, colorings_of_masks_oracle(g.n, colorings))
             sizes.add(found.bit_count())
         assert len(sizes) > 2
 
@@ -705,25 +717,25 @@ class TestExclusivePairs:
         from flexdp.lp import LpInternalError
         k_cover = flexibility._k_cover
         settled = [(g, cover, k, colorings[0])
-                   for g, cover, colorings, _, k, found in _searches(
+                   for g, cover, colorings, k, found in _searches(
                        monkeypatch, "_k_cover", (4, 2))
-                   if found is not None and _floor(g, cover)[0] != Q(1, k)
-                   and flexibility.epsilon_below(g, cover, Q(1, 3)) == (Q(1, k), 0)]
-        g, cover, k, phi = settled[0]
-        used = sum(1 << 3 * v + c for v, c in enumerate(phi))
+                   if found is not None and _floor(g, cover.masks())[0] != Q(1, k)
+                   and flexibility.epsilon_below(g, cover.masks(), Q(1, 3))
+                   == (Q(1, k), 0)]
+        g, cover, k, used = settled[0]      # one coloring's pairs
         monkeypatch.setattr(flexibility, "_exclusive_pairs",
-                            lambda n, colorings, where: used)
+                            lambda n, colorings: used)
         with pytest.raises(LpInternalError, match="exclusive pairs"):
-            flexibility.epsilon_below(g, cover, Q(1, 3))
+            flexibility.epsilon_below(g, cover.masks(), Q(1, 3))
         monkeypatch.undo()
-        mutants = [
-            lambda n, colorings, where, k: [
-                phi for phi in k_cover(n, colorings, where, k) if phi[0] != 0],
-            lambda n, colorings, where, k: list(colorings)]
+        mutants = [     # drop the colorings giving vertex 0 color 0
+            lambda n, colorings, k: [
+                m for m in k_cover(n, colorings, k) if not m & pair_bit(n, 0, 0)],
+            lambda n, colorings, k: list(colorings)]
         for mutant in mutants:
             monkeypatch.setattr(flexibility, "_k_cover", mutant)
             with pytest.raises(LpInternalError, match="cover check"):
-                flexibility.epsilon_below(g, cover, Q(1, 3))
+                flexibility.epsilon_below(g, cover.masks(), Q(1, 3))
 
 
 class TestTwoCore:
@@ -752,7 +764,7 @@ class TestTwoCore:
                             if u in place and v in place})
                 assert epsilon_star(g, h).epsilon_star == \
                     epsilon_star(k, hk).epsilon_star
-                assert _floor(k, hk)[0] >= _floor(g, h)[0]
+                assert _floor(k, hk.masks())[0] >= _floor(g, h.masks())[0]
                 covers += 1
         assert trees
 
